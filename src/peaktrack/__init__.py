@@ -37,7 +37,6 @@ from .geometry import (
     GridPoint,
     PipelineConfig,
     TopPoint,
-    bbox_from_top,
     corners_from_top,
     quantize_point,
     top_point_from_bbox,

@@ -7,13 +7,13 @@ positions of live tracks.  The default matcher is greedy (confident
 detections claim the nearest track first); a Hungarian matcher solving the
 same gated problem optimally is provided for comparisons.
 
-Lifecycle is deliberately local: unmatched tracks are deleted immediately,
-unmatched detections always start new tracks, and ids are never reused.
+Lifecycle is deliberately local and owned by `step` alone: unmatched tracks
+are dropped immediately, unmatched detections always start new tracks, and
+ids are never reused.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,9 +21,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, Detection, PipelineConfig, TopPoint
-
-ACTIVE = "active"
-DELETED = "deleted"
 
 MATCHERS = ("greedy", "hungarian")
 
@@ -33,10 +30,6 @@ class Track:
     id: int
     class_id: int
     last_top: TopPoint
-    last_size: tuple[float, float]
-    last_frame: int
-    state: str = ACTIVE
-    history: list[tuple[int, BBox]] = field(default_factory=list)
 
 
 @dataclass
@@ -68,14 +61,35 @@ def predict_prev_positions(dets: Sequence[Detection]) -> list[TopPoint]:
     ]
 
 
-def _check_active(tracks: Sequence[Track]) -> None:
-    for t in tracks:
-        if t.state != ACTIVE:
-            raise ValueError(f"track {t.id} is not active")
+def _gated_distances(
+    tracks: Sequence[Track], dets: Sequence[Detection], gate_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tracks x detections) distances and the mask of pairs allowed to match.
+
+    The distance runs from a track's last position to a detection's
+    predicted previous position; a pair is allowed when both have the same
+    class and the distance is within gate_scale * max(det width, det height).
+    """
+    predicted = predict_prev_positions(dets)
+    last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
+    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
+    dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
+    gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
+    same_class = np.array([t.class_id for t in tracks])[:, None] == np.array(
+        [d.class_id for d in dets]
+    )
+    return dist, same_class & (dist <= gate)
 
 
-def _gate(det: Detection, gate_scale: float) -> float:
-    return gate_scale * max(det.size)
+def _result(
+    tracks: Sequence[Track], n_dets: int, matches: list[tuple[int, int]]
+) -> MatchResult:
+    """Attach the unmatched track ids and detection indices to `matches`."""
+    matched_tracks = {tid for tid, _ in matches}
+    matched_dets = {di for _, di in matches}
+    unmatched_tracks = [t.id for t in tracks if t.id not in matched_tracks]
+    unmatched_dets = [i for i in range(n_dets) if i not in matched_dets]
+    return matches, unmatched_tracks, unmatched_dets
 
 
 def greedy_match(
@@ -95,33 +109,20 @@ def greedy_match(
     Returns (matches as (track_id, det_index) pairs in processing order,
     unmatched track ids, unmatched detection indices).
     """
-    _check_active(tracks)
-    predicted = predict_prev_positions(dets)
+    dist, allowed = _gated_distances(tracks, dets, gate_scale)
+    if not allowed.any():
+        return _result(tracks, len(dets), [])
+    # Forbidden and already-taken pairs cost inf; argmin returns the first
+    # (earliest-created) of equally near tracks.
+    cost = np.where(allowed, dist, np.inf)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken: set[int] = set()
     matches: list[tuple[int, int]] = []
-    matched_dets: set[int] = set()
     for di in order:
-        det = dets[di]
-        gate = _gate(det, gate_scale)
-        best_ti = -1
-        best_dist = math.inf
-        for ti, track in enumerate(tracks):
-            if ti in taken or track.class_id != det.class_id:
-                continue
-            dist = math.hypot(
-                track.last_top.x - predicted[di].x, track.last_top.y - predicted[di].y
-            )
-            if dist <= gate and dist < best_dist:
-                best_ti = ti
-                best_dist = dist
-        if best_ti >= 0:
-            taken.add(best_ti)
-            matched_dets.add(di)
-            matches.append((tracks[best_ti].id, di))
-    unmatched_tracks = [t.id for i, t in enumerate(tracks) if i not in taken]
-    unmatched_dets = [i for i in range(len(dets)) if i not in matched_dets]
-    return matches, unmatched_tracks, unmatched_dets
+        ti = int(np.argmin(cost[:, di]))
+        if np.isfinite(cost[ti, di]):
+            cost[ti, :] = np.inf
+            matches.append((tracks[ti].id, di))
+    return _result(tracks, len(dets), matches)
 
 
 def hungarian_match(
@@ -136,40 +137,20 @@ def hungarian_match(
     total Euclidean distance.  Matches are returned sorted by detection
     index.
     """
-    _check_active(tracks)
-    n, m = len(tracks), len(dets)
-    if n == 0 or m == 0:
-        return [], [t.id for t in tracks], list(range(m))
-    predicted = predict_prev_positions(dets)
-    dist = np.zeros((n, m))
-    feasible = np.zeros((n, m), dtype=bool)
-    for ti, track in enumerate(tracks):
-        for di, det in enumerate(dets):
-            d = math.hypot(
-                track.last_top.x - predicted[di].x, track.last_top.y - predicted[di].y
-            )
-            dist[ti, di] = d
-            feasible[ti, di] = track.class_id == det.class_id and d <= _gate(
-                det, gate_scale
-            )
-    if not feasible.any():
-        return [], [t.id for t in tracks], list(range(m))
-    # A forbidden pair costing more than every feasible cost combined makes
-    # the solver maximize feasible cardinality first, then minimize distance.
-    big = float(dist[feasible].sum()) + 1.0
-    cost = np.where(feasible, dist, big)
-    rows, cols = linear_sum_assignment(cost)
+    dist, allowed = _gated_distances(tracks, dets, gate_scale)
+    if not allowed.any():
+        return _result(tracks, len(dets), [])
+    # A forbidden pair costing more than every allowed cost combined makes
+    # the solver maximize allowed cardinality first, then minimize distance.
+    big = float(dist[allowed].sum()) + 1.0
+    rows, cols = linear_sum_assignment(np.where(allowed, dist, big))
     matches = [
-        (tracks[ti].id, int(di))
+        (tracks[ti].id, di)
         for ti, di in zip(rows.tolist(), cols.tolist())
-        if feasible[ti, di]
+        if allowed[ti, di]
     ]
     matches.sort(key=lambda pair: pair[1])
-    matched_tracks = {tid for tid, _ in matches}
-    matched_dets = {di for _, di in matches}
-    unmatched_tracks = [t.id for t in tracks if t.id not in matched_tracks]
-    unmatched_dets = [i for i in range(m) if i not in matched_dets]
-    return matches, unmatched_tracks, unmatched_dets
+    return _result(tracks, len(dets), matches)
 
 
 def step(
@@ -180,10 +161,9 @@ def step(
 ) -> list[TrackOutput]:
     """Advance the tracker by one frame and return its result rows.
 
-    Matched tracks adopt their detection's position, size and box; unmatched
-    detections spawn new tracks with fresh ids (ascending detection index);
-    unmatched tracks are deleted on the spot.  Rows come back sorted by
-    track id.
+    Matched tracks adopt their detection's position; unmatched detections
+    spawn new tracks with fresh ids (ascending detection index); unmatched
+    tracks are dropped on the spot.  Rows come back sorted by track id.
     """
     if matcher not in MATCHERS:
         raise ValueError(f"unknown matcher {matcher!r}, expected one of {MATCHERS}")
@@ -197,29 +177,15 @@ def step(
     outputs: list[TrackOutput] = []
     for track_id, di in matches:
         det = dets[di]
-        track = by_id[track_id]
-        box = det.bbox()
-        track.last_top = det.top
-        track.last_size = det.size
-        track.last_frame = state.frame
-        track.history.append((state.frame, box))
-        outputs.append(TrackOutput(state.frame, track.id, box, det.score))
-    for track_id in unmatched_tracks:
-        by_id[track_id].state = DELETED
-    state.active = [t for t in state.active if t.state == ACTIVE]
+        by_id[track_id].last_top = det.top
+        outputs.append(TrackOutput(state.frame, track_id, det.bbox(), det.score))
+    dead = set(unmatched_tracks)
+    state.active = [t for t in state.active if t.id not in dead]
     for di in sorted(unmatched_dets):
         det = dets[di]
-        box = det.bbox()
-        track = Track(
-            id=state.next_id,
-            class_id=det.class_id,
-            last_top=det.top,
-            last_size=det.size,
-            last_frame=state.frame,
-            history=[(state.frame, box)],
-        )
+        track = Track(id=state.next_id, class_id=det.class_id, last_top=det.top)
         state.next_id += 1
         state.active.append(track)
-        outputs.append(TrackOutput(state.frame, track.id, box, det.score))
+        outputs.append(TrackOutput(state.frame, track.id, det.bbox(), det.score))
     outputs.sort(key=lambda row: row.track_id)
     return outputs

@@ -28,7 +28,7 @@ from .fileio import (
     write_head_outputs,
     write_mot_file,
 )
-from .geometry import PipelineConfig
+from .geometry import BBox, PipelineConfig
 from .heatmap import decode_detections, render_gt_heatmap
 from .losses import (
     FrameTargets,
@@ -108,6 +108,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scene = cfg_file.scene()
     corruption = cfg_file.corruption()
     pipeline = cfg_file.pipeline()
+    if scene.downsample != pipeline.downsample:
+        # grid files do not record R, so `track` would decode at the wrong scale
+        raise ConfigError(
+            f"{args.config}: [scene] downsample {scene.downsample} differs from "
+            f"[pipeline] downsample {pipeline.downsample}"
+        )
 
     frames = gen_scene(scene)
     out_dir = Path(args.out)
@@ -294,7 +300,7 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
     return 0 if ok else 3
 
 
-def _draw_box(img: np.ndarray, box, color: tuple[int, int, int]) -> None:
+def _draw_box(img: np.ndarray, box: BBox, color: tuple[int, int, int]) -> None:
     h, w = img.shape[:2]
     x1 = max(int(math.floor(box.x1)), 0)
     y1 = max(int(math.floor(box.y1)), 0)
@@ -323,25 +329,15 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     img = np.zeros((height, width, 3), dtype=np.uint8)
     for r in gt_rows:
         if r.frame == args.frame:
-            _draw_box(img, BoxView(r), (0, 200, 0))
+            _draw_box(img, BBox(r.x, r.y, r.w, r.h), (0, 200, 0))
     for r in pred_rows:
         if r.frame == args.frame:
-            _draw_box(img, BoxView(r), (230, 60, 60))
+            _draw_box(img, BBox(r.x, r.y, r.w, r.h), (230, 60, 60))
     with open(args.out, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(img.tobytes())
     print(f"wrote {width}x{height} overlay for frame {args.frame} to {args.out}")
     return 0
-
-
-class BoxView:
-    """Corner accessors over a MotRow for the drawing helper."""
-
-    def __init__(self, row: MotRow):
-        self.x1 = row.x
-        self.y1 = row.y
-        self.x2 = row.x + row.w
-        self.y2 = row.y + row.h
 
 
 def main(argv: list[str] | None = None) -> int:

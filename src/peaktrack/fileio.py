@@ -16,6 +16,7 @@ NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -122,6 +123,10 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
                 raise FileFormatError(f"{path}:{line_no}: {exc}")
             if frame < 1:
                 raise FileFormatError(f"{path}:{line_no}: frame must be >= 1")
+            if not (w > 0 and h > 0 and all(map(math.isfinite, (x, y, w, h)))):
+                raise FileFormatError(
+                    f"{path}:{line_no}: box {x, y, w, h} needs finite values and w, h > 0"
+                )
             rows.append(MotRow(frame, track_id, x, y, w, h, conf, class_id, vis))
     return rows
 

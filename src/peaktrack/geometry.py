@@ -172,8 +172,3 @@ def corners_from_top(top: TopPoint, size: tuple[float, float]) -> tuple[float, f
         top.y + h * (1.0 - TOP_HEIGHT_FRACTION),
     )
 
-
-def bbox_from_top(top: TopPoint, size: tuple[float, float]) -> BBox:
-    """Corner-form reconstruction returned as an (x1, y1, w, h) box."""
-    x1, y1, x2, y2 = corners_from_top(top, size)
-    return BBox(x1, y1, x2 - x1, y2 - y1)

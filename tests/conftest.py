@@ -15,6 +15,8 @@ from peaktrack import (
     quantize_point,
 )
 
+from .oracles import euclid
+
 
 def make_detection(
     x: float,
@@ -38,22 +40,46 @@ def make_detection(
     )
 
 
-def make_track(
-    track_id: int,
-    x: float,
-    y: float,
-    w: float = 12.0,
-    h: float = 30.0,
-    class_id: int = 0,
-    frame: int = 1,
-) -> Track:
-    return Track(
-        id=track_id,
-        class_id=class_id,
-        last_top=TopPoint(x, y),
-        last_size=(w, h),
-        last_frame=frame,
-    )
+def make_track(track_id: int, x: float, y: float, class_id: int = 0) -> Track:
+    return Track(id=track_id, class_id=class_id, last_top=TopPoint(x, y))
+
+
+def random_instance(rng, n_tracks, n_dets, span=200.0, classes=1):
+    """Random tracks and detections for the matcher oracles."""
+    tracks = [
+        make_track(
+            i + 1,
+            float(rng.uniform(0, span)),
+            float(rng.uniform(0, span)),
+            class_id=int(rng.integers(classes)),
+        )
+        for i in range(n_tracks)
+    ]
+    dets = [
+        make_detection(
+            float(rng.uniform(0, span)),
+            float(rng.uniform(0, span)),
+            w=float(rng.uniform(5, 40)),
+            h=float(rng.uniform(5, 40)),
+            score=float(rng.choice([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])),
+            class_id=int(rng.integers(classes)),
+            disp=(float(rng.normal(0, 5)), float(rng.normal(0, 5))),
+        )
+        for _ in range(n_dets)
+    ]
+    return tracks, dets
+
+
+def match_cost(tracks, dets, matches):
+    """Total distance of `matches`, from each track to its detection's
+    predicted previous position."""
+    by_id = {t.id: t for t in tracks}
+    total = 0.0
+    for tid, di in matches:
+        det = dets[di]
+        predicted = (det.top.x - det.displacement[0], det.top.y - det.displacement[1])
+        total += euclid((by_id[tid].last_top.x, by_id[tid].last_top.y), predicted)
+    return total
 
 
 def separated_annotations(

@@ -37,9 +37,8 @@ from peaktrack import (
     total_loss,
 )
 
-from .conftest import separated_annotations
+from .conftest import match_cost, random_instance, separated_annotations
 from .oracles import assignment_oracle, euclid, greedy_oracle, idf1_oracle
-from .test_association import match_cost, random_instance
 
 E2E_SCENE_CFG = """
 [scene]

@@ -9,45 +9,9 @@ from peaktrack import (
     predict_prev_positions,
     step,
 )
-from peaktrack.association import ACTIVE, DELETED
 
-from .conftest import make_detection, make_track
+from .conftest import make_detection, make_track, match_cost, random_instance
 from .oracles import assignment_oracle, euclid, greedy_oracle
-
-
-def random_instance(rng, n_tracks, n_dets, span=200.0, classes=1):
-    tracks = [
-        make_track(
-            i + 1,
-            float(rng.uniform(0, span)),
-            float(rng.uniform(0, span)),
-            class_id=int(rng.integers(classes)),
-        )
-        for i in range(n_tracks)
-    ]
-    dets = [
-        make_detection(
-            float(rng.uniform(0, span)),
-            float(rng.uniform(0, span)),
-            w=float(rng.uniform(5, 40)),
-            h=float(rng.uniform(5, 40)),
-            score=float(rng.choice([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])),
-            class_id=int(rng.integers(classes)),
-            disp=(float(rng.normal(0, 5)), float(rng.normal(0, 5))),
-        )
-        for _ in range(n_dets)
-    ]
-    return tracks, dets
-
-
-def match_cost(tracks, dets, matches):
-    by_id = {t.id: t for t in tracks}
-    total = 0.0
-    for tid, di in matches:
-        det = dets[di]
-        predicted = (det.top.x - det.displacement[0], det.top.y - det.displacement[1])
-        total += euclid((by_id[tid].last_top.x, by_id[tid].last_top.y), predicted)
-    return total
 
 
 class TestPredictPrev:
@@ -104,11 +68,11 @@ class TestGreedyMatch:
             expected = greedy_oracle(tracks, dets, gate_scale)
             assert got == expected
 
-    def test_rejects_deleted_tracks(self):
-        t = make_track(1, 0, 0)
-        t.state = DELETED
-        with pytest.raises(ValueError):
-            greedy_match([t], [], 1.0)
+    def test_distance_tie_goes_to_earliest_track(self):
+        tracks = [make_track(1, 0, 0), make_track(2, 20, 0)]
+        dets = [make_detection(10, 0)]  # 10 px from both, gate 30
+        matches, ut, ud = greedy_match(tracks, dets, 1.0)
+        assert matches == [(1, 0)] and ut == [2] and ud == []
 
 
 class TestHungarianMatch:
@@ -191,7 +155,6 @@ class TestStep:
         out = step(state, dets, PipelineConfig())
         assert [o.track_id for o in out] == [1, 2, 3]
         assert state.frame == 1
-        assert all(t.state == ACTIVE for t in state.active)
 
     def test_repeat_keeps_identities(self):
         state = TrackerState()
@@ -213,18 +176,20 @@ class TestStep:
     def test_history_frames_strictly_increase(self, rng):
         state = TrackerState()
         cfg = PipelineConfig()
+        frames_by_id: dict[int, list[int]] = {}
         for frame in range(12):
             dets = [
                 make_detection(
                     10.0 + frame + 40 * k, 10.0 + 30 * k, disp=(1.0 if frame else 0.0, 0.0)
                 )
                 for k in range(3)
+                if (frame + k) % 5  # gaps kill tracks and birth new ids
             ]
-            step(state, dets, cfg)
-        for track in state.active:
-            frames = [f for f, _ in track.history]
-            assert frames == sorted(frames)
-            assert len(set(frames)) == len(frames)
+            for row in step(state, dets, cfg):
+                frames_by_id.setdefault(row.track_id, []).append(row.frame)
+        assert len(frames_by_id) > 3
+        for frames in frames_by_id.values():
+            assert frames == list(range(frames[0], frames[0] + len(frames)))
 
     def test_no_duplicate_ids_per_frame(self, rng):
         state = TrackerState()

@@ -109,6 +109,16 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "[scene]\nwidth = 128\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_zero_extent_box_is_format_error(self, tmp_path):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,0,10,1,-1,-1\n")
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(gt)]) == 2
+
+    def test_mismatched_downsample_is_validation_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCENE_CFG + "\n[pipeline]\ndownsample = 2\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_frame_ranges_rejected(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text("1,1,0,0,10,10,1,-1,-1\n")

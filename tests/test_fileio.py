@@ -99,6 +99,15 @@ class TestMotFile:
         with pytest.raises(FileFormatError, match="rows.txt:2"):
             read_mot_file(p)
 
+    @pytest.mark.parametrize(
+        "box", ["nan,20,40,100", "10,inf,40,100", "10,20,0,100", "10,20,40,-5"]
+    )
+    def test_bad_box_geometry_reports_line(self, tmp_path, box):
+        p = tmp_path / "rows.txt"
+        p.write_text(f"1,3,10,20,40,100,1,-1,-1\n2,3,{box},1,-1,-1\n")
+        with pytest.raises(FileFormatError, match="rows.txt:2"):
+            read_mot_file(p)
+
     def test_frame_zero_rejected(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text("0,3,10,20,40,100,1,-1,-1\n")
