@@ -158,6 +158,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     frame_indices = list_head_frames(args.heads)
     if not frame_indices:
         raise ValueError(f"no head grids found in {args.heads}")
+    # `step` takes each call as the next frame, so a gap would be associated
+    # with a one-frame displacement
+    missing = sorted(set(range(frame_indices[0], frame_indices[-1] + 1)) - set(frame_indices))
+    if missing:
+        raise ValueError(f"{args.heads}: head grids missing for frames {missing}")
 
     state = TrackerState()
     rows: list[MotRow] = []

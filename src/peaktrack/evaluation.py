@@ -1,12 +1,19 @@
 """CLEAR-MOT metrics and IDF1 over frame-aligned box sequences.
 
 Sequences are mappings from 1-based frame index to a list of
-(id, BBox) pairs.  Correspondence between ground truth and predictions is
-kept frame to frame: a pair matched earlier persists while it still
-overlaps, everything else is re-matched by maximizing IoU, and a ground
-truth identity whose matched prediction id changes counts one identity
-switch.  IDF1 instead scores a single global pairing of whole
-trajectories.
+(id, BBox) pairs; an id appears at most once per frame.  Correspondence
+between ground truth and predictions is kept frame to frame: a pair
+matched earlier persists while it still overlaps, everything else is
+re-matched by maximizing IoU, and a ground truth identity whose matched
+prediction id changes counts one identity switch.  IDF1 instead scores a
+single global pairing of whole trajectories.
+
+Scoring walks the frames once.  Each frame gets one (gt × pred) IoU
+matrix, computed by numpy broadcasting with the same arithmetic as
+`bbox_iou`, so every entry is the exact float the scalar gives.  That
+matrix drives the frame's CLEAR matching and adds the frame's
+`IoU >= threshold` hits into a (gt id × pred id) count matrix; one
+assignment on the counts at the end gives IDF1.
 """
 
 from __future__ import annotations
@@ -52,40 +59,45 @@ class MetricsReport:
     gt_total: int
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = max(ix2 - ix1, 0.0)
-    ih = max(iy2 - iy1, 0.0)
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of `a` with every row of `b`, both (n, 4) (x1, y1, w, h)."""
+    ax1, ay1, aw, ah = (a[:, k, None] for k in range(4))
+    bx1, by1, bw, bh = (b[None, :, k] for k in range(4))
+    iw = np.maximum(np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1), 0.0)
+    ih = np.maximum(np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1), 0.0)
     inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union if union > 0 else 0.0
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-def match_frame(
-    gt_boxes: FrameBoxes,
-    pred_boxes: FrameBoxes,
+def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def bbox_iou(a: BBox, b: BBox) -> float:
+    return float(_iou_matrix(_box_array([a]), _box_array([b]))[0, 0])
+
+
+def _frame_iou(
+    gt_boxes: FrameBoxes, pred_boxes: FrameBoxes
+) -> tuple[list[int], list[int], np.ndarray]:
+    """One frame's gt ids, pred ids and (gt × pred) IoU matrix."""
+    return (
+        [gid for gid, _ in gt_boxes],
+        [pid for pid, _ in pred_boxes],
+        _iou_matrix(_box_array([b for _, b in gt_boxes]), _box_array([b for _, b in pred_boxes])),
+    )
+
+
+def _match(
+    iou: np.ndarray,
+    gt_ids: Sequence[int],
+    pred_ids: Sequence[int],
     prev_correspondence: Mapping[int, int],
-    iou_threshold: float = IOU_THRESHOLD,
+    iou_threshold: float,
 ) -> tuple[FrameTally, dict[int, int]]:
-    """Match one frame and update the gt-id -> pred-id correspondence.
-
-    Remembered pairs that still overlap at `iou_threshold` are kept first
-    (conflicts resolved by higher IoU); the remainder is matched by a
-    maximum-IoU assignment.  A ground truth matched to a different
-    prediction id than its remembered one contributes one identity switch.
-    """
+    """`match_frame` on a precomputed (gt × pred) IoU matrix."""
     corr = dict(prev_correspondence)
-    gt_ids = [gid for gid, _ in gt_boxes]
-    pred_ids = [pid for pid, _ in pred_boxes]
-
-    iou = np.zeros((len(gt_boxes), len(pred_boxes)))
-    for i, (_, gbox) in enumerate(gt_boxes):
-        for j, (_, pbox) in enumerate(pred_boxes):
-            iou[i, j] = bbox_iou(gbox, pbox)
-
     matched_g: dict[int, int] = {}
     matched_p: set[int] = set()
 
@@ -125,13 +137,67 @@ def match_frame(
     tp = len(matched_g)
     tally = FrameTally(
         tp=tp,
-        fp=len(pred_boxes) - tp,
-        fn=len(gt_boxes) - tp,
+        fp=len(pred_ids) - tp,
+        fn=len(gt_ids) - tp,
         idsw=idsw,
         iou_sum=iou_sum,
         matches=tuple(matches),
     )
     return tally, corr
+
+
+def match_frame(
+    gt_boxes: FrameBoxes,
+    pred_boxes: FrameBoxes,
+    prev_correspondence: Mapping[int, int],
+    iou_threshold: float = IOU_THRESHOLD,
+) -> tuple[FrameTally, dict[int, int]]:
+    """Match one frame and update the gt-id -> pred-id correspondence.
+
+    Remembered pairs that still overlap at `iou_threshold` are kept first
+    (conflicts resolved by higher IoU); the remainder is matched by a
+    maximum-IoU assignment.  A ground truth matched to a different
+    prediction id than its remembered one contributes one identity switch.
+    """
+    gt_ids, pred_ids, iou = _frame_iou(gt_boxes, pred_boxes)
+    return _match(iou, gt_ids, pred_ids, prev_correspondence, iou_threshold)
+
+
+def _id_order(seq: Sequence_) -> dict[int, int]:
+    ids = sorted({i for boxes in seq.values() for i, _ in boxes})
+    return {i: k for k, i in enumerate(ids)}
+
+
+class _IdHits:
+    """IDF1 input: on how many frames each (gt id, pred id) pair overlaps.
+
+    Rows are the ground truth ids and columns the prediction ids, both in
+    ascending order.
+    """
+
+    def __init__(self, gt: Sequence_, pred: Sequence_):
+        self.row_of = _id_order(gt)
+        self.col_of = _id_order(pred)
+        self.counts = np.zeros((len(self.row_of), len(self.col_of)))
+        self.boxes = 0  # gt plus pred boxes added so far
+
+    def add(
+        self, gt_ids: Sequence[int], pred_ids: Sequence[int], iou: np.ndarray, threshold: float
+    ) -> None:
+        self.boxes += len(gt_ids) + len(pred_ids)
+        r, c = np.nonzero(iou >= threshold)
+        if r.size:
+            rows = np.array([self.row_of[gid] for gid in gt_ids])
+            cols = np.array([self.col_of[pid] for pid in pred_ids])
+            np.add.at(self.counts, (rows[r], cols[c]), 1.0)
+
+    def idf1(self) -> float:
+        """2*IDTP / (gt boxes + pred boxes) under the best trajectory pairing."""
+        if not self.col_of:
+            return 0.0
+        rows, cols = linear_sum_assignment(-self.counts)
+        idtp = float(self.counts[rows, cols].sum())
+        return 2.0 * idtp / self.boxes
 
 
 def _check_sequences(gt: Sequence_, pred: Sequence_) -> tuple[int, int]:
@@ -144,6 +210,13 @@ def _check_sequences(gt: Sequence_, pred: Sequence_) -> tuple[int, int]:
             f"prediction frames {sorted(stray)} lie outside the ground truth "
             f"range [{lo}, {hi}]"
         )
+    for name, seq in (("ground truth", gt), ("prediction", pred)):
+        for frame, boxes in seq.items():
+            seen: set[int] = set()
+            for i, _ in boxes:
+                if i in seen:
+                    raise ValueError(f"{name} id {i} appears twice in frame {frame}")
+                seen.add(i)
     return lo, hi
 
 
@@ -155,22 +228,23 @@ def compute_clear(
     """Score a whole sequence; see MetricsReport for the fields."""
     lo, hi = _check_sequences(gt, pred)
 
+    id_hits = _IdHits(gt, pred)
     corr: dict[int, int] = {}
     fp = fn = idsw = tp = 0
     iou_sum = 0.0
     present: dict[int, int] = {}
     covered: dict[int, int] = {}
     for frame in range(lo, hi + 1):
-        gt_boxes = gt.get(frame, [])
-        pred_boxes = pred.get(frame, [])
-        tally, corr = match_frame(gt_boxes, pred_boxes, corr, iou_threshold)
+        gt_ids, pred_ids, iou = _frame_iou(gt.get(frame, ()), pred.get(frame, ()))
+        tally, corr = _match(iou, gt_ids, pred_ids, corr, iou_threshold)
+        id_hits.add(gt_ids, pred_ids, iou, iou_threshold)
         fp += tally.fp
         fn += tally.fn
         idsw += tally.idsw
         tp += tally.tp
         iou_sum += tally.iou_sum
         matched_gids = {gid for gid, _ in tally.matches}
-        for gid, _ in gt_boxes:
+        for gid in gt_ids:
             present[gid] = present.get(gid, 0) + 1
             if gid in matched_gids:
                 covered[gid] = covered.get(gid, 0) + 1
@@ -182,7 +256,7 @@ def compute_clear(
     return MetricsReport(
         mota=1.0 - (fp + fn + idsw) / gt_total,
         motp=iou_sum / tp if tp else 0.0,
-        idf1=compute_idf1(gt, pred, iou_threshold),
+        idf1=id_hits.idf1(),
         mt=mt,
         ml=ml,
         fp=fp,
@@ -204,34 +278,9 @@ def compute_idf1(
     total agreement (equivalently minimizes ID false positives plus
     negatives), giving IDF1 = 2*IDTP / (gt boxes + pred boxes).
     """
-    _check_sequences(gt, pred)
-
-    gt_traj: dict[int, dict[int, BBox]] = {}
-    for frame, boxes in gt.items():
-        for gid, box in boxes:
-            gt_traj.setdefault(gid, {})[frame] = box
-    pred_traj: dict[int, dict[int, BBox]] = {}
-    for frame, boxes in pred.items():
-        for pid, box in boxes:
-            pred_traj.setdefault(pid, {})[frame] = box
-
-    total_gt = sum(len(t) for t in gt_traj.values())
-    total_pred = sum(len(t) for t in pred_traj.values())
-    if total_pred == 0:
-        return 0.0
-
-    g_ids = sorted(gt_traj)
-    p_ids = sorted(pred_traj)
-    overlap = np.zeros((len(g_ids), len(p_ids)))
-    for i, gid in enumerate(g_ids):
-        for j, pid in enumerate(p_ids):
-            track = gt_traj[gid]
-            hits = 0
-            for frame, pbox in pred_traj[pid].items():
-                gbox = track.get(frame)
-                if gbox is not None and bbox_iou(gbox, pbox) >= iou_threshold:
-                    hits += 1
-            overlap[i, j] = hits
-    rows, cols = linear_sum_assignment(-overlap)
-    idtp = float(overlap[rows, cols].sum())
-    return 2.0 * idtp / (total_gt + total_pred)
+    lo, hi = _check_sequences(gt, pred)
+    id_hits = _IdHits(gt, pred)
+    for frame in range(lo, hi + 1):
+        gt_ids, pred_ids, iou = _frame_iou(gt.get(frame, ()), pred.get(frame, ()))
+        id_hits.add(gt_ids, pred_ids, iou, iou_threshold)
+    return id_hits.idf1()

@@ -103,6 +103,7 @@ def _parse_int(text: str, what: str, path: str | Path, line_no: int) -> int:
 def read_mot_file(path: str | Path) -> list[MotRow]:
     """Parse a MOT result or ground-truth file, preserving row order."""
     rows: list[MotRow] = []
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -126,6 +127,12 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
             if not (w > 0 and h > 0 and all(map(math.isfinite, (x, y, w, h)))):
                 raise FileFormatError(
                     f"{path}:{line_no}: box {x, y, w, h} needs finite values and w, h > 0"
+                )
+            earlier = first_line.setdefault((frame, track_id), line_no)
+            if earlier != line_no:
+                raise FileFormatError(
+                    f"{path}:{line_no}: id {track_id} already appears in frame {frame} "
+                    f"at line {earlier}"
                 )
             rows.append(MotRow(frame, track_id, x, y, w, h, conf, class_id, vis))
     return rows

@@ -126,6 +126,25 @@ class TestExitCodes:
         pred.write_text("1,1,0,0,10,10,1,-1,-1\n5,1,0,0,10,10,1,-1,-1\n")
         assert main(["evaluate", "--gt", str(gt), "--pred", str(pred)]) == 1
 
+    def test_duplicate_id_in_result_file_is_format_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1,1,0,0,10,10,1,-1,-1\n1,1,5,5,10,10,1,-1,-1\n")
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(pred)]) == 2
+        assert "pred.txt:2: id 1 already appears in frame 1 at line 1" in capsys.readouterr().err
+
+    def test_frame_gap_in_heads_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        for grid in out.glob("heads/00000[34].*.grid"):
+            grid.unlink()
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(res)]) == 1
+        assert "missing for frames [3, 4]" in capsys.readouterr().err
+        assert not res.exists()
+
     def test_corrupt_grid_is_io_error(self, tmp_path):
         heads = tmp_path / "heads"
         heads.mkdir()

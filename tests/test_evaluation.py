@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peaktrack import BBox, bbox_iou, compute_clear, compute_idf1, match_frame
+from peaktrack.evaluation import _iou_matrix
 
-from .oracles import idf1_oracle
+from .oracles import idf1_oracle, iou_oracle
 
 
 def box(x=0.0, y=0.0, w=10.0, h=10.0):
@@ -21,7 +25,49 @@ def merge(*seqs):
     return out
 
 
+# Coordinates on a small integer grid make touching, nested and disjoint
+# boxes common; the float ranges cover the general case.
+coords = st.one_of(st.integers(-20, 20).map(float), st.floats(-1e4, 1e4))
+extents = st.one_of(st.integers(1, 20).map(float), st.floats(1e-3, 1e4))
+boxes = st.builds(BBox, coords, coords, extents, extents)
+
+
+@st.composite
+def sequences(draw):
+    """Small random gt and pred sequences; ids unique per frame."""
+    frames = draw(st.integers(1, 5))
+    slot = st.integers(0, 4).map(lambda k: BBox(20.0 * k, 0.0, 10.0, 10.0))
+
+    def seq(max_ids):
+        ids = st.lists(st.integers(1, max_ids), unique=True, max_size=max_ids)
+        return {
+            f: [(i, draw(st.one_of(slot, boxes))) for i in draw(ids)]
+            for f in range(1, frames + 1)
+        }
+
+    gt = seq(4)
+    if not any(gt.values()):
+        gt[1] = [(1, draw(boxes))]
+    return gt, seq(5)
+
+
+def corners(bs):
+    return np.array([(b.x1, b.y1, b.w, b.h) for b in bs]).reshape(-1, 4)
+
+
 class TestBBoxIoU:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(boxes, min_size=1, max_size=5), st.lists(boxes, max_size=5))
+    def test_matrix_is_exactly_the_scalar(self, gt, pred):
+        # iou_oracle does the same float operations in the same order, so
+        # equality is exact, not approximate
+        iou = _iou_matrix(corners(gt), corners(pred))
+        assert iou.shape == (len(gt), len(pred))
+        for i, a in enumerate(gt):
+            for j, b in enumerate(pred):
+                assert iou[i, j] == bbox_iou(a, b)
+                assert iou[i, j] == iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h))
+
     def test_identical(self):
         assert bbox_iou(box(), box()) == 1.0
 
@@ -148,6 +194,15 @@ class TestComputeClear:
         with pytest.raises(ValueError):
             compute_clear({}, {1: [(1, box())]})
 
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_duplicate_id_in_frame_rejected(self, side):
+        twice = {1: [(1, box(0, 0))], 2: [(1, box(0, 0)), (1, box(50, 0))]}
+        once = constant_track(5, range(1, 3))
+        gt, pred = (twice, once) if side == "gt" else (once, twice)
+        for score in (compute_clear, compute_idf1):
+            with pytest.raises(ValueError, match="id 1 appears twice in frame 2"):
+                score(gt, pred)
+
     def test_pred_frames_outside_gt_range_rejected(self):
         gt = constant_track(1, range(1, 5))
         pred = constant_track(1, range(1, 7))
@@ -192,3 +247,11 @@ class TestIDF1:
             assert compute_idf1(gt, pred) == pytest.approx(
                 idf1_oracle(gt, pred), abs=1e-12
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences())
+    def test_matches_oracle_and_compute_clear(self, gt_pred):
+        gt, pred = gt_pred
+        idf1 = compute_idf1(gt, pred)
+        assert idf1 == pytest.approx(idf1_oracle(gt, pred), abs=1e-12)
+        assert compute_clear(gt, pred).idf1 == idf1

@@ -119,6 +119,17 @@ class TestMotFile:
         with pytest.raises(FileFormatError, match="twice"):
             rows_to_frames(rows)
 
+    def test_duplicate_id_in_file_reports_both_lines(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text(
+            "1,3,10,20,40,100,1,-1,-1\n1,4,10,20,40,100,1,-1,-1\n"
+            "2,3,10,20,40,100,1,-1,-1\n1,3,50,20,40,100,1,-1,-1\n"
+        )
+        with pytest.raises(
+            FileFormatError, match="rows.txt:4: id 3 already appears in frame 1 at line 1"
+        ):
+            read_mot_file(p)
+
     def test_negative_class_maps_to_zero(self):
         anns = rows_to_annotations([MotRow(1, 3, 0, 0, 5, 5, 1.0, -1, -1.0)])
         assert anns[0].objects[0].class_id == 0
