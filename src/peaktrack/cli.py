@@ -38,7 +38,7 @@ from .losses import (
     targets_from_head,
     total_loss,
 )
-from .simulator import corrupt, gen_scene, pick_reference_frame, synthesize_head_outputs
+from .simulator import CorruptionConfig, corrupt, gen_scene, pick_reference_frame
 
 GT_FILE_NAME = "gt.txt"
 HEADS_DIR_NAME = "heads"
@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg_file = ConfigFile(args.config)
     scene = cfg_file.scene()
-    corruption = cfg_file.corruption()
+    corruption = cfg_file.corruption() or CorruptionConfig()
     pipeline = cfg_file.pipeline()
     if scene.downsample != pipeline.downsample:
         # grid files do not record R, so `track` would decode at the wrong scale
@@ -127,25 +127,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     write_mot_file(out_dir / GT_FILE_NAME, gt_rows)
 
-    rng = np.random.default_rng(corruption.seed if corruption else 0)
-    jitter_k = corruption.temporal_jitter_k if corruption else 0
+    rng = np.random.default_rng(corruption.seed)
     for ann in frames:
-        ref = pick_reference_frame(ann.frame_index, scene.frames, jitter_k, rng)
+        ref = pick_reference_frame(
+            ann.frame_index, scene.frames, corruption.temporal_jitter_k, rng
+        )
         ann_prev = frames[ref - 1] if ref is not None else None
-        if corruption is not None:
-            head = corrupt(
-                ann,
-                ann_prev,
-                scene.image_size,
-                scene.downsample,
-                corruption,
-                pipeline.num_classes,
-                rng=rng,
-            )
-        else:
-            head = synthesize_head_outputs(
-                ann, ann_prev, scene.image_size, scene.downsample, pipeline.num_classes
-            )
+        head = corrupt(
+            ann,
+            ann_prev,
+            scene.image_size,
+            scene.downsample,
+            corruption,
+            pipeline.num_classes,
+            rng=rng,
+        )
         write_head_outputs(heads_dir, ann.frame_index, head)
 
     print(f"wrote {len(gt_rows)} GT rows to {out_dir / GT_FILE_NAME}")

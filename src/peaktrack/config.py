@@ -1,17 +1,19 @@
 """Config files: INI-style `key = value` lines under three sections.
 
-Sections are [pipeline], [scene] and [corruption]; every key is checked
-against the schema below and unknown sections or keys are hard errors, so a
-typo can never silently fall back to a default.  Omitted keys use the
-defaults of the corresponding config dataclass; the scene geometry has no
-sensible defaults and must be given in full.
+Sections are [pipeline], [scene] and [corruption], and each section's keys
+are exactly the fields of its dataclass (`PipelineConfig`, `SceneConfig`,
+`CorruptionConfig`), parsed to the field's annotated type.  Unknown sections
+or keys are hard errors, so a typo can never silently fall back to a
+default.  Omitted keys take the dataclass default; a field without one (the
+scene geometry) is a required key.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 from pathlib import Path
-from typing import Any, Callable
 
 from .geometry import PipelineConfig
 from .simulator import CorruptionConfig, SceneConfig
@@ -21,65 +23,11 @@ class ConfigError(ValueError):
     """A config file failed validation."""
 
 
-_PIPELINE_KEYS: dict[str, Callable[[str], Any]] = {
-    "downsample": int,
-    "max_peaks": int,
-    "score_threshold": float,
-    "num_classes": int,
-    "gate_scale": float,
-    "size_loss_weight": float,
-    "focal_alpha": float,
-    "focal_beta": float,
+_SECTIONS: dict[str, type] = {
+    "pipeline": PipelineConfig,
+    "scene": SceneConfig,
+    "corruption": CorruptionConfig,
 }
-
-_SCENE_REQUIRED: dict[str, Callable[[str], Any]] = {
-    "width": int,
-    "height": int,
-    "frames": int,
-    "min_objects": int,
-    "max_objects": int,
-    "min_size": float,
-    "max_size": float,
-    "min_speed": float,
-    "max_speed": float,
-}
-
-_SCENE_OPTIONAL: dict[str, Callable[[str], Any]] = {
-    "downsample": int,
-    "spawn_prob": float,
-    "despawn_prob": float,
-    "seed": int,
-}
-
-_CORRUPTION_KEYS: dict[str, Callable[[str], Any]] = {
-    "fn_rate": float,
-    "fp_rate": float,
-    "jitter_sigma": float,
-    "hm_noise_sigma": float,
-    "temporal_jitter_k": int,
-    "seed": int,
-}
-
-_SECTIONS = {"pipeline", "scene", "corruption"}
-
-
-def _read_section(
-    parser: configparser.ConfigParser,
-    section: str,
-    schema: dict[str, Callable[[str], Any]],
-    path: str | Path,
-) -> dict[str, Any]:
-    values: dict[str, Any] = {}
-    for key, raw in parser.items(section):
-        if key not in schema:
-            raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-        try:
-            values[key] = schema[key](raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: key {key!r} in [{section}] has invalid value {raw!r}"
-            )
-    return values
 
 
 class ConfigFile:
@@ -96,7 +44,7 @@ class ConfigFile:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}")
-        unknown = set(parser.sections()) - _SECTIONS
+        unknown = set(parser.sections()) - _SECTIONS.keys()
         if unknown:
             raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
         if parser.defaults():
@@ -106,34 +54,41 @@ class ConfigFile:
     def has_section(self, name: str) -> bool:
         return self._parser.has_section(name)
 
-    def pipeline(self) -> PipelineConfig:
-        values: dict[str, Any] = {}
-        if self.has_section("pipeline"):
-            values = _read_section(self._parser, "pipeline", _PIPELINE_KEYS, self.path)
+    def _build(self, section: str):
+        """The section's dataclass from its keys; an absent section gives defaults."""
+        cls = _SECTIONS[section]
+        types = typing.get_type_hints(cls)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        values = {}
+        for key, raw in self._parser.items(section) if self.has_section(section) else ():
+            if key not in fields:
+                raise ConfigError(f"{self.path}: unknown key {key!r} in [{section}]")
+            try:
+                values[key] = types[key](raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{self.path}: key {key!r} in [{section}] has invalid value {raw!r}"
+                )
+        missing = sorted(
+            name
+            for name, f in fields.items()
+            if f.default is f.default_factory is dataclasses.MISSING and name not in values
+        )
+        if missing:
+            raise ConfigError(f"{self.path}: [{section}] missing required keys {missing}")
         try:
-            return PipelineConfig(**values)
+            return cls(**values)
         except ValueError as exc:
-            raise ConfigError(f"{self.path}: [pipeline] {exc}")
+            raise ConfigError(f"{self.path}: [{section}] {exc}")
+
+    def pipeline(self) -> PipelineConfig:
+        return self._build("pipeline")
 
     def scene(self) -> SceneConfig:
         if not self.has_section("scene"):
             raise ConfigError(f"{self.path}: missing required section [scene]")
-        schema = {**_SCENE_REQUIRED, **_SCENE_OPTIONAL}
-        values = _read_section(self._parser, "scene", schema, self.path)
-        missing = sorted(set(_SCENE_REQUIRED) - set(values))
-        if missing:
-            raise ConfigError(f"{self.path}: [scene] missing required keys {missing}")
-        try:
-            return SceneConfig(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [scene] {exc}")
+        return self._build("scene")
 
     def corruption(self) -> CorruptionConfig | None:
         """The corruption settings, or None when the section is absent."""
-        if not self.has_section("corruption"):
-            return None
-        values = _read_section(self._parser, "corruption", _CORRUPTION_KEYS, self.path)
-        try:
-            return CorruptionConfig(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [corruption] {exc}")
+        return self._build("corruption") if self.has_section("corruption") else None

@@ -278,9 +278,4 @@ def compute_idf1(
     total agreement (equivalently minimizes ID false positives plus
     negatives), giving IDF1 = 2*IDTP / (gt boxes + pred boxes).
     """
-    lo, hi = _check_sequences(gt, pred)
-    id_hits = _IdHits(gt, pred)
-    for frame in range(lo, hi + 1):
-        gt_ids, pred_ids, iou = _frame_iou(gt.get(frame, ()), pred.get(frame, ()))
-        id_hits.add(gt_ids, pred_ids, iou, iou_threshold)
-    return id_hits.idf1()
+    return compute_clear(gt, pred, iou_threshold).idf1

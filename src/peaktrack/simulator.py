@@ -87,16 +87,6 @@ class CorruptionConfig:
         if not 0 <= self.temporal_jitter_k <= 3:
             raise ValueError("temporal_jitter_k must be in 0..3")
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.fn_rate == 0
-            and self.fp_rate == 0
-            and self.jitter_sigma == 0
-            and self.hm_noise_sigma == 0
-            and self.temporal_jitter_k == 0
-        )
-
 
 @dataclass
 class _Agent:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,18 @@ from peaktrack import (
 )
 
 from .oracles import euclid
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """Put `src/` on the path of the `python -m peaktrack` processes tests start.
+
+    `pythonpath = ["src"]` in pyproject.toml reaches only this process.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        src = Path(__file__).resolve().parents[1] / "src"
+        mp.setenv("PYTHONPATH", str(src), prepend=os.pathsep)
+        yield
 
 
 def make_detection(

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from peaktrack import read_grid, read_mot_file
+from peaktrack import read_grid, read_head_outputs, read_mot_file
 from peaktrack.cli import main
+from peaktrack.config import ConfigFile
+from peaktrack.simulator import gen_scene, synthesize_head_outputs
 
 SCENE_CFG = """
 [scene]
@@ -92,6 +94,21 @@ class TestPipelineFlow:
         main(["track", "--heads", str(out / "heads"), "--out", str(a)])
         main(["track", "--heads", str(out / "heads"), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_corruption_section_writes_ideal_heads(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        scene = ConfigFile(cfg).scene()
+        frames = gen_scene(scene)
+        for k, ann in enumerate(frames):
+            prev = frames[k - 1] if k else None
+            ideal = synthesize_head_outputs(ann, prev, scene.image_size, scene.downsample)
+            written = read_head_outputs(out / "heads", ann.frame_index, scene.downsample)
+            for name in ("heatmap", "size_map", "offset_map", "disp_map"):
+                # grid files store float32
+                expected = getattr(ideal, name).astype(np.float32)
+                np.testing.assert_array_equal(getattr(written, name), expected)
 
 
 class TestExitCodes:

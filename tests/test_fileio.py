@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from peaktrack import (
 )
 from peaktrack.config import ConfigError, ConfigFile
 from peaktrack.fileio import GRID_MAGIC
+from peaktrack.geometry import PipelineConfig
 from peaktrack.heatmap import HeadOutput
+from peaktrack.simulator import CorruptionConfig, SceneConfig
 
 
 class TestGridFile:
@@ -227,3 +232,79 @@ class TestConfigFile:
         text = VALID_CONFIG.replace("frames = 10", "frames = 10  # short run")
         cfg = ConfigFile(self.write(tmp_path, text))
         assert cfg.scene().frames == 10
+
+
+# one valid, non-default value for every field; floats are written as
+# integers where possible so that parsing to the annotated type shows
+EVERY_KEY = {
+    "pipeline": (
+        PipelineConfig,
+        {
+            "downsample": "2",
+            "max_peaks": "50",
+            "score_threshold": "0.25",
+            "num_classes": "3",
+            "gate_scale": "2",
+            "size_loss_weight": "0.2",
+            "focal_alpha": "3",
+            "focal_beta": "5",
+        },
+    ),
+    "scene": (
+        SceneConfig,
+        {
+            "height": "64",
+            "width": "128",
+            "frames": "5",
+            "min_objects": "1",
+            "max_objects": "3",
+            "min_size": "8",
+            "max_size": "20",
+            "min_speed": "0",
+            "max_speed": "1.5",
+            "downsample": "2",
+            "spawn_prob": "0.1",
+            "despawn_prob": "0.2",
+            "seed": "9",
+        },
+    ),
+    "corruption": (
+        CorruptionConfig,
+        {
+            "fn_rate": "0.1",
+            "fp_rate": "1",
+            "jitter_sigma": "0.5",
+            "hm_noise_sigma": "0.05",
+            "temporal_jitter_k": "2",
+            "seed": "3",
+        },
+    ),
+}
+
+
+def write_section(tmp_path, section, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    return path
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("section", sorted(EVERY_KEY))
+    def test_every_field_is_a_key_of_its_type(self, tmp_path, section):
+        cls, raw = EVERY_KEY[section]
+        assert set(raw) == {f.name for f in dataclasses.fields(cls)}
+        built = getattr(ConfigFile(write_section(tmp_path, section, raw)), section)()
+        types = typing.get_type_hints(cls)
+        for key, text in raw.items():
+            value = getattr(built, key)
+            assert type(value) is types[key]
+            assert value == types[key](text)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("pipeline", "max_peaks"), ("scene", "frames"), ("corruption", "temporal_jitter_k")],
+    )
+    def test_int_field_rejects_a_fraction(self, tmp_path, section, key):
+        cfg = ConfigFile(write_section(tmp_path, section, {**EVERY_KEY[section][1], key: "10.5"}))
+        with pytest.raises(ConfigError, match=rf"key '{key}' in \[{section}\] has invalid value '10.5'"):
+            getattr(cfg, section)()

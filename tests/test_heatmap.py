@@ -153,6 +153,14 @@ class TestExtractPeaks:
         peaks = extract_peaks(hm, 10, 0.5)
         assert [ch for _, ch, _ in peaks][:2] == [0, 1]
 
+    @pytest.mark.parametrize("max_peaks, warned", [(7, True), (25, False)])
+    def test_truncation_is_reported(self, caplog, max_peaks, warned):
+        hm = np.full((5, 5, 1), 0.6)
+        with caplog.at_level("WARNING", logger="peaktrack.heatmap"):
+            assert len(extract_peaks(hm, max_peaks, score_threshold=0.5)) == max_peaks
+        assert ("kept 7 of 25 peaks" in caplog.text) is warned
+        assert len(caplog.records) == int(warned)
+
 
 class TestDecode:
     def test_single_object_exact_recovery(self):
@@ -221,3 +229,11 @@ class TestDecode:
         hm[5, 5, 0] = 1.0
         head = HeadOutput(hm, np.zeros((16, 16, 2)), np.zeros((16, 16, 2)), np.zeros((16, 16, 2)), 4)
         assert decode_detections(head, PipelineConfig()) == []
+
+    def test_plateau_cells_are_all_detections(self):
+        # equal adjacent cells are not thinned, as with max-pool NMS
+        hm = np.zeros((16, 16, 1))
+        hm[5, 5, 0] = hm[5, 6, 0] = 0.9
+        head = HeadOutput(hm, np.full((16, 16, 2), 20.0), np.zeros((16, 16, 2)), np.zeros((16, 16, 2)), 4)
+        dets = decode_detections(head, PipelineConfig())
+        assert [(d.cell.row, d.cell.col, d.score) for d in dets] == [(5, 5, 0.9), (5, 6, 0.9)]
