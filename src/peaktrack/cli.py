@@ -7,6 +7,7 @@ inputs), 2 file/format problem, 3 a numeric check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 
 from .association import MATCHERS, TrackerState, step
 from .config import ConfigError, ConfigFile
-from .evaluation import MetricsReport, compute_clear
+from .evaluation import IOU_THRESHOLD, MetricsReport, compute_clear
 from .fileio import (
     FileFormatError,
     MotRow,
@@ -71,7 +72,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a result file against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--iou-threshold", type=float, default=IOU_THRESHOLD)
     p.add_argument("--csv", action="store_true", help="machine readable output")
     p.set_defaults(func=cmd_evaluate)
 
@@ -81,8 +82,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--width", type=int, required=True, help="image width in pixels")
     p.add_argument("--height", type=int, required=True, help="image height in pixels")
-    p.add_argument("--downsample", type=int, default=4)
-    p.add_argument("--classes", type=int, default=1)
+    p.add_argument("--downsample", type=int, default=PipelineConfig.downsample)
+    p.add_argument("--classes", type=int, default=PipelineConfig.num_classes)
     p.set_defaults(func=cmd_render_heatmap)
 
     p = sub.add_parser("losscheck", help="loss breakdown plus gradient verification")
@@ -179,25 +180,17 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def _report_lines(report: MetricsReport, csv: bool) -> list[str]:
-    fields = [
-        ("mota", f"{report.mota:.3f}", f"{report.mota:.6f}"),
-        ("motp", f"{report.motp:.3f}", f"{report.motp:.6f}"),
-        ("idf1", f"{report.idf1:.3f}", f"{report.idf1:.6f}"),
-        ("mt", f"{report.mt:.3f}", f"{report.mt:.6f}"),
-        ("ml", f"{report.ml:.3f}", f"{report.ml:.6f}"),
-        ("fp", str(report.fp), str(report.fp)),
-        ("fn", str(report.fn), str(report.fn)),
-        ("idsw", str(report.idsw), str(report.idsw)),
-        ("gt_total", str(report.gt_total), str(report.gt_total)),
+    """The report's fields in order; floats at 6 decimals in csv, else 3."""
+    decimals = 6 if csv else 3
+    fields = dataclasses.asdict(report)
+    texts = [
+        f"{v:.{decimals}f}" if isinstance(v, float) else str(v) for v in fields.values()
     ]
     if csv:
-        return [
-            ",".join(name for name, _, _ in fields),
-            ",".join(precise for _, _, precise in fields),
-        ]
+        return [",".join(fields), ",".join(texts)]
     width = 9
-    header = " ".join(name.upper().ljust(width) for name, _, _ in fields)
-    values = " ".join(text.ljust(width) for _, text, _ in fields)
+    header = " ".join(name.upper().ljust(width) for name in fields)
+    values = " ".join(text.ljust(width) for text in texts)
     return [header.rstrip(), values.rstrip()]
 
 

@@ -4,14 +4,16 @@ Sections are [pipeline], [scene] and [corruption], and each section's keys
 are exactly the fields of its dataclass (`PipelineConfig`, `SceneConfig`,
 `CorruptionConfig`), parsed to the field's annotated type.  Unknown sections
 or keys are hard errors, so a typo can never silently fall back to a
-default.  Omitted keys take the dataclass default; a field without one (the
-scene geometry) is a required key.
+default, and so are float values that are not finite.  Omitted keys take
+the dataclass default; a field without one (the scene geometry) is a
+required key.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 from pathlib import Path
 
@@ -65,6 +67,8 @@ class ConfigFile:
                 raise ConfigError(f"{self.path}: unknown key {key!r} in [{section}]")
             try:
                 values[key] = types[key](raw)
+                if types[key] is float and not math.isfinite(values[key]):
+                    raise ValueError(raw)
             except ValueError:
                 raise ConfigError(
                     f"{self.path}: key {key!r} in [{section}] has invalid value {raw!r}"

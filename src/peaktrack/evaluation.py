@@ -226,6 +226,8 @@ def compute_clear(
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MetricsReport:
     """Score a whole sequence; see MetricsReport for the fields."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     lo, hi = _check_sequences(gt, pred)
 
     id_hits = _IdHits(gt, pred)

@@ -4,7 +4,7 @@ Grid files are deliberately minimal so any language can read them:
 
     magic   7 bytes  ASCII "TTGRID1"
     header  3 x u32  little endian: height, width, channels
-    payload H*W*C x f32 little endian, row-major, channel-minor
+    payload H*W*C x f32 little endian, row-major, channel-minor, all finite
 
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
@@ -16,7 +16,6 @@ NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid.
 
 from __future__ import annotations
 
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -31,7 +30,13 @@ from .heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 GRID_MAGIC = b"TTGRID1"
 _HEADER = struct.Struct("<III")
 
-HEAD_MAP_NAMES = ("heatmap", "size", "offset", "disp")
+# head grid file name -> HeadOutput field
+_HEAD_FILES = {
+    "heatmap": "heatmap",
+    "size": "size_map",
+    "offset": "offset_map",
+    "disp": "disp_map",
+}
 
 
 class FileFormatError(Exception):
@@ -74,6 +79,8 @@ def read_grid(path: str | Path) -> np.ndarray:
             f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
         )
     values = np.frombuffer(data, dtype="<f4", offset=header_end)
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError(f"{path}: grid contains non-finite values")
     return values.reshape(h, w, c).astype(np.float64)
 
 
@@ -120,14 +127,11 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
             class_id = _parse_int(fields[7], "class", path, line_no)
             try:
                 x, y, w, h, conf, vis = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
+                BBox(x, y, w, h)
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{line_no}: {exc}")
             if frame < 1:
                 raise FileFormatError(f"{path}:{line_no}: frame must be >= 1")
-            if not (w > 0 and h > 0 and all(map(math.isfinite, (x, y, w, h)))):
-                raise FileFormatError(
-                    f"{path}:{line_no}: box {x, y, w, h} needs finite values and w, h > 0"
-                )
             earlier = first_line.setdefault((frame, track_id), line_no)
             if earlier != line_no:
                 raise FileFormatError(
@@ -148,14 +152,9 @@ def write_mot_file(path: str | Path, rows: Iterable[MotRow]) -> None:
 
 
 def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:
-    """Group rows for the evaluation module; ids must be unique per frame."""
+    """Group rows by frame for the evaluation module."""
     frames: dict[int, list[tuple[int, BBox]]] = {}
-    seen: set[tuple[int, int]] = set()
     for r in rows:
-        key = (r.frame, r.track_id)
-        if key in seen:
-            raise FileFormatError(f"id {r.track_id} appears twice in frame {r.frame}")
-        seen.add(key)
         frames.setdefault(r.frame, []).append((r.track_id, BBox(r.x, r.y, r.w, r.h)))
     return frames
 
@@ -174,35 +173,26 @@ def rows_to_annotations(rows: Sequence[MotRow]) -> list[FrameAnnotations]:
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:
-    if map_name not in HEAD_MAP_NAMES:
-        raise ValueError(f"unknown map name {map_name!r}")
     return Path(directory) / f"{frame_index:06d}.{map_name}.grid"
 
 
 def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    grids = (head.heatmap, head.size_map, head.offset_map, head.disp_map)
-    for name, grid in zip(HEAD_MAP_NAMES, grids):
-        write_grid(head_grid_path(directory, frame_index, name), grid)
+    for name, field in _HEAD_FILES.items():
+        write_grid(head_grid_path(directory, frame_index, name), getattr(head, field))
 
 
 def read_head_outputs(
     directory: str | Path, frame_index: int, downsample: int
 ) -> HeadOutput:
     grids = {}
-    for name in HEAD_MAP_NAMES:
+    for name, field in _HEAD_FILES.items():
         path = head_grid_path(directory, frame_index, name)
         if not path.exists():
             raise FileFormatError(f"missing head grid {path}")
-        grids[name] = read_grid(path)
-    return HeadOutput(
-        heatmap=grids["heatmap"],
-        size_map=grids["size"],
-        offset_map=grids["offset"],
-        disp_map=grids["disp"],
-        downsample=downsample,
-    )
+        grids[field] = read_grid(path)
+    return HeadOutput(**grids, downsample=downsample)
 
 
 def list_head_frames(directory: str | Path) -> list[int]:

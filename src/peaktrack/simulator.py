@@ -3,10 +3,10 @@
 The generator moves constant-velocity agents inside the frame (velocities
 flip at the borders so boxes never leave it) and hands out persistent ids,
 which gives the rest of the pipeline a deterministic desk-scale test bed.
-`synthesize_head_outputs` converts annotations into the exact grids a
-perfect network would emit, and `corrupt` degrades them with the usual
-failure modes: dropped objects, spurious peaks, position jitter, heatmap
-noise and a temporally jittered reference frame.
+`corrupt` converts annotations into the grids a perfect network would
+emit, degraded with the usual failure modes: dropped objects, spurious
+peaks, position jitter, heatmap noise and a temporally jittered reference
+frame.  `synthesize_head_outputs` is `corrupt` with every rate 0.
 """
 
 from __future__ import annotations
@@ -171,30 +171,9 @@ def synthesize_head_outputs(
 ) -> HeadOutput:
     """Grids a perfect network would produce for this frame pair.
 
-    The heatmap is the rendered ground truth; at each object's top cell the
-    size, quantization offset and displacement (current top minus previous
-    top, zero for objects without a previous-frame match) are written.  All
-    other cells stay zero.
+    This is `corrupt` with every rate 0; see there for the grid layout.
     """
-    rows, cols = _grid_dims(image_size, downsample)
-    heatmap = np.zeros((rows, cols, num_classes))
-    size_map = np.zeros((rows, cols, 2))
-    offset_map = np.zeros((rows, cols, 2))
-    disp_map = np.zeros((rows, cols, 2))
-
-    prev_tops: dict[int, TopPoint] = {}
-    if ann_prev is not None:
-        for p in place_objects(ann_prev, image_size, downsample, num_classes):
-            prev_tops[p.annotation.track_id] = p.top
-
-    for p in place_objects(ann_t, image_size, downsample, num_classes):
-        _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
-        r, c = p.cell.row, p.cell.col
-        size_map[r, c] = (p.annotation.bbox.w, p.annotation.bbox.h)
-        offset_map[r, c] = p.offset
-        prev = prev_tops.get(p.annotation.track_id)
-        disp_map[r, c] = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
-    return HeadOutput(heatmap, size_map, offset_map, disp_map, downsample)
+    return corrupt(ann_t, ann_prev, image_size, downsample, CorruptionConfig(), num_classes)
 
 
 def pick_reference_frame(
@@ -224,10 +203,14 @@ def corrupt(
     num_classes: int = 1,
     rng: np.random.Generator | None = None,
 ) -> HeadOutput:
-    """Synthesize head outputs for a frame, then degrade them.
+    """Head outputs for a frame pair, degraded by `corruption`.
 
-    Each object is dropped with probability `fn_rate` before rendering and
-    the survivors' boxes are shifted by N(0, jitter_sigma^2).  A
+    Each object is dropped with probability `fn_rate` and the survivors'
+    boxes are shifted by N(0, jitter_sigma^2).  The survivors are then
+    rendered as a perfect network would: the heatmap is their ground truth,
+    and at each one's top cell the size, quantization offset and
+    displacement (current top minus previous top, zero for objects without
+    a previous-frame match) are written; all other cells stay zero.  A
     Poisson(fp_rate)-distributed number of spurious peaks is injected at
     uniform positions with sizes resampled from the frame's objects, each
     carrying believable size/offset entries and a score in [0.5, 1].
@@ -239,10 +222,7 @@ def corrupt(
         rng = np.random.default_rng(corruption.seed)
     h_px, w_px = image_size
 
-    kept: list[ObjectAnnotation] = []
-    for obj in ann_t.objects:
-        if rng.random() >= corruption.fn_rate:
-            kept.append(obj)
+    kept = [obj for obj in ann_t.objects if rng.random() >= corruption.fn_rate]
     if corruption.jitter_sigma > 0:
         jittered = []
         for obj in kept:
@@ -257,17 +237,25 @@ def corrupt(
             )
         kept = jittered
 
-    head = synthesize_head_outputs(
-        FrameAnnotations(ann_t.frame_index, tuple(kept)),
-        ann_prev,
-        image_size,
-        downsample,
-        num_classes,
-    )
-    heatmap = head.heatmap
-    size_map = head.size_map
-    offset_map = head.offset_map
-    disp_map = head.disp_map
+    rows, cols = _grid_dims(image_size, downsample)
+    heatmap = np.zeros((rows, cols, num_classes))
+    size_map = np.zeros((rows, cols, 2))
+    offset_map = np.zeros((rows, cols, 2))
+    disp_map = np.zeros((rows, cols, 2))
+
+    prev_tops: dict[int, TopPoint] = {}
+    if ann_prev is not None:
+        for p in place_objects(ann_prev, image_size, downsample, num_classes):
+            prev_tops[p.annotation.track_id] = p.top
+
+    kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
+    for p in place_objects(kept_ann, image_size, downsample, num_classes):
+        _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
+        r, c = p.cell.row, p.cell.col
+        size_map[r, c] = (p.annotation.bbox.w, p.annotation.bbox.h)
+        offset_map[r, c] = p.offset
+        prev = prev_tops.get(p.annotation.track_id)
+        disp_map[r, c] = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
 
     size_pool = [(o.bbox.w, o.bbox.h) for o in ann_t.objects]
     for _ in range(int(rng.poisson(corruption.fp_rate))):

@@ -167,3 +167,29 @@ def idf1_oracle(gt, pred, iou_threshold: float = 0.5) -> float:
         for perm in itertools.permutations(g_ids, len(p_ids)):
             best = max(best, sum(hits[(g, p)] for g, p in zip(perm, p_ids)))
     return 2.0 * best / (total_gt + total_pred)
+
+
+def peaks_oracle(heatmap, max_peaks: int, score_threshold: float):
+    """Local maxima by a plain scan of each cell's 8 neighbours.
+
+    A cell is a peak when it is at or above the threshold and >= every
+    neighbour that exists in its channel.  Returns (row, col, channel,
+    score) sorted by (-score, row, col, channel), cut at `max_peaks`.
+    """
+    rows, cols, channels = heatmap.shape
+    found = []
+    for r in range(rows):
+        for c in range(cols):
+            for ch in range(channels):
+                v = float(heatmap[r, c, ch])
+                if v < score_threshold:
+                    continue
+                if all(
+                    v >= heatmap[r + dr, c + dc, ch]
+                    for dr in (-1, 0, 1)
+                    for dc in (-1, 0, 1)
+                    if 0 <= r + dr < rows and 0 <= c + dc < cols
+                ):
+                    found.append((r, c, ch, v))
+    found.sort(key=lambda p: (-p[3], p[0], p[1], p[2]))
+    return found[:max_peaks]

@@ -162,6 +162,27 @@ class TestExitCodes:
         assert "missing for frames [3, 4]" in capsys.readouterr().err
         assert not res.exists()
 
+    def test_non_finite_grid_value_is_format_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        grid = out / "heads" / "000002.size.grid"
+        data = bytearray(grid.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        grid.write_bytes(bytes(data))
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "000002.size.grid: grid contains non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "0", "-1"])
+    def test_iou_threshold_outside_unit_interval_is_validation_error(
+        self, tmp_path, capsys, threshold
+    ):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1\n")
+        argv = ["evaluate", "--gt", str(gt), "--pred", str(gt), f"--iou-threshold={threshold}"]
+        assert main(argv) == 1
+        assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
+
     def test_corrupt_grid_is_io_error(self, tmp_path):
         heads = tmp_path / "heads"
         heads.mkdir()

@@ -70,6 +70,15 @@ class TestGridFile:
         with pytest.raises(ValueError):
             write_grid(tmp_path / "g.grid", np.full((2, 2, 1), np.nan))
 
+    def test_non_finite_in_file_is_format_error(self, tmp_path):
+        p = tmp_path / "g.grid"
+        write_grid(p, np.ones((2, 2, 1)))
+        data = bytearray(p.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        p.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="g.grid: grid contains non-finite"):
+            read_grid(p)
+
 
 class TestMotFile:
     def test_reference_row(self, tmp_path):
@@ -118,11 +127,6 @@ class TestMotFile:
         p.write_text("0,3,10,20,40,100,1,-1,-1\n")
         with pytest.raises(FileFormatError, match="frame"):
             read_mot_file(p)
-
-    def test_duplicate_id_in_frame_rejected(self, tmp_path):
-        rows = [MotRow(1, 3, 0, 0, 5, 5), MotRow(1, 3, 9, 9, 5, 5)]
-        with pytest.raises(FileFormatError, match="twice"):
-            rows_to_frames(rows)
 
     def test_duplicate_id_in_file_reports_both_lines(self, tmp_path):
         p = tmp_path / "rows.txt"
@@ -227,6 +231,14 @@ class TestConfigFile:
     def test_missing_corruption_section_is_none(self, tmp_path):
         cfg = ConfigFile(self.write(tmp_path, "[scene]\nwidth = 128\n"))
         assert cfg.corruption() is None
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("pipeline", "gate_scale", "nan"), ("corruption", "jitter_sigma", "inf")]
+    )
+    def test_non_finite_float_is_invalid(self, tmp_path, section, key, value):
+        cfg = ConfigFile(self.write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        with pytest.raises(ConfigError, match=rf"key '{key}' in \[{section}\] has invalid value '{value}'"):
+            getattr(cfg, section)()
 
     def test_inline_comments_are_stripped(self, tmp_path):
         text = VALID_CONFIG.replace("frames = 10", "frames = 10  # short run")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peaktrack import (
     BBox,
@@ -65,6 +67,13 @@ class TestQuantize:
             assert 0.0 <= ox < 1.0 and 0.0 <= oy < 1.0
             assert (cell.col + ox) * r == pytest.approx(p.x, abs=1e-9)
             assert (cell.row + oy) * r == pytest.approx(p.y, abs=1e-9)
+
+    @given(st.floats(0, 1e7), st.floats(0, 1e7), st.integers(1, 16))
+    def test_offset_in_unit_range_and_reconstructs(self, x, y, r):
+        cell, (ox, oy) = quantize_point(TopPoint(x, y), r)
+        assert 0.0 <= ox < 1.0 and 0.0 <= oy < 1.0
+        assert (cell.col + ox) * r == pytest.approx(x, rel=1e-12)
+        assert (cell.row + oy) * r == pytest.approx(y, rel=1e-12)
 
 
 class TestCornersFromTop:

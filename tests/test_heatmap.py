@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from peaktrack import (
     BBox,
@@ -20,7 +23,7 @@ from peaktrack.heatmap import _draw_gaussian, place_objects
 from peaktrack.simulator import synthesize_head_outputs
 
 from .conftest import separated_annotations
-from .oracles import iou_radius_oracle
+from .oracles import iou_radius_oracle, peaks_oracle
 
 # frozen output of iou_radius_oracle(24, 24) recorded before the main build
 RADIUS_24 = 1.9600796815910932
@@ -160,6 +163,22 @@ class TestExtractPeaks:
             assert len(extract_peaks(hm, max_peaks, score_threshold=0.5)) == max_peaks
         assert ("kept 7 of 25 peaks" in caplog.text) is warned
         assert len(caplog.records) == int(warned)
+
+    # few distinct levels make plateaus and score ties common
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)),
+            elements=st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.floats(0, 1)),
+        ),
+        st.integers(1, 20),
+        st.sampled_from([0.0, 0.3, 0.5]),
+    )
+    def test_matches_brute_force_scan(self, hm, max_peaks, score_threshold):
+        peaks = extract_peaks(hm, max_peaks, score_threshold)
+        got = [(cell.row, cell.col, ch, score) for cell, ch, score in peaks]
+        assert got == peaks_oracle(hm, max_peaks, score_threshold)
 
 
 class TestDecode:
