@@ -22,9 +22,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, Detection, PipelineConfig, TopPoint
 
-MATCHERS = ("greedy", "hungarian")
-
-
 @dataclass
 class Track:
     id: int
@@ -34,18 +31,16 @@ class Track:
 
 @dataclass
 class TrackerState:
-    """Per-sequence mutable state: live tracks plus monotone counters."""
+    """Per-sequence mutable state: live tracks plus the next unused id."""
 
     active: list[Track] = field(default_factory=list)
     next_id: int = 1
-    frame: int = 0
 
 
 @dataclass(frozen=True)
 class TrackOutput:
-    """One result row: where track `track_id` is in frame `frame`."""
+    """One result row of the frame `step` was called for; the caller numbers frames."""
 
-    frame: int
     track_id: int
     bbox: BBox
     score: float
@@ -153,6 +148,9 @@ def hungarian_match(
     return _result(tracks, len(dets), matches)
 
 
+MATCHERS = {"greedy": greedy_match, "hungarian": hungarian_match}
+
+
 def step(
     state: TrackerState,
     dets: Sequence[Detection],
@@ -166,10 +164,8 @@ def step(
     tracks are dropped on the spot.  Rows come back sorted by track id.
     """
     if matcher not in MATCHERS:
-        raise ValueError(f"unknown matcher {matcher!r}, expected one of {MATCHERS}")
-    state.frame += 1
-    match_fn = greedy_match if matcher == "greedy" else hungarian_match
-    matches, unmatched_tracks, unmatched_dets = match_fn(
+        raise ValueError(f"unknown matcher {matcher!r}, expected one of {list(MATCHERS)}")
+    matches, unmatched_tracks, unmatched_dets = MATCHERS[matcher](
         state.active, dets, cfg.gate_scale
     )
 
@@ -178,7 +174,7 @@ def step(
     for track_id, di in matches:
         det = dets[di]
         by_id[track_id].last_top = det.top
-        outputs.append(TrackOutput(state.frame, track_id, det.bbox(), det.score))
+        outputs.append(TrackOutput(track_id, det.bbox(), det.score))
     dead = set(unmatched_tracks)
     state.active = [t for t in state.active if t.id not in dead]
     for di in sorted(unmatched_dets):
@@ -186,6 +182,6 @@ def step(
         track = Track(id=state.next_id, class_id=det.class_id, last_top=det.top)
         state.next_id += 1
         state.active.append(track)
-        outputs.append(TrackOutput(state.frame, track.id, det.bbox(), det.score))
+        outputs.append(TrackOutput(track.id, det.bbox(), det.score))
     outputs.sort(key=lambda row: row.track_id)
     return outputs

@@ -39,7 +39,7 @@ from .losses import (
     targets_from_head,
     total_loss,
 )
-from .simulator import CorruptionConfig, corrupt, gen_scene, pick_reference_frame
+from .simulator import corrupt, gen_scene, pick_reference_frame
 
 GT_FILE_NAME = "gt.txt"
 HEADS_DIR_NAME = "heads"
@@ -65,7 +65,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="decode head grids and associate into tracks")
     p.add_argument("--heads", required=True, help="directory of per-frame head grids")
     p.add_argument("--config", help="config file with a [pipeline] section")
-    p.add_argument("--matcher", choices=MATCHERS, default="greedy")
+    p.add_argument("--matcher", choices=list(MATCHERS), default="greedy")
     p.add_argument("--out", required=True, help="output MOT result file")
     p.set_defaults(func=cmd_track)
 
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg_file = ConfigFile(args.config)
     scene = cfg_file.scene()
-    corruption = cfg_file.corruption() or CorruptionConfig()
+    corruption = cfg_file.corruption()
     pipeline = cfg_file.pipeline()
     if scene.downsample != pipeline.downsample:
         # grid files do not record R, so `track` would decode at the wrong scale
@@ -223,20 +223,14 @@ def _gradient_checks(
     step_size = 1e-4
     rng = np.random.default_rng(12345)
     n = max(targets.n_objects, 1)
-    lines = []
-    ok = True
+    errors: dict[str, float] = {}
 
     pred_hm = rng.uniform(0.05, 0.95, size=targets.heatmap.shape)
-    err_focal = finite_difference_check(
+    errors["focal"] = finite_difference_check(
         lambda x: focal_loss(x, targets.heatmap, cfg.focal_alpha, cfg.focal_beta, n),
         pred_hm,
         step=step_size,
         seed=7,
-    )
-    ok &= err_focal <= tolerance
-    lines.append(
-        f"gradcheck focal: max_rel_err={err_focal:.3e} tol={tolerance:.1e} "
-        f"{'ok' if err_focal <= tolerance else 'FAIL'}"
     )
 
     for name, points in (
@@ -252,22 +246,24 @@ def _gradient_checks(
             for ch in range(2):
                 if abs(pred[cell.row, cell.col, ch] - target[ch]) <= 2 * step_size:
                     mask[cell.row, cell.col, ch] = False
-        err = finite_difference_check(
+        errors[name] = finite_difference_check(
             lambda x, pts=points: masked_l1_loss(x, pts, n),
             pred,
             step=step_size,
             seed=11,
             smooth_mask=mask,
         )
-        ok &= err <= tolerance
-        lines.append(
-            f"gradcheck {name}: max_rel_err={err:.3e} tol={tolerance:.1e} "
-            f"{'ok' if err <= tolerance else 'FAIL'}"
-        )
-    return lines, ok
+    lines = [
+        f"gradcheck {name}: max_rel_err={err:.3e} tol={tolerance:.1e} "
+        f"{'ok' if err <= tolerance else 'FAIL'}"
+        for name, err in errors.items()
+    ]
+    return lines, all(err <= tolerance for err in errors.values())
 
 
 def cmd_losscheck(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = ConfigFile(args.config).pipeline() if args.config else PipelineConfig()
     frame_indices = list_head_frames(args.gt)
     if not frame_indices:
@@ -310,10 +306,14 @@ def _draw_box(img: np.ndarray, box: BBox, color: tuple[int, int, int]) -> None:
 
 
 def cmd_overlay(args: argparse.Namespace) -> int:
+    if args.width < 0 or args.height < 0:
+        raise ValueError(
+            f"--width and --height must be >= 0 (0 = auto), got {args.width} and {args.height}"
+        )
     gt_rows = read_mot_file(args.gt)
     pred_rows = read_mot_file(args.pred)
     width, height = args.width, args.height
-    if width <= 0 or height <= 0:
+    if width == 0 or height == 0:
         all_rows = gt_rows + pred_rows
         if not all_rows:
             raise ValueError("cannot autosize the canvas from two empty files")
@@ -321,12 +321,10 @@ def cmd_overlay(args: argparse.Namespace) -> int:
         height = int(math.ceil(max(r.y + r.h for r in all_rows))) + 10
 
     img = np.zeros((height, width, 3), dtype=np.uint8)
-    for r in gt_rows:
-        if r.frame == args.frame:
-            _draw_box(img, BBox(r.x, r.y, r.w, r.h), (0, 200, 0))
-    for r in pred_rows:
-        if r.frame == args.frame:
-            _draw_box(img, BBox(r.x, r.y, r.w, r.h), (230, 60, 60))
+    for rows, color in ((gt_rows, (0, 200, 0)), (pred_rows, (230, 60, 60))):
+        for r in rows:
+            if r.frame == args.frame:
+                _draw_box(img, BBox(r.x, r.y, r.w, r.h), color)
     with open(args.out, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(img.tobytes())
@@ -339,13 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,5 @@ class ConfigFile:
             raise ConfigError(f"{self.path}: missing required section [scene]")
         return self._build("scene")
 
-    def corruption(self) -> CorruptionConfig | None:
-        """The corruption settings, or None when the section is absent."""
-        return self._build("corruption") if self.has_section("corruption") else None
+    def corruption(self) -> CorruptionConfig:
+        return self._build("corruption")

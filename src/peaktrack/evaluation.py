@@ -97,6 +97,8 @@ def _match(
     iou_threshold: float,
 ) -> tuple[FrameTally, dict[int, int]]:
     """`match_frame` on a precomputed (gt × pred) IoU matrix."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     corr = dict(prev_correspondence)
     matched_g: dict[int, int] = {}
     matched_p: set[int] = set()
@@ -226,8 +228,6 @@ def compute_clear(
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MetricsReport:
     """Score a whole sequence; see MetricsReport for the fields."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     lo, hi = _check_sequences(gt, pred)
 
     id_hits = _IdHits(gt, pred)

@@ -8,7 +8,7 @@ Coordinate conventions:
   * Grids are downsampled by an integer factor R; a continuous pixel point p
     maps to the cell floor(p / R) with a fractional offset in [0, 1).
 
-All types here are immutable values and safe to share across workers.
+All types here are immutable values.
 """
 
 from __future__ import annotations

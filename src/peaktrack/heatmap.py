@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,10 +79,7 @@ class HeadOutput:
 
     def __post_init__(self) -> None:
         grids = {
-            "heatmap": self.heatmap,
-            "size_map": self.size_map,
-            "offset_map": self.offset_map,
-            "disp_map": self.disp_map,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "downsample"
         }
         shapes = set()
         for name, g in grids.items():
@@ -93,8 +90,8 @@ class HeadOutput:
             shapes.add(g.shape[:2])
         if len(shapes) != 1:
             raise ValueError(f"head grids disagree on spatial dims: {sorted(shapes)}")
-        for name in ("size_map", "offset_map", "disp_map"):
-            if grids[name].shape[2] != 2:
+        for name, g in grids.items():
+            if name != "heatmap" and g.shape[2] != 2:
                 raise ValueError(f"{name} must have 2 channels")
         if self.heatmap.min(initial=0.0) < 0.0 or self.heatmap.max(initial=0.0) > 1.0:
             raise ValueError("heatmap values must lie in [0, 1]")
@@ -159,10 +156,13 @@ def gaussian_sigma(size: tuple[float, float], downsample: int) -> float:
 
 
 def _grid_dims(image_size: tuple[int, int], downsample: int) -> tuple[int, int]:
+    """(rows, cols) of the grid; the image dims must be positive multiples of R >= 1."""
+    if downsample < 1:
+        raise ValueError(f"downsample must be >= 1, got {downsample}")
     h_px, w_px = image_size
-    if h_px % downsample or w_px % downsample:
+    if h_px < 1 or w_px < 1 or h_px % downsample or w_px % downsample:
         raise ValueError(
-            f"image dims {image_size} must be divisible by downsample {downsample}"
+            f"image dims {image_size} must be positive multiples of downsample {downsample}"
         )
     return h_px // downsample, w_px // downsample
 
@@ -176,8 +176,9 @@ def place_objects(
     """Resolve each object to a grid cell, skipping those too far off-frame.
 
     Top points up to one cell outside the frame are clamped onto its border;
-    anything farther is dropped (a warning reports the count).  Used by both
-    rendering and target construction so the two always agree.
+    anything farther is dropped (a warning reports the count).  Rendering
+    and `simulator.corrupt` both place objects through it, so the heatmap
+    bumps and the regression entries always sit at the same cells.
     """
     h_px, w_px = image_size
     _grid_dims(image_size, downsample)

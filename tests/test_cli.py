@@ -38,6 +38,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(p)
 
 
+@pytest.fixture(scope="module")
+def sim_heads(tmp_path_factory):
+    """Heads directory of one SCENE_CFG simulation, shared read-only."""
+    tmp = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--config", write_cfg(tmp, SCENE_CFG), "--out", str(tmp)]) == 0
+    return str(tmp / "heads")
+
+
 class TestPipelineFlow:
     def test_simulate_track_evaluate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
@@ -183,11 +191,47 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
 
+    def test_scene_downsample_zero_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SCENE_CFG + "downsample = 0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_validation_error(self, sim_heads, capsys, tolerance):
+        argv = ["losscheck", "--pred", sim_heads, "--gt", sim_heads, f"--tolerance={tolerance}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--tolerance must be finite and >= 0" in captured.err
+        assert "gradcheck" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_negative_overlay_size_is_validation_error(self, tmp_path, capsys, flag):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv + [flag, "-5"]) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_grid_is_io_error(self, tmp_path):
         heads = tmp_path / "heads"
         heads.mkdir()
         (heads / "000001.heatmap.grid").write_bytes(b"garbage")
         assert main(["track", "--heads", str(heads), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+class TestTrack:
+    def test_rows_carry_the_head_file_frame_numbers(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        for grid in out.glob("heads/00000[12].*.grid"):
+            grid.unlink()
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(res)]) == 0
+        assert sorted({r.frame for r in read_mot_file(res)}) == list(range(3, 13))
 
 
 class TestRenderHeatmap:
@@ -236,6 +280,22 @@ class TestRenderHeatmap:
             )
             == 1
         )
+
+
+    @pytest.mark.parametrize(
+        "dims",
+        [["--width", "256", "--height", "256", "--downsample", "0"], ["--width", "0", "--height", "256"]],
+        ids=["downsample-0", "width-0"],
+    )
+    def test_bad_grid_resolution_is_validation_error(self, tmp_path, capsys, caplog, dims):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,-1,-1\n")
+        out = tmp_path / "hm.grid"
+        argv = ["render-heatmap", "--gt", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv + dims) == 1
+        assert "error:" in capsys.readouterr().err
+        assert "skipped" not in caplog.text
+        assert not out.exists()
 
 
 class TestLosscheck:

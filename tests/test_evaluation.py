@@ -111,6 +111,12 @@ class TestMatchFrame:
         assert tally.idsw == 0
         assert tally.tp == 1 and tally.fp == 1
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at a threshold of 0 two disjoint boxes would count as a match
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+            match_frame([(1, box(0, 0))], [(2, box(50, 50))], {}, threshold)
+
 
 class TestComputeClear:
     def test_perfect_tracking(self):

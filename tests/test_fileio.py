@@ -228,9 +228,9 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="frame"):
             ConfigFile(self.write(tmp_path, text)).scene()
 
-    def test_missing_corruption_section_is_none(self, tmp_path):
+    def test_missing_corruption_section_is_identity(self, tmp_path):
         cfg = ConfigFile(self.write(tmp_path, "[scene]\nwidth = 128\n"))
-        assert cfg.corruption() is None
+        assert cfg.corruption() == CorruptionConfig()
 
     @pytest.mark.parametrize(
         "section, key, value", [("pipeline", "gate_scale", "nan"), ("corruption", "jitter_sigma", "inf")]

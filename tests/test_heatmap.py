@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from peaktrack import (
     decode_detections,
     extract_peaks,
     gaussian_sigma,
+    quantize_point,
+    read_head_outputs,
     render_gt_heatmap,
     top_point_from_bbox,
+    write_head_outputs,
 )
 from peaktrack.geometry import GridPoint
 from peaktrack.heatmap import _draw_gaussian, place_objects
@@ -214,6 +218,75 @@ class TestDecode:
             key = min(by_top, key=lambda t: (t[0] - d.top.x) ** 2 + (t[1] - d.top.y) ** 2)
             assert math.hypot(key[0] - d.top.x, key[1] - d.top.y) < 1e-6
             assert d.bbox().corners() == by_top[key].bbox.corners()
+
+    # Integer corners moved by one sub-pixel multiple of 2^-20 px keep every
+    # top, offset and displacement an exact float in memory; the grid files
+    # store float32, whose rounding stays below 1e-5 px for tops under 640 px
+    # and sizes up to 120 px, while float16 would miss by about 1e-3 px.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 2),
+        st.tuples(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1)),
+        st.integers(-8, 8),
+        st.integers(-8, 8),
+    )
+    def test_round_trip_through_grid_files(
+        self, seed, n_objects, num_classes, subpixel, dx, dy
+    ):
+        image_size = (640, 640)
+        fx, fy = (k / 2**20 for k in subpixel)
+        ann = separated_annotations(
+            np.random.default_rng(seed), 2, n_objects, image_size, num_classes=num_classes
+        )
+        ann = FrameAnnotations(
+            2,
+            tuple(
+                ObjectAnnotation(o.track_id, o.class_id, BBox(o.bbox.x1 + fx, o.bbox.y1 + fy, o.bbox.w, o.bbox.h))
+                for o in ann.objects
+            ),
+        )
+        # The previous frame holds each box shifted back by (dx, dy) when its
+        # top stays inside the frame; the others are new objects.
+        prev_objects = []
+        for o in ann.objects:
+            box = BBox(o.bbox.x1 - dx, o.bbox.y1 - dy, o.bbox.w, o.bbox.h)
+            top = top_point_from_bbox(box)
+            if 0 <= top.x < image_size[1] and 0 <= top.y < image_size[0]:
+                prev_objects.append(ObjectAnnotation(o.track_id, o.class_id, box))
+        moved = {o.track_id for o in prev_objects}
+        want = {}
+        for o in ann.objects:
+            top = top_point_from_bbox(o.bbox)
+            disp = (dx, dy) if o.track_id in moved else (0, 0)
+            want[quantize_point(top, 4)[0]] = (o, top, disp)
+
+        head = synthesize_head_outputs(
+            ann, FrameAnnotations(1, tuple(prev_objects)), image_size, 4, num_classes
+        )
+        cfg = PipelineConfig(num_classes=num_classes)
+        dets = decode_detections(head, cfg)
+        assert sorted((d.cell.row, d.cell.col) for d in dets) == sorted(
+            (cell.row, cell.col) for cell in want
+        )
+        for d in dets:
+            o, top, disp = want[d.cell]
+            assert (d.class_id, d.score) == (o.class_id, 1.0)
+            assert d.bbox().corners() == o.bbox.corners()
+            assert d.displacement == disp
+
+        with tempfile.TemporaryDirectory() as tmp:
+            write_head_outputs(tmp, 2, head)
+            from_file = decode_detections(read_head_outputs(tmp, 2, 4), cfg)
+        assert [(d.cell, d.class_id, d.score) for d in from_file] == [
+            (d.cell, d.class_id, d.score) for d in dets
+        ]
+        for d in from_file:
+            o, top, disp = want[d.cell]
+            got = (d.top.x, d.top.y, *d.size, *d.displacement)
+            exact = (top.x, top.y, o.bbox.w, o.bbox.h, *disp)
+            assert got == pytest.approx(exact, rel=0, abs=1e-5)
 
     def test_multiclass_detection_carries_class(self):
         objs = (
