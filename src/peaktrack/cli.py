@@ -204,6 +204,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_render_heatmap(args: argparse.Namespace) -> int:
+    if args.classes < 1:
+        raise ValueError(f"--classes must be >= 1, got {args.classes}")
     annotations = rows_to_annotations(read_mot_file(args.gt))
     by_index = {ann.frame_index: ann for ann in annotations}
     if args.frame not in by_index:
@@ -317,8 +319,8 @@ def cmd_overlay(args: argparse.Namespace) -> int:
         all_rows = gt_rows + pred_rows
         if not all_rows:
             raise ValueError("cannot autosize the canvas from two empty files")
-        width = int(math.ceil(max(r.x + r.w for r in all_rows))) + 10
-        height = int(math.ceil(max(r.y + r.h for r in all_rows))) + 10
+        width = width or int(math.ceil(max(r.x + r.w for r in all_rows))) + 10
+        height = height or int(math.ceil(max(r.y + r.h for r in all_rows))) + 10
 
     img = np.zeros((height, width, 3), dtype=np.uint8)
     for rows, color in ((gt_rows, (0, 200, 0)), (pred_rows, (230, 60, 60))):

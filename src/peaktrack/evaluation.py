@@ -2,11 +2,12 @@
 
 Sequences are mappings from 1-based frame index to a list of
 (id, BBox) pairs; an id appears at most once per frame.  Correspondence
-between ground truth and predictions is kept frame to frame: a pair
-matched earlier persists while it still overlaps, everything else is
-re-matched by maximizing IoU, and a ground truth identity whose matched
-prediction id changes counts one identity switch.  IDF1 instead scores a
-single global pairing of whole trajectories.
+between ground truth and predictions is kept frame to frame: each frame
+is one assignment over the pairs at IoU >= threshold that keeps the most
+remembered pairs, then maximizes the total IoU (so a prediction two ids
+remember goes to the pairing with the larger total), and a ground truth
+whose matched prediction id changes counts one identity switch.  IDF1
+instead scores a single global pairing of whole trajectories.
 
 Scoring walks the frames once.  Each frame gets one (gt × pred) IoU
 matrix, computed by numpy broadcasting with the same arithmetic as
@@ -99,35 +100,22 @@ def _match(
     """`match_frame` on a precomputed (gt × pred) IoU matrix."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    corr = dict(prev_correspondence)
-    matched_g: dict[int, int] = {}
-    matched_p: set[int] = set()
-
     pred_index = {pid: j for j, pid in enumerate(pred_ids)}
-    persisting = []
+    score = np.where(iou >= iou_threshold, iou, 0.0)
+    bonus = min(len(gt_ids), len(pred_ids)) + 1  # above any sum of IoUs
     for i, gid in enumerate(gt_ids):
-        j = pred_index.get(corr.get(gid))
-        if j is not None and iou[i, j] >= iou_threshold:
-            persisting.append((-iou[i, j], gid, i, j))
-    for _, _, i, j in sorted(persisting):
-        if i not in matched_g and j not in matched_p:
-            matched_g[i] = j
-            matched_p.add(j)
+        j = pred_index.get(prev_correspondence.get(gid))
+        if j is not None and score[i, j] > 0:
+            score[i, j] += bonus
+    rows, cols = linear_sum_assignment(score, maximize=True)
 
-    rest_g = [i for i in range(len(gt_ids)) if i not in matched_g]
-    rest_p = [j for j in range(len(pred_ids)) if j not in matched_p]
-    if rest_g and rest_p:
-        sub = iou[np.ix_(rest_g, rest_p)]
-        rows, cols = linear_sum_assignment(-sub)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if sub[r, c] >= iou_threshold:
-                matched_g[rest_g[r]] = rest_p[c]
-                matched_p.add(rest_p[c])
-
+    corr = dict(prev_correspondence)
     idsw = 0
     iou_sum = 0.0
     matches = []
-    for i, j in sorted(matched_g.items()):
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if score[i, j] == 0:
+            continue
         gid, pid = gt_ids[i], pred_ids[j]
         before = prev_correspondence.get(gid)
         if before is not None and before != pid:
@@ -136,7 +124,7 @@ def _match(
         iou_sum += float(iou[i, j])
         matches.append((gid, pid))
 
-    tp = len(matched_g)
+    tp = len(matches)
     tally = FrameTally(
         tp=tp,
         fp=len(pred_ids) - tp,
@@ -156,10 +144,11 @@ def match_frame(
 ) -> tuple[FrameTally, dict[int, int]]:
     """Match one frame and update the gt-id -> pred-id correspondence.
 
-    Remembered pairs that still overlap at `iou_threshold` are kept first
-    (conflicts resolved by higher IoU); the remainder is matched by a
-    maximum-IoU assignment.  A ground truth matched to a different
-    prediction id than its remembered one contributes one identity switch.
+    One assignment over the pairs at IoU >= `iou_threshold` keeps the most
+    remembered pairs, then maximizes the total IoU; a prediction remembered
+    by two ids goes to the pairing with the larger total IoU, not the higher
+    single IoU.  A ground truth matched to a different prediction id than
+    its remembered one contributes one identity switch.
     """
     gt_ids, pred_ids, iou = _frame_iou(gt_boxes, pred_boxes)
     return _match(iou, gt_ids, pred_ids, prev_correspondence, iou_threshold)

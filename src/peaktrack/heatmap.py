@@ -295,7 +295,7 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
 
     For each heatmap peak, the anchor is (cell + offset) * R, with size and
     displacement read from the same cell.  Peaks whose regressed size is not
-    positive are dropped.
+    positive are dropped (a warning reports the count).
     """
     if head.num_classes != cfg.num_classes:
         raise ValueError(
@@ -307,10 +307,12 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
         )
     peaks = extract_peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
     detections: list[Detection] = []
+    dropped = 0
     for cell, class_id, score in peaks:
         ox, oy = head.offset_map[cell.row, cell.col]
         w, h = head.size_map[cell.row, cell.col]
         if w <= 0 or h <= 0:
+            dropped += 1
             continue
         dx, dy = head.disp_map[cell.row, cell.col]
         top = TopPoint(
@@ -326,5 +328,9 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
                 class_id=class_id,
                 displacement=(float(dx), float(dy)),
             )
+        )
+    if dropped:
+        logger.warning(
+            "dropped %d of %d peaks whose regressed size is not positive", dropped, len(peaks)
         )
     return detections

@@ -193,3 +193,30 @@ def peaks_oracle(heatmap, max_peaks: int, score_threshold: float):
                     found.append((r, c, ch, v))
     found.sort(key=lambda p: (-p[3], p[0], p[1], p[2]))
     return found[:max_peaks]
+
+
+def clear_match_oracle(iou, remembered, iou_threshold: float = 0.5) -> tuple[int, float]:
+    """Best (remembered pairs kept, total IoU) over every matching of the
+    pairs at IoU >= iou_threshold.
+
+    `iou` is a (gt × pred) list of lists and `remembered` maps a gt row to
+    the pred column it was matched to before.  Every partial matching is
+    enumerated row by row, each row left unmatched or given a free column;
+    more remembered pairs win, then the larger total IoU.  Exponential;
+    fine for n, m <= 5.
+    """
+    n, m = len(iou), len(iou[0]) if len(iou) else 0
+    best = (0, 0.0)
+
+    def walk(i, used, kept, total):
+        nonlocal best
+        if i == n:
+            best = max(best, (kept, total))
+            return
+        walk(i + 1, used, kept, total)
+        for j in range(m):
+            if j not in used and iou[i][j] >= iou_threshold:
+                walk(i + 1, used | {j}, kept + (remembered.get(i) == j), total + iou[i][j])
+
+    walk(0, frozenset(), 0, 0.0)
+    return best

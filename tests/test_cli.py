@@ -297,6 +297,17 @@ class TestRenderHeatmap:
         assert "skipped" not in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_classes_below_one_is_validation_error(self, tmp_path, capsys, classes):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,-1,-1\n")
+        out = tmp_path / "hm.grid"
+        argv = ["render-heatmap", "--gt", str(gt), "--frame", "1", "--out", str(out)]
+        dims = ["--width", "64", "--height", "64", "--classes", str(classes)]
+        assert main(argv + dims) == 1
+        assert f"error: --classes must be >= 1, got {classes}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLosscheck:
     def test_ideal_outputs_pass(self, tmp_path, capsys):
@@ -358,6 +369,19 @@ class TestOverlay:
         img = np.frombuffer(data.split(b"\n255\n", 1)[1], dtype=np.uint8).reshape(h, w, 3)
         assert (img == np.array([0, 200, 0])).all(axis=2).any()
         assert (img == np.array([230, 60, 60])).all(axis=2).any()
+
+    @pytest.mark.parametrize(
+        "size, want", [(("500", "0"), "500x210"), (("0", "300"), "150x300"), (("0", "0"), "150x210")]
+    )
+    def test_autosizes_only_the_side_given_as_zero(self, tmp_path, capsys, size, want):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv + ["--width", size[0], "--height", size[1]]) == 0
+        assert f"wrote {want} overlay" in capsys.readouterr().out
+        w, h = want.split("x")
+        assert out.read_bytes().startswith(f"P6\n{w} {h}\n".encode())
 
 
 class TestModuleEntryPoint:

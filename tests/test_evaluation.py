@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from peaktrack import BBox, bbox_iou, compute_clear, compute_idf1, match_frame
 from peaktrack.evaluation import _iou_matrix
 
-from .oracles import idf1_oracle, iou_oracle
+from .oracles import clear_match_oracle, idf1_oracle, iou_oracle
 
 
 def box(x=0.0, y=0.0, w=10.0, h=10.0):
@@ -30,6 +30,10 @@ def merge(*seqs):
 coords = st.one_of(st.integers(-20, 20).map(float), st.floats(-1e4, 1e4))
 extents = st.one_of(st.integers(1, 20).map(float), st.floats(1e-3, 1e4))
 boxes = st.builds(BBox, coords, coords, extents, extents)
+# A small integer grid, on which IoUs near 0.5 are common.
+grid = st.integers(0, 6).map(float)
+side = st.integers(4, 10).map(float)
+small_boxes = st.builds(BBox, grid, grid, side, side)
 
 
 @st.composite
@@ -110,6 +114,39 @@ class TestMatchFrame:
         assert corr[1] == 7
         assert tally.idsw == 0
         assert tally.tp == 1 and tally.fp == 1
+
+    def test_sub_threshold_pair_cannot_take_a_match(self):
+        # both straight pairings clear 0.5 (0.538, 0.562); the crossed ones
+        # have the larger IoU sum (0.471 + 0.681) but 0.471 is below the gate
+        gt = [(1, box(5, 3, 10, 10)), (2, box(9, 2, 10, 10))]
+        pred = [(1, box(8, 3, 10, 10)), (2, box(7, 1, 10, 10))]
+        tally, corr = match_frame(gt, pred, {})
+        assert tally.tp == 2
+        assert corr == {1: 1, 2: 2}
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(small_boxes, max_size=4),
+        st.lists(small_boxes, max_size=4),
+        st.lists(st.integers(-1, 4), min_size=4, max_size=4),
+        st.sampled_from([0.5, 0.3, 0.7]),
+    )
+    def test_matches_oracle(self, gt_boxes, pred_boxes, memory, threshold):
+        # memory[i] is the pred index gt i remembers: -1 for none, and an
+        # index past the frame's predictions for a prediction now absent
+        gt = [(i + 1, b) for i, b in enumerate(gt_boxes)]
+        pred = [(j + 101, b) for j, b in enumerate(pred_boxes)]
+        prev = {i + 1: k + 101 for i, k in enumerate(memory[: len(gt)]) if k >= 0}
+        tally, corr = match_frame(gt, pred, prev, threshold)
+        iou = [
+            [iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h)) for b in pred_boxes]
+            for a in gt_boxes
+        ]
+        remembered = {i: k for i, k in enumerate(memory[: len(gt)]) if 0 <= k < len(pred)}
+        kept, total = clear_match_oracle(iou, remembered, threshold)
+        assert sum(prev.get(g) == p for g, p in tally.matches) == kept
+        assert abs(tally.iou_sum - total) <= 1e-9
+        assert all(corr[g] == p for g, p in tally.matches)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):

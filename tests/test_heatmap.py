@@ -208,6 +208,28 @@ class TestDecode:
         )
         assert decode_detections(head, PipelineConfig()) == []
 
+    @pytest.mark.parametrize(
+        "bad_sizes, warned",
+        [([(0.0, 8.0), (-3.0, 8.0)], True), ([], False)],
+        ids=["two-dropped", "none-dropped"],
+    )
+    def test_non_positive_size_drop_is_reported(self, caplog, bad_sizes, warned):
+        # three isolated peaks; the first len(bad_sizes) regress a size <= 0
+        shape = (16, 16)
+        heatmap = np.zeros(shape + (1,))
+        size_map = np.full(shape + (2,), 8.0)
+        cells = [(2, 2), (8, 8), (13, 13)]
+        for (r, c), score in zip(cells, (0.9, 0.8, 0.7)):
+            heatmap[r, c, 0] = score
+        for (r, c), wh in zip(cells, bad_sizes):
+            size_map[r, c] = wh
+        head = HeadOutput(heatmap, size_map, np.zeros(shape + (2,)), np.zeros(shape + (2,)), 4)
+        with caplog.at_level("WARNING", logger="peaktrack.heatmap"):
+            dets = decode_detections(head, PipelineConfig())
+        assert len(dets) == 3 - len(bad_sizes)
+        assert ("dropped 2 of 3 peaks whose regressed size is not positive" in caplog.text) is warned
+        assert len(caplog.records) == int(warned)
+
     def test_fifty_objects_round_trip(self, rng):
         ann = separated_annotations(rng, 1, 50, image_size=(640, 640))
         head = synthesize_head_outputs(ann, None, (640, 640), 4)
