@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .geometry import BBox, Detection, PipelineConfig, TopPoint
 
 @dataclass

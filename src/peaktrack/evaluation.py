@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_sum_assignment
 from .geometry import BBox
 
 FrameBoxes = Sequence[tuple[int, BBox]]

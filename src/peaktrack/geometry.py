@@ -26,6 +26,12 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def require_downsample(downsample: int) -> None:
+    """The one rule for a grid's downsample factor R: it is at least 1."""
+    if downsample < 1:
+        raise ValueError(f"downsample must be >= 1, got {downsample}")
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h)."""
@@ -118,8 +124,7 @@ class PipelineConfig:
     focal_beta: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.downsample < 1:
-            raise ValueError("downsample must be >= 1")
+        require_downsample(self.downsample)
         if self.max_peaks < 1:
             raise ValueError("max_peaks must be >= 1")
         if not 0.0 <= self.score_threshold <= 1.0:
@@ -144,8 +149,7 @@ def quantize_point(p: TopPoint, downsample: int) -> tuple[GridPoint, tuple[float
     offset component in [0, 1), so (cell + offset) * R reconstructs p.
     Points with negative coordinates have no valid cell and are rejected.
     """
-    if downsample < 1:
-        raise ValueError("downsample must be >= 1")
+    require_downsample(downsample)
     _require_finite("point", p.x, p.y)
     if p.x < 0 or p.y < 0:
         raise ValueError(f"point {p} lies outside the grid")

@@ -27,6 +27,7 @@ from .geometry import (
     PipelineConfig,
     TopPoint,
     quantize_point,
+    require_downsample,
     top_point_from_bbox,
 )
 
@@ -95,8 +96,7 @@ class HeadOutput:
                 raise ValueError(f"{name} must have 2 channels")
         if self.heatmap.min(initial=0.0) < 0.0 or self.heatmap.max(initial=0.0) > 1.0:
             raise ValueError("heatmap values must lie in [0, 1]")
-        if self.downsample < 1:
-            raise ValueError("downsample must be >= 1")
+        require_downsample(self.downsample)
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -157,8 +157,7 @@ def gaussian_sigma(size: tuple[float, float], downsample: int) -> float:
 
 def _grid_dims(image_size: tuple[int, int], downsample: int) -> tuple[int, int]:
     """(rows, cols) of the grid; the image dims must be positive multiples of R >= 1."""
-    if downsample < 1:
-        raise ValueError(f"downsample must be >= 1, got {downsample}")
+    require_downsample(downsample)
     h_px, w_px = image_size
     if h_px < 1 or w_px < 1 or h_px % downsample or w_px % downsample:
         raise ValueError(
@@ -182,6 +181,8 @@ def place_objects(
     """
     h_px, w_px = image_size
     _grid_dims(image_size, downsample)
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     margin = float(downsample)
     placements: list[Placement] = []
     skipped = 0
@@ -222,9 +223,10 @@ def render_gt_heatmap(
     cell on its class channel, truncated at 3 sigma; overlaps keep the max.
     The center cell is exactly 1.
     """
+    placements = place_objects(ann, image_size, downsample, num_classes)
     rows, cols = _grid_dims(image_size, downsample)
     heatmap = np.zeros((rows, cols, num_classes), dtype=np.float64)
-    for p in place_objects(ann, image_size, downsample, num_classes):
+    for p in placements:
         _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
     return heatmap
 

@@ -236,19 +236,19 @@ def corrupt(
             )
         kept = jittered
 
+    prev_tops: dict[int, TopPoint] = {}
+    if ann_prev is not None:
+        for p in place_objects(ann_prev, image_size, downsample, num_classes):
+            prev_tops[p.annotation.track_id] = p.top
+    kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
+    placements = place_objects(kept_ann, image_size, downsample, num_classes)
+
     rows, cols = _grid_dims(image_size, downsample)
     heatmap = np.zeros((rows, cols, num_classes))
     size_map = np.zeros((rows, cols, 2))
     offset_map = np.zeros((rows, cols, 2))
     disp_map = np.zeros((rows, cols, 2))
-
-    prev_tops: dict[int, TopPoint] = {}
-    if ann_prev is not None:
-        for p in place_objects(ann_prev, image_size, downsample, num_classes):
-            prev_tops[p.annotation.track_id] = p.top
-
-    kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
-    for p in place_objects(kept_ann, image_size, downsample, num_classes):
+    for p in placements:
         _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
         r, c = p.cell.row, p.cell.col
         size_map[r, c] = (p.annotation.bbox.w, p.annotation.bbox.h)

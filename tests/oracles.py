@@ -108,6 +108,25 @@ def assignment_oracle(dist, feasible) -> tuple[int, float]:
     return best_card, best_cost
 
 
+def assignment_total_oracle(cost, maximize: bool = False) -> float:
+    """Best total over every injective map of the smaller side of `cost`.
+
+    `cost` is a list of rows; the result is the minimum total, or the
+    maximum with `maximize`, and 0 when either side is empty.  Exponential;
+    fine for 7 or fewer on the larger side.
+    """
+    if not cost or not cost[0]:
+        return 0.0
+    if len(cost) > len(cost[0]):
+        cost = [list(col) for col in zip(*cost)]
+    n, m = len(cost), len(cost[0])
+    totals = [
+        sum(cost[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(m), n)
+    ]
+    return max(totals) if maximize else min(totals)
+
+
 def iou_oracle(a, b) -> float:
     """Plain interval-arithmetic IoU of two (x1, y1, w, h) boxes."""
     ax1, ay1, aw, ah = a

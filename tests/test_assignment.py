@@ -1,0 +1,63 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from peaktrack.assignment import linear_sum_assignment
+
+from .oracles import assignment_total_oracle
+
+BIG_M = 1000.0
+
+
+@st.composite
+def cost_matrices(draw):
+    """Up to 6 x 7 in either orientation: tied small integers or continuous
+    values, with some rows set entirely to a big-M value."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+    value = draw(
+        st.sampled_from([st.integers(0, 2).map(float), st.floats(-50.0, 50.0)])
+    )
+    cost = [[draw(value) for _ in range(cols)] for _ in range(rows)]
+    for row in cost:
+        if draw(st.integers(0, 3)) == 0:
+            row[:] = [BIG_M] * cols
+    return rows, cols, cost
+
+
+class TestLinearSumAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(cost_matrices(), st.booleans())
+    def test_total_matches_exhaustive_oracle(self, shaped, maximize):
+        n_rows, n_cols, cost = shaped
+        matrix = np.array(cost, dtype=float).reshape(n_rows, n_cols)
+        rows, cols = linear_sum_assignment(matrix, maximize=maximize)
+        assert len(rows) == len(cols) == min(matrix.shape)
+        assert len(set(rows.tolist())) == len(rows)
+        assert len(set(cols.tolist())) == len(cols)
+        assert rows.tolist() == sorted(rows.tolist())
+        total = float(matrix[rows, cols].sum())
+        want = assignment_total_oracle(cost, maximize)
+        assert math.isclose(total, want, rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_constant_matrix_gives_identity(self):
+        # all columns tie, so each row takes the free column the scan meets
+        # last: the one with the lowest index
+        rows, cols = linear_sum_assignment(np.zeros((3, 4)))
+        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 1, 2]
+
+    def test_ties_follow_the_documented_scan_order(self):
+        # Every assignment with column 2 on row 0 or 1 is optimal; the scan
+        # order picks this one, as scipy.optimize.linear_sum_assignment does.
+        rows, cols = linear_sum_assignment([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
+        assert cols.tolist() == [2, 1, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_non_finite_entry_rejected(self, bad, maximize):
+        with pytest.raises(ValueError, match="finite"):
+            linear_sum_assignment([[1.0, bad], [2.0, 3.0]], maximize=maximize)

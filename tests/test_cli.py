@@ -395,3 +395,12 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "MOTA" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, peaktrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -116,6 +116,11 @@ class TestRender:
         with pytest.raises(ValueError):
             render_gt_heatmap(ann, (254, 256), 4)
 
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_num_classes_below_one_rejected(self, num_classes):
+        with pytest.raises(ValueError, match=f"num_classes must be >= 1, got {num_classes}"):
+            render_gt_heatmap(FrameAnnotations(1, ()), (64, 64), 4, num_classes)
+
     def test_duplicate_track_ids_rejected(self):
         objs = (
             ObjectAnnotation(1, 0, BBox(0, 0, 10, 10)),

@@ -208,6 +208,12 @@ class TestCorrupt:
         np.testing.assert_array_equal(a.heatmap, b.heatmap)
         np.testing.assert_array_equal(a.size_map, b.size_map)
 
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_num_classes_below_one_rejected(self, num_classes):
+        empty = FrameAnnotations(1, ())
+        with pytest.raises(ValueError, match=f"num_classes must be >= 1, got {num_classes}"):
+            corrupt(empty, None, (64, 64), 4, CorruptionConfig(), num_classes)
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             CorruptionConfig(fn_rate=1.2)
