@@ -1,10 +1,22 @@
 """On-disk formats: binary grids, MOTChallenge text rows, head directories.
 
-Grid files are deliberately minimal so any language can read them:
+Grid files are deliberately minimal so any language can read them.  Both
+kinds share the magic length and the header; all numbers are little endian:
 
-    magic   7 bytes  ASCII "TTGRID1"
-    header  3 x u32  little endian: height, width, channels
-    payload H*W*C x f32 little endian, row-major, channel-minor, all finite
+    magic   7 bytes  ASCII "TTGRID1" (dense) or "TTGRID2" (sparse)
+    header  3 x u32  height, width, channels
+
+    dense payload    H*W*C x f32, row-major, channel-minor, all finite
+    sparse payload   u32 count k, then k x u32 flat indices (row-major,
+                     channel-minor, strictly ascending, each < H*W*C), then
+                     k x f32 values, all finite; every other value is 0.0
+
+`write_grid` stores the values whose float32 bit pattern is not zero (so
+-0.0 and denormals round-trip exactly) and picks whichever payload is
+smaller: sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense
+when H*W*C exceeds 2**32 and an index could overflow u32.  Head grids are a
+few Gaussian bumps and a few regression cells, so they go sparse; a heatmap
+with noise added is about half non-zero and costs about the dense size.
 
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
@@ -28,7 +40,10 @@ from .geometry import BBox
 from .heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 
 GRID_MAGIC = b"TTGRID1"
+SPARSE_GRID_MAGIC = b"TTGRID2"
 _HEADER = struct.Struct("<III")
+_COUNT = struct.Struct("<I")
+_HEADER_END = len(GRID_MAGIC) + _HEADER.size
 
 # head grid file name -> HeadOutput field
 _HEAD_FILES = {
@@ -44,44 +59,82 @@ class FileFormatError(Exception):
 
 
 def write_grid(path: str | Path, grid: np.ndarray) -> None:
-    """Store a (rows, cols, channels) array as float32."""
+    """Store a (rows, cols, channels) array as float32, dense or sparse."""
     arr = np.asarray(grid)
     if arr.ndim != 3:
         raise ValueError("grid must be a (rows, cols, channels) array")
     if arr.size == 0:
         raise ValueError("grid must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("grid contains non-finite values")
     h, w, c = arr.shape
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    # a finite float64 beyond the float32 range becomes inf here, so the
+    # finiteness check runs on the float32 values that are written
+    with np.errstate(over="ignore"):
+        values = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+    stored = values.view("<u4") != 0
+    k = int(np.count_nonzero(stored))
+    if 4 + 8 * k < 4 * values.size and values.size <= 2**32:
+        index = np.flatnonzero(stored)
+        values = values[index]
+        magic, indices = SPARSE_GRID_MAGIC, _COUNT.pack(k) + index.astype("<u4").tobytes()
+    else:
+        magic, indices = GRID_MAGIC, b""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid contains non-finite values")
     with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
+        fh.write(magic)
         fh.write(_HEADER.pack(h, w, c))
-        fh.write(payload)
+        fh.write(indices)
+        fh.write(values.tobytes())
 
 
 def read_grid(path: str | Path) -> np.ndarray:
-    """Load a grid file back as float64."""
+    """Load a dense or sparse grid file back as a dense float64 array."""
     data = Path(path).read_bytes()
-    if data[: len(GRID_MAGIC)] != GRID_MAGIC:
+    magic = data[: len(GRID_MAGIC)]
+    if magic not in (GRID_MAGIC, SPARSE_GRID_MAGIC):
         raise FileFormatError(f"{path}: bad magic, not a grid file")
-    header_end = len(GRID_MAGIC) + _HEADER.size
-    if len(data) < header_end:
+    if len(data) < _HEADER_END:
         raise FileFormatError(
-            f"{path}: truncated header, expected {header_end} bytes, got {len(data)}"
+            f"{path}: truncated header, expected {_HEADER_END} bytes, got {len(data)}"
         )
-    h, w, c = _HEADER.unpack(data[len(GRID_MAGIC) : header_end])
+    h, w, c = _HEADER.unpack(data[len(GRID_MAGIC) : _HEADER_END])
     if h < 1 or w < 1 or c < 1:
         raise FileFormatError(f"{path}: invalid dims {h}x{w}x{c}")
-    expected = header_end + 4 * h * w * c
+    size = h * w * c
+    if magic == GRID_MAGIC:
+        expected = _HEADER_END + 4 * size
+        if len(data) != expected:
+            raise FileFormatError(
+                f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
+            )
+        values = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
+        if not np.all(np.isfinite(values)):
+            raise FileFormatError(f"{path}: grid contains non-finite values")
+        return values.reshape(h, w, c).astype(np.float64)
+
+    count_end = _HEADER_END + _COUNT.size
+    if len(data) < count_end:
+        raise FileFormatError(
+            f"{path}: truncated header, expected {count_end} bytes, got {len(data)}"
+        )
+    (k,) = _COUNT.unpack(data[_HEADER_END:count_end])
+    expected = count_end + 8 * k
     if len(data) != expected:
         raise FileFormatError(
-            f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
+            f"{path}: payload mismatch, expected {expected} bytes for {k} values, "
+            f"got {len(data)}"
         )
-    values = np.frombuffer(data, dtype="<f4", offset=header_end)
+    index = np.frombuffer(data, dtype="<u4", count=k, offset=count_end)
+    values = np.frombuffer(data, dtype="<f4", count=k, offset=count_end + 4 * k)
+    if np.any(index[1:] <= index[:-1]):
+        raise FileFormatError(f"{path}: indices are not strictly ascending")
+    if k and index[-1] >= size:
+        raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: grid contains non-finite values")
-    return values.reshape(h, w, c).astype(np.float64)
+    grid = np.zeros(size, dtype=np.float64)
+    grid[index] = values
+    return grid.reshape(h, w, c)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -215,6 +216,19 @@ class TestExitCodes:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unordered_sparse_grid_is_format_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        grid = out / "heads" / "000002.heatmap.grid"
+        data = bytearray(grid.read_bytes())
+        assert data[:7] == b"TTGRID2"
+        # swap the first two flat indices
+        data[23:27], data[27:31] = data[27:31], data[23:27]
+        grid.write_bytes(bytes(data))
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "000002.heatmap.grid: indices are not strictly ascending" in capsys.readouterr().err
+
     def test_corrupt_grid_is_io_error(self, tmp_path):
         heads = tmp_path / "heads"
         heads.mkdir()
@@ -232,6 +246,24 @@ class TestTrack:
         res = tmp_path / "res.txt"
         assert main(["track", "--heads", str(out / "heads"), "--out", str(res)]) == 0
         assert sorted({r.frame for r in read_mot_file(res)}) == list(range(3, 13))
+
+    def test_dense_head_files_track_like_sparse(self, tmp_path):
+        cfg = write_cfg(tmp_path, CORRUPT_CFG)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # the same heads, stored the way every grid was before TTGRID2
+        dense = tmp_path / "dense"
+        dense.mkdir()
+        for grid in (out / "heads").glob("*.grid"):
+            assert grid.read_bytes()[:7] == b"TTGRID2"
+            values = read_grid(grid)
+            (dense / grid.name).write_bytes(
+                b"TTGRID1" + struct.pack("<III", *values.shape) + values.astype("<f4").tobytes()
+            )
+        a, b = tmp_path / "sparse.txt", tmp_path / "dense.txt"
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(a)]) == 0
+        assert main(["track", "--heads", str(dense), "--out", str(b)]) == 0
+        assert read_mot_file(a) and a.read_bytes() == b.read_bytes()
 
 
 class TestRenderHeatmap:

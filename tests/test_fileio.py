@@ -1,8 +1,12 @@
 import dataclasses
+import struct
 import typing
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from peaktrack import (
     BBox,
@@ -19,10 +23,10 @@ from peaktrack import (
     write_mot_file,
 )
 from peaktrack.config import ConfigError, ConfigFile
-from peaktrack.fileio import GRID_MAGIC
+from peaktrack.fileio import GRID_MAGIC, SPARSE_GRID_MAGIC
 from peaktrack.geometry import PipelineConfig
-from peaktrack.heatmap import HeadOutput
-from peaktrack.simulator import CorruptionConfig, SceneConfig
+from peaktrack.heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
+from peaktrack.simulator import CorruptionConfig, SceneConfig, corrupt
 
 
 class TestGridFile:
@@ -38,7 +42,7 @@ class TestGridFile:
         assert (tmp_path / "g2.grid").read_bytes() == path.read_bytes()
 
     def test_header_layout(self, tmp_path):
-        write_grid(tmp_path / "g.grid", np.zeros((2, 3, 4)))
+        write_grid(tmp_path / "g.grid", np.ones((2, 3, 4)))
         data = (tmp_path / "g.grid").read_bytes()
         assert data[:7] == GRID_MAGIC
         assert np.frombuffer(data[7:19], dtype="<u4").tolist() == [2, 3, 4]
@@ -70,6 +74,15 @@ class TestGridFile:
         with pytest.raises(ValueError):
             write_grid(tmp_path / "g.grid", np.full((2, 2, 1), np.nan))
 
+    @pytest.mark.parametrize("fill", [1e39, 0.0], ids=["dense", "sparse"])
+    def test_value_beyond_float32_range_rejected(self, tmp_path, fill):
+        # finite as float64, infinite once stored as float32
+        grid = np.full((4, 4, 1), fill)
+        grid[1, 2, 0] = -1e39
+        with pytest.raises(ValueError, match="non-finite"):
+            write_grid(tmp_path / "g.grid", grid)
+        assert not (tmp_path / "g.grid").exists()
+
     def test_non_finite_in_file_is_format_error(self, tmp_path):
         p = tmp_path / "g.grid"
         write_grid(p, np.ones((2, 2, 1)))
@@ -78,6 +91,137 @@ class TestGridFile:
         p.write_bytes(bytes(data))
         with pytest.raises(FileFormatError, match="g.grid: grid contains non-finite"):
             read_grid(p)
+
+
+# a 2x3x2 grid holding 1.5 at (0, 1, 1) and -2.0 at (1, 2, 0), byte by byte
+SPARSE_FIXTURE = (
+    b"TTGRID2"
+    + bytes.fromhex("02000000" "03000000" "02000000")  # height, width, channels
+    + bytes.fromhex("02000000")  # k
+    + bytes.fromhex("03000000" "0a000000")  # flat indices 3 and 10
+    + bytes.fromhex("0000c03f" "000000c0")  # float32 1.5 and -2.0
+)
+
+
+def sparse_file(shape, index, values):
+    """A TTGRID2 file's bytes, built field by field."""
+    return (
+        SPARSE_GRID_MAGIC
+        + struct.pack("<III", *shape)
+        + struct.pack("<I", len(index))
+        + np.asarray(index, dtype="<u4").tobytes()
+        + np.asarray(values, dtype="<f4").tobytes()
+    )
+
+
+class TestSparseGridFile:
+    def test_fixture_reads_back(self, tmp_path):
+        p = tmp_path / "g.grid"
+        p.write_bytes(SPARSE_FIXTURE)
+        expected = np.zeros((2, 3, 2))
+        expected[0, 1, 1] = 1.5
+        expected[1, 2, 0] = -2.0
+        back = read_grid(p)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, expected)
+
+    def test_writer_produces_fixture(self, tmp_path):
+        grid = np.zeros((2, 3, 2))
+        grid[0, 1, 1] = 1.5
+        grid[1, 2, 0] = -2.0
+        write_grid(tmp_path / "g.grid", grid)
+        assert (tmp_path / "g.grid").read_bytes() == SPARSE_FIXTURE
+
+    def test_size_rule_ties_stay_dense(self, tmp_path):
+        # 1 x 3 x 1 with one value: sparse needs 4 + 8 = 12 bytes, dense 12
+        write_grid(tmp_path / "g.grid", np.array([[[0.0], [7.0], [0.0]]]))
+        data = (tmp_path / "g.grid").read_bytes()
+        assert data[:7] == GRID_MAGIC and len(data) == 19 + 12
+        # one more zero cell makes sparse the smaller payload
+        write_grid(tmp_path / "g.grid", np.array([[[0.0], [7.0], [0.0], [0.0]]]))
+        data = (tmp_path / "g.grid").read_bytes()
+        assert data[:7] == SPARSE_GRID_MAGIC and len(data) == 19 + 12
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (SPARSE_FIXTURE[:-4], r"expected 39 bytes for 2 values, got 35"),
+            (SPARSE_FIXTURE + b"\0" * 8, r"expected 39 bytes for 2 values, got 47"),
+            (SPARSE_FIXTURE[:21], r"truncated header, expected 23 bytes, got 21"),
+            (sparse_file((2, 3, 2), [3, 12], [1.0, 2.0]), r"index 12 out of range for 2x3x2"),
+            (sparse_file((2, 3, 2), [3, 3], [1.0, 2.0]), r"not strictly ascending"),
+            (sparse_file((2, 3, 2), [10, 3], [1.0, 2.0]), r"not strictly ascending"),
+            (sparse_file((2, 3, 2), [3, 10], [1.0, np.inf]), r"non-finite"),
+            (sparse_file((2, 3, 2), [3, 10], [np.nan, 1.0]), r"non-finite"),
+        ],
+        ids=["short", "long", "no-count", "index-range", "repeated", "descending", "inf", "nan"],
+    )
+    def test_malformed_is_format_error_naming_file(self, tmp_path, data, message):
+        p = tmp_path / "bad.grid"
+        p.write_bytes(data)
+        with pytest.raises(FileFormatError, match=rf"bad\.grid: .*{message}"):
+            read_grid(p)
+
+
+F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+TINY = float(np.finfo(np.float32).smallest_subnormal)
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, TINY, -TINY, 1000 * TINY, float(np.finfo(np.float32).max), 1.0]
+)
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4))
+
+
+@st.composite
+def sparse_grids(draw, elements=F32):
+    """Zero grids with a drawn set of cells, from none to all, holding `elements`."""
+    shape = draw(SHAPES)
+    size = int(np.prod(shape))
+    index = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    grid = np.zeros(size, dtype=np.float32)
+    grid[index] = draw(st.lists(elements, min_size=len(index), max_size=len(index)))
+    return grid.reshape(shape)
+
+
+def bits(grid):
+    return np.asarray(grid, dtype=np.float32).view(np.uint32)
+
+
+def assert_round_trip(path, grid):
+    """Bit-exact round trip, in the smaller of the two payloads."""
+    write_grid(path, grid)
+    back = read_grid(path)
+    assert back.dtype == np.float64 and back.shape == grid.shape
+    np.testing.assert_array_equal(bits(back), bits(grid))
+    k = np.count_nonzero(bits(grid))
+    assert path.stat().st_size == 19 + min(4 * grid.size, 4 + 8 * k)
+
+
+ROUND_TRIP = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestGridRoundTrip:
+    @ROUND_TRIP
+    @given(grid=st.one_of(arrays(np.float32, SHAPES, elements=F32), sparse_grids()))
+    @example(grid=np.zeros((3, 4, 2), dtype=np.float32))
+    @example(grid=np.ones((3, 4, 2), dtype=np.float32))
+    def test_random_grids(self, tmp_path, grid):
+        assert_round_trip(tmp_path / "g.grid", grid)
+
+    @ROUND_TRIP
+    @given(grid=st.one_of(arrays(np.float32, SHAPES, elements=SPECIAL), sparse_grids(SPECIAL)))
+    def test_negative_zero_and_denormals(self, tmp_path, grid):
+        assert_round_trip(tmp_path / "g.grid", grid)
+
+    @settings(ROUND_TRIP, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_noisy_heatmap(self, tmp_path, seed):
+        ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(40, 30, 24, 60)),))
+        cfg = CorruptionConfig(fp_rate=1.0, hm_noise_sigma=0.05, seed=seed)
+        head = corrupt(ann, None, (128, 128), 4, cfg)
+        assert_round_trip(tmp_path / "g.grid", head.heatmap)
+        assert_round_trip(tmp_path / "s.grid", head.size_map)
 
 
 class TestMotFile:
