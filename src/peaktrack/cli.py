@@ -20,6 +20,7 @@ from .evaluation import IOU_THRESHOLD, MetricsReport, compute_clear
 from .fileio import (
     FileFormatError,
     MotRow,
+    head_grid_path,
     list_head_frames,
     read_head_outputs,
     read_mot_file,
@@ -163,8 +164,16 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     state = TrackerState()
     rows: list[MotRow] = []
+    first_shape = None
     for frame_index in frame_indices:
         head = read_head_outputs(args.heads, frame_index, cfg.downsample)
+        # a cell index means the same pixels only at one grid shape
+        first_shape = first_shape or head.grid_shape
+        if head.grid_shape != first_shape:
+            raise FileFormatError(
+                f"{head_grid_path(args.heads, frame_index, 'heatmap')}: grid shape "
+                f"{head.grid_shape} differs from frame {frame_indices[0]}'s {first_shape}"
+            )
         dets = decode_detections(head, cfg)
         for out in step(state, dets, cfg, matcher=args.matcher):
             box = out.bbox
@@ -314,11 +323,11 @@ def cmd_overlay(args: argparse.Namespace) -> int:
         )
     gt_rows = read_mot_file(args.gt)
     pred_rows = read_mot_file(args.pred)
+    all_rows = gt_rows + pred_rows
+    if not any(r.frame == args.frame for r in all_rows):
+        raise ValueError(f"frame {args.frame} not present in {args.gt} or {args.pred}")
     width, height = args.width, args.height
     if width == 0 or height == 0:
-        all_rows = gt_rows + pred_rows
-        if not all_rows:
-            raise ValueError("cannot autosize the canvas from two empty files")
         width = width or int(math.ceil(max(r.x + r.w for r in all_rows))) + 10
         height = height or int(math.ceil(max(r.y + r.h for r in all_rows))) + 10
 

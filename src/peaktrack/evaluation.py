@@ -19,6 +19,7 @@ assignment on the counts at the end gives IDF1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -170,25 +171,21 @@ class _IdHits:
         self.row_of = _id_order(gt)
         self.col_of = _id_order(pred)
         self.counts = np.zeros((len(self.row_of), len(self.col_of)))
-        self.boxes = 0  # gt plus pred boxes added so far
 
     def add(
         self, gt_ids: Sequence[int], pred_ids: Sequence[int], iou: np.ndarray, threshold: float
     ) -> None:
-        self.boxes += len(gt_ids) + len(pred_ids)
         r, c = np.nonzero(iou >= threshold)
         if r.size:
             rows = np.array([self.row_of[gid] for gid in gt_ids])
             cols = np.array([self.col_of[pid] for pid in pred_ids])
             np.add.at(self.counts, (rows[r], cols[c]), 1.0)
 
-    def idf1(self) -> float:
-        """2*IDTP / (gt boxes + pred boxes) under the best trajectory pairing."""
-        if not self.col_of:
-            return 0.0
+    def idf1(self, boxes: int) -> float:
+        """2*IDTP / `boxes` (gt plus pred boxes) under the best trajectory pairing."""
         rows, cols = linear_sum_assignment(-self.counts)
         idtp = float(self.counts[rows, cols].sum())
-        return 2.0 * idtp / self.boxes
+        return 2.0 * idtp / boxes
 
 
 def _check_sequences(gt: Sequence_, pred: Sequence_) -> tuple[int, int]:
@@ -223,8 +220,8 @@ def compute_clear(
     corr: dict[int, int] = {}
     fp = fn = idsw = tp = 0
     iou_sum = 0.0
-    present: dict[int, int] = {}
-    covered: dict[int, int] = {}
+    present: Counter[int] = Counter()  # frames each gt id appears on
+    covered: Counter[int] = Counter()  # frames each gt id is matched on
     for frame in range(lo, hi + 1):
         gt_ids, pred_ids, iou = _frame_iou(gt.get(frame, ()), pred.get(frame, ()))
         tally, corr = _match(iou, gt_ids, pred_ids, corr, iou_threshold)
@@ -234,20 +231,18 @@ def compute_clear(
         idsw += tally.idsw
         tp += tally.tp
         iou_sum += tally.iou_sum
-        matched_gids = {gid for gid, _ in tally.matches}
-        for gid in gt_ids:
-            present[gid] = present.get(gid, 0) + 1
-            if gid in matched_gids:
-                covered[gid] = covered.get(gid, 0) + 1
+        present.update(gt_ids)
+        covered.update(gid for gid, _ in tally.matches)
 
-    gt_total = sum(present.values())
-    coverages = [covered.get(gid, 0) / n for gid, n in present.items()]
+    gt_total = tp + fn
+    coverages = [covered[gid] / n for gid, n in present.items()]
     mt = sum(c >= MOSTLY_TRACKED_COVERAGE for c in coverages) / len(coverages)
     ml = sum(c <= MOSTLY_LOST_COVERAGE for c in coverages) / len(coverages)
     return MetricsReport(
         mota=1.0 - (fp + fn + idsw) / gt_total,
         motp=iou_sum / tp if tp else 0.0,
-        idf1=id_hits.idf1(),
+        # every gt box is a TP or an FN, every prediction a TP or an FP
+        idf1=id_hits.idf1(gt_total + tp + fp),
         mt=mt,
         ml=ml,
         fp=fp,

@@ -23,7 +23,8 @@ MOT rows are the 9-column comma-separated MOTChallenge layout
 are written as -1 where this pipeline has nothing meaningful to put there.
 
 A head-output directory holds four grid files per frame, named
-NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid.
+NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid, and one grid
+shape: every frame's grids have the same rows and columns.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, require_downsample
 from .heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 
 GRID_MAGIC = b"TTGRID1"
@@ -239,13 +240,22 @@ def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput
 def read_head_outputs(
     directory: str | Path, frame_index: int, downsample: int
 ) -> HeadOutput:
+    """One frame's four grids as a `HeadOutput`.
+
+    A frame that breaks a `HeadOutput` rule is a `FileFormatError` naming
+    the frame's files.
+    """
+    require_downsample(downsample)  # a bad argument, not a bad file
     grids = {}
     for name, field in _HEAD_FILES.items():
         path = head_grid_path(directory, frame_index, name)
         if not path.exists():
             raise FileFormatError(f"missing head grid {path}")
         grids[field] = read_grid(path)
-    return HeadOutput(**grids, downsample=downsample)
+    try:
+        return HeadOutput(**grids, downsample=downsample)
+    except ValueError as exc:
+        raise FileFormatError(f"{head_grid_path(directory, frame_index, '*')}: {exc}") from exc
 
 
 def list_head_frames(directory: str | Path) -> list[int]:

@@ -82,20 +82,20 @@ class HeadOutput:
         grids = {
             f.name: getattr(self, f.name) for f in fields(self) if f.name != "downsample"
         }
-        shapes = set()
         for name, g in grids.items():
             if g.ndim != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
-            if not np.all(np.isfinite(g)):
+            if name == "heatmap":
+                # NaN and +-inf fail this form, so it doubles as the finiteness check
+                if not (g.min(initial=0.0) >= 0.0 and g.max(initial=0.0) <= 1.0):
+                    raise ValueError("heatmap values must lie in [0, 1]")
+            elif g.shape[2] != 2:
+                raise ValueError(f"{name} must have 2 channels")
+            elif not np.all(np.isfinite(g)):
                 raise ValueError(f"{name} contains non-finite values")
-            shapes.add(g.shape[:2])
+        shapes = {g.shape[:2] for g in grids.values()}
         if len(shapes) != 1:
             raise ValueError(f"head grids disagree on spatial dims: {sorted(shapes)}")
-        for name, g in grids.items():
-            if name != "heatmap" and g.shape[2] != 2:
-                raise ValueError(f"{name} must have 2 channels")
-        if self.heatmap.min(initial=0.0) < 0.0 or self.heatmap.max(initial=0.0) > 1.0:
-            raise ValueError("heatmap values must lie in [0, 1]")
         require_downsample(self.downsample)
 
     @property
@@ -240,8 +240,6 @@ def _draw_gaussian(
     r1 = min(cell.row + reach, rows - 1)
     c0 = max(cell.col - reach, 0)
     c1 = min(cell.col + reach, cols - 1)
-    if r0 > r1 or c0 > c1:
-        return
     rr = np.arange(r0, r1 + 1, dtype=np.float64) - cell.row
     cc = np.arange(c0, c1 + 1, dtype=np.float64) - cell.col
     d2 = rr[:, None] ** 2 + cc[None, :] ** 2

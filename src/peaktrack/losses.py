@@ -80,7 +80,8 @@ def focal_loss(
         raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
-    if gt.min(initial=0.0) < 0.0 or gt.max(initial=0.0) > 1.0:
+    # NaN and +-inf fail this form
+    if not (gt.min(initial=0.0) >= 0.0 and gt.max(initial=0.0) <= 1.0):
         raise ValueError("gt heatmap values must lie in [0, 1]")
 
     positive = gt == 1.0

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from peaktrack import read_grid, read_head_outputs, read_mot_file
+from peaktrack import read_grid, read_head_outputs, read_mot_file, write_grid
 from peaktrack.cli import main
 from peaktrack.config import ConfigFile
 from peaktrack.simulator import gen_scene, synthesize_head_outputs
@@ -235,6 +235,44 @@ class TestExitCodes:
         (heads / "000001.heatmap.grid").write_bytes(b"garbage")
         assert main(["track", "--heads", str(heads), "--out", str(tmp_path / "r.txt")]) == 2
 
+    def test_grid_shape_change_between_frames_is_format_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        for grid in out.glob("heads/000002.*.grid"):
+            write_grid(grid, read_grid(grid)[:32, :32])
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(res)]) == 2
+        assert (
+            "000002.heatmap.grid: grid shape (32, 32) differs from frame 1's (64, 64)"
+            in capsys.readouterr().err
+        )
+        assert not res.exists()
+
+    @pytest.mark.parametrize(
+        "frame, name, edit, reason",
+        [
+            (3, "heatmap", lambda g: g * 1.5, "heatmap values must lie in [0, 1]"),
+            (2, "size", lambda g: g[:32], "head grids disagree on spatial dims"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["track", "losscheck"])
+    def test_head_rule_failure_names_the_frame_files(
+        self, tmp_path, capsys, frame, name, edit, reason, command
+    ):
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        grid = out / "heads" / f"{frame:06d}.{name}.grid"
+        write_grid(grid, edit(read_grid(grid)))
+        heads = str(out / "heads")
+        if command == "track":
+            argv = ["track", "--heads", heads, "--out", str(tmp_path / "r.txt")]
+        else:
+            argv = ["losscheck", "--pred", heads, "--gt", heads]
+        assert main(argv) == 2
+        assert f"{frame:06d}.*.grid: {reason}" in capsys.readouterr().err
+
 
 class TestTrack:
     def test_rows_carry_the_head_file_frame_numbers(self, tmp_path):
@@ -414,6 +452,16 @@ class TestOverlay:
         assert f"wrote {want} overlay" in capsys.readouterr().out
         w, h = want.split("x")
         assert out.read_bytes().startswith(f"P6\n{w} {h}\n".encode())
+
+
+    def test_absent_frame_is_validation_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,-1,-1\n2,1,101,100,40,100,1,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(gt), "--frame", "99", "--out", str(out)]
+        assert main(argv) == 1
+        assert "frame 99 not present" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -356,3 +356,38 @@ class TestDecode:
         head = HeadOutput(hm, np.full((16, 16, 2), 20.0), np.zeros((16, 16, 2)), np.zeros((16, 16, 2)), 4)
         dets = decode_detections(head, PipelineConfig())
         assert [(d.cell.row, d.cell.col, d.score) for d in dets] == [(5, 5, 0.9), (5, 6, 0.9)]
+
+
+class TestHeadOutputRules:
+    GRIDS = ("heatmap", "size_map", "offset_map", "disp_map")
+
+    @staticmethod
+    def grids(**changes):
+        grids = {
+            "heatmap": np.zeros((8, 8, 1)),
+            "size_map": np.ones((8, 8, 2)),
+            "offset_map": np.zeros((8, 8, 2)),
+            "disp_map": np.zeros((8, 8, 2)),
+        }
+        grids.update(changes)
+        return grids
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_non_finite_value_rejected(self, name, value):
+        grids = self.grids()
+        grids[name][3, 4, 0] = value
+        with pytest.raises(ValueError):
+            HeadOutput(**grids, downsample=4)
+
+    @pytest.mark.parametrize("value", [-1e-9, 1.0 + 1e-9, -1.0, 2.0])
+    def test_heatmap_outside_unit_interval_rejected(self, value):
+        heatmap = np.zeros((8, 8, 1))
+        heatmap[3, 4, 0] = value
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            HeadOutput(**self.grids(heatmap=heatmap), downsample=4)
+
+    def test_heatmap_bounds_accepted(self):
+        heatmap = np.zeros((8, 8, 1))
+        heatmap[3, 4, 0] = 1.0
+        assert HeadOutput(**self.grids(heatmap=heatmap), downsample=4).grid_shape == (8, 8)

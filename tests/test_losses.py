@@ -81,6 +81,12 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             focal_loss(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), 2, 4, 0)
 
+    def test_nan_in_gt_heatmap_rejected(self):
+        gt = np.zeros((2, 2, 1))
+        gt[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            focal_loss(np.full((2, 2, 1), 0.5), gt, 2, 4, 1)
+
     def test_gradient_matches_finite_differences(self, rng):
         gt = np.zeros((8, 8, 1))
         for r, c in ((1, 1), (5, 6), (3, 2)):
