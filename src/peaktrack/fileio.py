@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -150,6 +151,11 @@ class MotRow:
     class_id: int = -1
     visibility: float = -1.0
 
+    @cached_property
+    def box(self) -> BBox:
+        """The row's box, built (and so validated) once, on first use."""
+        return BBox(self.x, self.y, self.w, self.h)
+
 
 def _parse_int(text: str, what: str, path: str | Path, line_no: int) -> int:
     try:
@@ -181,7 +187,7 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
             class_id = _parse_int(fields[7], "class", path, line_no)
             try:
                 x, y, w, h, conf, vis = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
-                BBox(x, y, w, h)
+                box = BBox(x, y, w, h)
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{line_no}: {exc}")
             if frame < 1:
@@ -192,7 +198,9 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
                     f"{path}:{line_no}: id {track_id} already appears in frame {frame} "
                     f"at line {earlier}"
                 )
-            rows.append(MotRow(frame, track_id, x, y, w, h, conf, class_id, vis))
+            row = MotRow(frame, track_id, x, y, w, h, conf, class_id, vis)
+            row.__dict__["box"] = box  # fills the cached property: one box per row
+            rows.append(row)
     return rows
 
 
@@ -209,7 +217,7 @@ def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:
     """Group rows by frame for the evaluation module."""
     frames: dict[int, list[tuple[int, BBox]]] = {}
     for r in rows:
-        frames.setdefault(r.frame, []).append((r.track_id, BBox(r.x, r.y, r.w, r.h)))
+        frames.setdefault(r.frame, []).append((r.track_id, r.box))
     return frames
 
 
@@ -219,7 +227,7 @@ def rows_to_annotations(rows: Sequence[MotRow]) -> list[FrameAnnotations]:
     for r in rows:
         class_id = 0 if r.class_id < 0 else r.class_id
         by_frame.setdefault(r.frame, []).append(
-            ObjectAnnotation(r.track_id, class_id, BBox(r.x, r.y, r.w, r.h))
+            ObjectAnnotation(r.track_id, class_id, r.box)
         )
     return [
         FrameAnnotations(frame, tuple(objs)) for frame, objs in sorted(by_frame.items())

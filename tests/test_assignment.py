@@ -29,6 +29,23 @@ def cost_matrices(draw):
     return rows, cols, cost
 
 
+@st.composite
+def crowd_matrices(draw):
+    """Up to 40 x 50 in either orientation, shaped like a crowd's IoU
+    distances: each row is cheapest near its own diagonal cell, so
+    neighbouring rows can share their cheapest column, and 1 elsewhere."""
+    rows = draw(st.integers(1, 40))
+    cols = rows + draw(st.integers(0, 10))
+    cost = np.ones((rows, cols))
+    near = st.sampled_from([0.0, 0.1, 0.2, 0.5])
+    for i in range(rows):
+        j = min(max(i + draw(st.integers(-2, 2)), 0), cols - 1)
+        cost[i, j] = draw(near)
+        if draw(st.integers(0, 3)) == 0:
+            cost[i, min(j + 1, cols - 1)] = draw(near)
+    return cost.T if draw(st.booleans()) else cost
+
+
 class TestLinearSumAssignment:
     @settings(max_examples=400, deadline=None)
     @given(cost_matrices(), st.booleans())
@@ -54,6 +71,28 @@ class TestLinearSumAssignment:
         # Every assignment with column 2 on row 0 or 1 is optimal; the scan
         # order picks this one, as scipy.optimize.linear_sum_assignment does.
         rows, cols = linear_sum_assignment([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
+        assert cols.tolist() == [2, 1, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(cost_matrices(), crowd_matrices()), st.booleans())
+    def test_pairs_match_scipy(self, drawn, maximize):
+        # Not only the total: among tied optima both solvers pick the same
+        # pairs.  Crowd matrices run the seed pass and its refresh.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        if isinstance(drawn, tuple):
+            n_rows, n_cols, cost = drawn
+            drawn = np.array(cost, dtype=float).reshape(n_rows, n_cols)
+        rows, cols = linear_sum_assignment(drawn, maximize=maximize)
+        want_rows, want_cols = scipy_optimize.linear_sum_assignment(drawn, maximize=maximize)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    def test_whole_solve_differs_from_peeling_an_isolated_pair(self):
+        # Row 2's only non-zero entry, column 0, is also column 0's only one,
+        # so peeling (2, 0) off looks safe; but solving the rest,
+        # [[0, 0], [2, 2]] on columns 1 and 2, gives row 1 -> column 2.  The
+        # whole solve, like scipy's, gives row 1 -> column 1.
+        rows, cols = linear_sum_assignment([[0, 0, 0], [0, 2, 2], [2, 0, 0]], maximize=True)
         assert cols.tolist() == [2, 1, 0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

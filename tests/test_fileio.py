@@ -233,6 +233,13 @@ class TestMotFile:
         frames = rows_to_frames(rows)
         assert frames[1] == [(3, BBox(10, 20, 40, 100))]
 
+    def test_frames_reuse_the_box_the_reader_validated(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text("1,3,10,20,40,100,1,-1,-1\n")
+        rows = read_mot_file(p)
+        assert rows_to_frames(rows)[1][0][1] is rows[0].box
+        assert rows_to_annotations(rows)[0].objects[0].bbox is rows[0].box
+
     def test_round_trip_preserves_order(self, tmp_path):
         rows = [
             MotRow(2, 7, 1.5, 2.25, 10.0, 20.0, 0.875),
