@@ -21,10 +21,12 @@ from .evaluation import (
 from .fileio import (
     FileFormatError,
     MotRow,
+    MotTable,
     list_head_frames,
     read_grid,
     read_head_outputs,
     read_mot_file,
+    read_mot_table,
     rows_to_annotations,
     rows_to_frames,
     write_grid,

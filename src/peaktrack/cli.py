@@ -24,8 +24,8 @@ from .fileio import (
     list_head_frames,
     read_head_outputs,
     read_mot_file,
+    read_mot_table,
     rows_to_annotations,
-    rows_to_frames,
     write_grid,
     write_head_outputs,
     write_mot_file,
@@ -204,8 +204,8 @@ def _report_lines(report: MetricsReport, csv: bool) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gt = rows_to_frames(read_mot_file(args.gt))
-    pred = rows_to_frames(read_mot_file(args.pred))
+    gt = read_mot_table(args.gt).frames()
+    pred = read_mot_table(args.pred).frames()
     report = compute_clear(gt, pred, args.iou_threshold)
     for line in _report_lines(report, args.csv):
         print(line)
@@ -335,7 +335,7 @@ def cmd_overlay(args: argparse.Namespace) -> int:
     for rows, color in ((gt_rows, (0, 200, 0)), (pred_rows, (230, 60, 60))):
         for r in rows:
             if r.frame == args.frame:
-                _draw_box(img, BBox(r.x, r.y, r.w, r.h), color)
+                _draw_box(img, r.box, color)
     with open(args.out, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(img.tobytes())

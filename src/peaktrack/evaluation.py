@@ -1,18 +1,21 @@
 """CLEAR-MOT metrics and IDF1 over frame-aligned box sequences.
 
 Sequences are mappings from 1-based frame index to a list of
-(id, BBox) pairs; an id appears at most once per frame.  Correspondence
-between ground truth and predictions is kept frame to frame: each frame
-is one assignment over the pairs at IoU >= threshold that keeps the most
-remembered pairs, then maximizes the total IoU (so a prediction two ids
-remember goes to the pairing with the larger total), and a ground truth
-whose matched prediction id changes counts one identity switch.  IDF1
-instead scores a single global pairing of whole trajectories.
+(id, BBox) pairs, or to `FrameColumns`: a list of ids plus their (n, 4)
+array of x1, y1, w, h rows, as `MotTable.frames` gives them.  An id
+appears at most once per frame.  Correspondence between ground truth and
+predictions is kept frame to frame: each frame is one assignment over the
+pairs at IoU >= threshold that keeps the most remembered pairs, then
+maximizes the total IoU (so a prediction two ids remember goes to the
+pairing with the larger total), and a ground truth whose matched
+prediction id changes counts one identity switch.  IDF1 instead scores a
+single global pairing of whole trajectories.
 
-Scoring walks the frames once.  Each frame gets one (gt × pred) IoU
-matrix, computed by numpy broadcasting with the same arithmetic as
-`bbox_iou`, so every entry is the exact float the scalar gives.  That
-matrix drives the frame's CLEAR matching and adds the frame's
+Scoring turns each frame's pairs into columns once, at entry (columns
+pass through as they are), then walks the frames once.  Each frame gets
+one (gt × pred) IoU matrix, computed by numpy broadcasting with the same
+arithmetic as `bbox_iou`, so every entry is the exact float the scalar
+gives.  That matrix drives the frame's CLEAR matching and adds the frame's
 `IoU >= threshold` hits into a (gt id × pred id) count matrix; one
 assignment on the counts at the end gives IDF1.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +32,16 @@ from .assignment import linear_sum_assignment
 from .geometry import BBox
 
 FrameBoxes = Sequence[tuple[int, BBox]]
-Sequence_ = Mapping[int, FrameBoxes]
+
+
+class FrameColumns(NamedTuple):
+    """One frame as columns: ids in order and their (n, 4) x1, y1, w, h boxes."""
+
+    ids: list[int]
+    boxes: np.ndarray
+
+
+Sequence_ = Mapping[int, Union[FrameBoxes, FrameColumns]]
 
 IOU_THRESHOLD = 0.5
 MOSTLY_TRACKED_COVERAGE = 0.8
@@ -80,15 +92,17 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return float(_iou_matrix(_box_array([a]), _box_array([b]))[0, 0])
 
 
-def _frame_iou(
-    gt_boxes: FrameBoxes, pred_boxes: FrameBoxes
-) -> tuple[list[int], list[int], np.ndarray]:
-    """One frame's gt ids, pred ids and (gt × pred) IoU matrix."""
-    return (
-        [gid for gid, _ in gt_boxes],
-        [pid for pid, _ in pred_boxes],
-        _iou_matrix(_box_array([b for _, b in gt_boxes]), _box_array([b for _, b in pred_boxes])),
-    )
+def _frame_columns(boxes: FrameBoxes | FrameColumns) -> FrameColumns:
+    if isinstance(boxes, FrameColumns):
+        return boxes
+    return FrameColumns([i for i, _ in boxes], _box_array([b for _, b in boxes]))
+
+
+def _columns(seq: Sequence_) -> dict[int, FrameColumns]:
+    return {frame: _frame_columns(boxes) for frame, boxes in seq.items()}
+
+
+_NO_BOXES = FrameColumns([], np.zeros((0, 4)))
 
 
 def _match(
@@ -151,13 +165,13 @@ def match_frame(
     single IoU.  A ground truth matched to a different prediction id than
     its remembered one contributes one identity switch.
     """
-    gt_ids, pred_ids, iou = _frame_iou(gt_boxes, pred_boxes)
-    return _match(iou, gt_ids, pred_ids, prev_correspondence, iou_threshold)
+    gt, pred = _frame_columns(gt_boxes), _frame_columns(pred_boxes)
+    iou = _iou_matrix(gt.boxes, pred.boxes)
+    return _match(iou, gt.ids, pred.ids, prev_correspondence, iou_threshold)
 
 
-def _id_order(seq: Sequence_) -> dict[int, int]:
-    ids = sorted({i for boxes in seq.values() for i, _ in boxes})
-    return {i: k for k, i in enumerate(ids)}
+def _sorted_ids(seq: Mapping[int, FrameColumns]) -> np.ndarray:
+    return np.array(sorted(set().union(*(cols.ids for cols in seq.values()))))
 
 
 class _IdHits:
@@ -167,18 +181,18 @@ class _IdHits:
     ascending order.
     """
 
-    def __init__(self, gt: Sequence_, pred: Sequence_):
-        self.row_of = _id_order(gt)
-        self.col_of = _id_order(pred)
-        self.counts = np.zeros((len(self.row_of), len(self.col_of)))
+    def __init__(self, gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]):
+        self.gt_ids = _sorted_ids(gt)
+        self.pred_ids = _sorted_ids(pred)
+        self.counts = np.zeros((len(self.gt_ids), len(self.pred_ids)))
 
     def add(
         self, gt_ids: Sequence[int], pred_ids: Sequence[int], iou: np.ndarray, threshold: float
     ) -> None:
         r, c = np.nonzero(iou >= threshold)
         if r.size:
-            rows = np.array([self.row_of[gid] for gid in gt_ids])
-            cols = np.array([self.col_of[pid] for pid in pred_ids])
+            rows = np.searchsorted(self.gt_ids, gt_ids)
+            cols = np.searchsorted(self.pred_ids, pred_ids)
             np.add.at(self.counts, (rows[r], cols[c]), 1.0)
 
     def idf1(self, boxes: int) -> float:
@@ -188,8 +202,10 @@ class _IdHits:
         return 2.0 * idtp / boxes
 
 
-def _check_sequences(gt: Sequence_, pred: Sequence_) -> tuple[int, int]:
-    if not gt or all(len(v) == 0 for v in gt.values()):
+def _check_sequences(
+    gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]
+) -> tuple[int, int]:
+    if not gt or all(len(cols.ids) == 0 for cols in gt.values()):
         raise ValueError("ground truth sequence is empty; metrics are undefined")
     lo, hi = min(gt), max(gt)
     stray = [f for f in pred if f < lo or f > hi]
@@ -199,12 +215,10 @@ def _check_sequences(gt: Sequence_, pred: Sequence_) -> tuple[int, int]:
             f"range [{lo}, {hi}]"
         )
     for name, seq in (("ground truth", gt), ("prediction", pred)):
-        for frame, boxes in seq.items():
-            seen: set[int] = set()
-            for i, _ in boxes:
-                if i in seen:
-                    raise ValueError(f"{name} id {i} appears twice in frame {frame}")
-                seen.add(i)
+        for frame, cols in seq.items():
+            if len(set(cols.ids)) != len(cols.ids):
+                twice = next(i for k, i in enumerate(cols.ids) if i in cols.ids[:k])
+                raise ValueError(f"{name} id {twice} appears twice in frame {frame}")
     return lo, hi
 
 
@@ -214,6 +228,7 @@ def compute_clear(
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MetricsReport:
     """Score a whole sequence; see MetricsReport for the fields."""
+    gt, pred = _columns(gt), _columns(pred)
     lo, hi = _check_sequences(gt, pred)
 
     id_hits = _IdHits(gt, pred)
@@ -223,7 +238,9 @@ def compute_clear(
     present: Counter[int] = Counter()  # frames each gt id appears on
     covered: Counter[int] = Counter()  # frames each gt id is matched on
     for frame in range(lo, hi + 1):
-        gt_ids, pred_ids, iou = _frame_iou(gt.get(frame, ()), pred.get(frame, ()))
+        gt_ids, gt_boxes = gt.get(frame, _NO_BOXES)
+        pred_ids, pred_boxes = pred.get(frame, _NO_BOXES)
+        iou = _iou_matrix(gt_boxes, pred_boxes)
         tally, corr = _match(iou, gt_ids, pred_ids, corr, iou_threshold)
         id_hits.add(gt_ids, pred_ids, iou, iou_threshold)
         fp += tally.fp

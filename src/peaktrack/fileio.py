@@ -21,6 +21,16 @@ with noise added is about half non-zero and costs about the dense size.
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
 are written as -1 where this pipeline has nothing meaningful to put there.
+`read_mot_table` is the one reader.  It decodes the file with universal
+newlines, splits on "\n" alone, skips lines that are blank after
+`str.strip`, and converts every field of the file in one
+`np.array(fields, dtype=np.float64)` call, which parses each string with
+Python's `float`.  The rules (9 fields, numbers only, frame, id and class
+integral and within int64, a valid box, frame >= 1, no repeated
+(frame, id)) are then boolean masks over the rows, and the first bad line
+in file order is reported.  The result is a `MotTable` of columns;
+`MotTable.rows` gives `MotRow`s and `MotTable.frames` the per-frame ids
+and boxes that scoring reads.
 
 A head-output directory holds four grid files per frame, named
 NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid, and one grid
@@ -29,6 +39,7 @@ shape: every frame's grids have the same rows and columns.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -38,6 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .evaluation import FrameColumns
 from .geometry import BBox, require_downsample
 from .heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 
@@ -157,51 +169,156 @@ class MotRow:
         return BBox(self.x, self.y, self.w, self.h)
 
 
-def _parse_int(text: str, what: str, path: str | Path, line_no: int) -> int:
+_INT_FIELDS = ((0, "frame"), (1, "id"), (7, "class"))
+_FLOAT_FIELDS = (2, 3, 4, 5, 6, 8)  # x, y, w, h, conf, visibility
+_INT64_END = 2.0**63  # integral float64 values in [-2**63, 2**63) fit int64
+
+
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class MotTable:
+    """A MOT file as numpy columns, one entry per row in file order."""
+
+    frame: np.ndarray  # (n,) int64
+    track_id: np.ndarray  # (n,) int64
+    class_id: np.ndarray  # (n,) int64
+    box: np.ndarray  # (n, 4) float64: x1, y1, w, h
+    conf: np.ndarray  # (n,) float64
+    visibility: np.ndarray  # (n,) float64
+
+    def rows(self) -> list[MotRow]:
+        return [
+            MotRow(*fields)
+            for fields in zip(
+                self.frame.tolist(),
+                self.track_id.tolist(),
+                *self.box.T.tolist(),
+                self.conf.tolist(),
+                self.class_id.tolist(),
+                self.visibility.tolist(),
+            )
+        ]
+
+    def frames(self) -> dict[int, FrameColumns]:
+        """Ids and boxes per frame, ascending, each frame in file order."""
+        order = np.argsort(self.frame, kind="stable")
+        frame = self.frame[order]
+        starts = np.flatnonzero(np.diff(frame, prepend=0)).tolist()  # frames are >= 1
+        ids = self.track_id[order].tolist()
+        box = self.box[order]
+        ends = [*starts[1:], len(ids)]
+        return {
+            int(frame[lo]): FrameColumns(ids[lo:hi], box[lo:hi]) for lo, hi in zip(starts, ends)
+        }
+
+
+def read_mot_table(path: str | Path) -> MotTable:
+    """Parse a MOT result or ground-truth file into columns.
+
+    A file that breaks a rule raises `FileFormatError` for its first bad
+    line, as `path:line: reason`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines
+        text = fh.read()
+    # split on "\n" alone: str.splitlines would also split on \f, \x1c or
+    # \u2028 inside a line and shift the line numbers
+    numbered = [
+        (no, line) for no, line in enumerate(map(str.strip, text.split("\n")), start=1) if line
+    ]
+    lines = [line for _, line in numbered]
+    n = len(lines)
+
+    counted = np.array([line.count(",") == 8 for line in lines], dtype=bool)
+    if not counted.all():
+        lines = [line if ok else ",,,,,,,," for line, ok in zip(lines, counted)]
+    fields = ",".join(lines).split(",") if lines else []
     try:
-        value = float(text)
+        values = np.array(fields, dtype=np.float64)
+        number = np.ones(values.shape, dtype=bool)
     except ValueError:
-        raise FileFormatError(f"{path}:{line_no}: {what} {text!r} is not a number")
-    if value != int(value):
-        raise FileFormatError(f"{path}:{line_no}: {what} {text!r} is not integral")
-    return int(value)
+        number = np.array([_is_number(text) for text in fields], dtype=bool)
+        values = np.array(
+            [text if ok else "nan" for text, ok in zip(fields, number)], dtype=np.float64
+        )
+    values = values.reshape(n, 9)
+    number = number.reshape(n, 9)
+
+    ints = values[:, [i for i, _ in _INT_FIELDS]]
+    fits = (ints == np.trunc(ints)) & (ints >= -_INT64_END) & (ints < _INT64_END)
+    box = values[:, 2:6]
+    frame, track_id, class_id = np.where(fits, ints, 0).astype(np.int64).T
+    good = (
+        counted
+        & number.all(axis=1)
+        & fits.all(axis=1)
+        # `BBox`'s rule, which `_row_error` asks for the reason
+        & np.isfinite(box).all(axis=1)
+        & (box[:, 2] > 0)
+        & (box[:, 3] > 0)
+        & (frame >= 1)
+    )
+    # a row repeats a (frame, id) when the row before it in (frame, id, row)
+    # order has the same key
+    order = np.lexsort((track_id, frame))
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:]] = (frame[order[1:]] == frame[order[:-1]]) & (
+        track_id[order[1:]] == track_id[order[:-1]]
+    )
+    bad = ~good | repeat
+    if bad.any():
+        row = int(np.argmax(bad))
+        first = int(np.argmax((frame == frame[row]) & (track_id == track_id[row])))
+        line_no, line = numbered[row]
+        reason = _row_error(line, values[row], number[row], numbered[first][0])
+        raise FileFormatError(f"{path}:{line_no}: {reason}")
+    return MotTable(
+        frame=frame,
+        track_id=track_id,
+        class_id=class_id,
+        box=np.ascontiguousarray(box),
+        conf=values[:, 6].copy(),
+        visibility=values[:, 8].copy(),
+    )
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_error(line: str, values: np.ndarray, number: np.ndarray, earlier: int) -> str:
+    """Why a rejected row fails: its first broken rule, in the order of
+    field count, frame, id, class, the other numbers, box, frame >= 1 and
+    repeated (frame, id), the last named with its `earlier` line."""
+    fields = line.split(",")
+    if len(fields) != 9:
+        return f"expected 9 comma-separated fields, got {len(fields)}"
+    for i, what in _INT_FIELDS:
+        if not number[i]:
+            return f"{what} {fields[i]!r} is not a number"
+        value = float(values[i])
+        if not (math.isfinite(value) and value == math.trunc(value)):
+            return f"{what} {fields[i]!r} is not integral"
+        if not -_INT64_END <= value < _INT64_END:
+            return f"{what} {fields[i]!r} is out of range"
+    for i in _FLOAT_FIELDS:
+        if not number[i]:
+            return f"could not convert string to float: {fields[i]!r}"
+    try:
+        BBox(*values[2:6].tolist())
+    except ValueError as exc:
+        return str(exc)
+    frame, track_id = int(values[0]), int(values[1])
+    if frame < 1:
+        return "frame must be >= 1"
+    return f"id {track_id} already appears in frame {frame} at line {earlier}"
 
 
 def read_mot_file(path: str | Path) -> list[MotRow]:
     """Parse a MOT result or ground-truth file, preserving row order."""
-    rows: list[MotRow] = []
-    first_line: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 9:
-                raise FileFormatError(
-                    f"{path}:{line_no}: expected 9 comma-separated fields, "
-                    f"got {len(fields)}"
-                )
-            frame = _parse_int(fields[0], "frame", path, line_no)
-            track_id = _parse_int(fields[1], "id", path, line_no)
-            class_id = _parse_int(fields[7], "class", path, line_no)
-            try:
-                x, y, w, h, conf, vis = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
-                box = BBox(x, y, w, h)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{line_no}: {exc}")
-            if frame < 1:
-                raise FileFormatError(f"{path}:{line_no}: frame must be >= 1")
-            earlier = first_line.setdefault((frame, track_id), line_no)
-            if earlier != line_no:
-                raise FileFormatError(
-                    f"{path}:{line_no}: id {track_id} already appears in frame {frame} "
-                    f"at line {earlier}"
-                )
-            row = MotRow(frame, track_id, x, y, w, h, conf, class_id, vis)
-            row.__dict__["box"] = box  # fills the cached property: one box per row
-            rows.append(row)
-    return rows
+    return read_mot_table(path).rows()
 
 
 def write_mot_file(path: str | Path, rows: Iterable[MotRow]) -> None:

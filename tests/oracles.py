@@ -239,3 +239,53 @@ def clear_match_oracle(iou, remembered, iou_threshold: float = 0.5) -> tuple[int
 
     walk(0, frozenset(), 0, 0.0)
     return best
+
+
+def mot_rows_oracle(path):
+    """Per-line MOT reader: the rows as 9-tuples (frame, id, x, y, w, h, conf,
+    class, visibility) in file order, or the first error as 'path:line: reason'.
+
+    Lines come from iterating the file in text mode, so only "\\n", "\\r\\n"
+    and "\\r" end a line; a line that is blank after `str.strip` is skipped.
+    """
+    rows = []
+    first_line = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{line_no}: "
+            fields = line.split(",")
+            if len(fields) != 9:
+                return where + f"expected 9 comma-separated fields, got {len(fields)}"
+            ints = []
+            for i, what in ((0, "frame"), (1, "id"), (7, "class")):
+                try:
+                    value = float(fields[i])
+                except ValueError:
+                    return where + f"{what} {fields[i]!r} is not a number"
+                if not math.isfinite(value) or value != int(value):
+                    return where + f"{what} {fields[i]!r} is not integral"
+                if not -(2**63) <= int(value) < 2**63:
+                    return where + f"{what} {fields[i]!r} is out of range"
+                ints.append(int(value))
+            frame, track_id, class_id = ints
+            try:
+                x, y, w, h, conf, vis = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
+            except ValueError as exc:
+                return where + str(exc)
+            for v in (x, y, w, h):
+                if not math.isfinite(v):
+                    return where + f"BBox must be finite, got {v!r}"
+            if w <= 0 or h <= 0:
+                return where + f"BBox extent must be positive, got w={w}, h={h}"
+            if frame < 1:
+                return where + "frame must be >= 1"
+            earlier = first_line.setdefault((frame, track_id), line_no)
+            if earlier != line_no:
+                return (
+                    where + f"id {track_id} already appears in frame {frame} at line {earlier}"
+                )
+            rows.append((frame, track_id, x, y, w, h, conf, class_id, vis))
+    return rows

@@ -152,6 +152,22 @@ class TestExitCodes:
         pred.write_text("1,1,0,0,10,10,1,-1,-1\n5,1,0,0,10,10,1,-1,-1\n")
         assert main(["evaluate", "--gt", str(gt), "--pred", str(pred)]) == 1
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("inf,1,0,0,10,10,1,-1,-1", "frame 'inf' is not integral"),
+            ("1,nan,0,0,10,10,1,-1,-1", "id 'nan' is not integral"),
+            ("1,2,0,0,10,10,1,1e19,-1", "class '1e19' is out of range"),
+        ],
+    )
+    def test_non_finite_or_huge_integer_field_is_format_error(
+        self, tmp_path, capsys, line, reason
+    ):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,0,0,10,10,1,-1,-1\n{line}\n")
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(gt)]) == 2
+        assert capsys.readouterr().err == f"error: {gt}:2: {reason}\n"
+
     def test_duplicate_id_in_result_file_is_format_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         gt.write_text("1,1,0,0,10,10,1,-1,-1\n")

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peaktrack import BBox, bbox_iou, compute_clear, compute_idf1, match_frame
+from peaktrack import (
+    BBox,
+    bbox_iou,
+    compute_clear,
+    compute_idf1,
+    match_frame,
+    read_mot_file,
+    read_mot_table,
+    rows_to_frames,
+)
+from peaktrack.cli import main
 from peaktrack.evaluation import _iou_matrix
 
 from .oracles import clear_match_oracle, idf1_oracle, iou_oracle
@@ -298,3 +308,44 @@ class TestIDF1:
         idf1 = compute_idf1(gt, pred)
         assert idf1 == pytest.approx(idf1_oracle(gt, pred), abs=1e-12)
         assert compute_clear(gt, pred).idf1 == idf1
+
+
+SMALL_SCENE = """
+[scene]
+width = 256
+height = 256
+frames = 10
+min_objects = 5
+max_objects = 9
+min_size = 14
+max_size = 40
+min_speed = 0.5
+max_speed = 2.5
+seed = {seed}
+
+[corruption]
+fn_rate = 0.1
+fp_rate = 0.5
+jitter_sigma = 1.5
+seed = {seed}
+"""
+
+
+class TestColumnScoring:
+    @pytest.mark.parametrize("matcher", ["greedy", "hungarian"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_frames_score_exactly_like_row_pairs(self, tmp_path, matcher, seed):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(SMALL_SCENE.format(seed=seed))
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        heads = str(tmp_path / "heads")
+        assert main(["track", "--heads", heads, "--matcher", matcher, "--out", str(pred)]) == 0
+
+        columns = (read_mot_table(gt).frames(), read_mot_table(pred).frames())
+        pairs = (rows_to_frames(read_mot_file(gt)), rows_to_frames(read_mot_file(pred)))
+        for threshold in (0.3, 0.5, 0.8):
+            report = compute_clear(*columns, threshold)
+            assert report == compute_clear(*pairs, threshold)
+            assert report == compute_clear(columns[0], pairs[1], threshold)
+            assert report.idf1 == compute_idf1(*columns, threshold)

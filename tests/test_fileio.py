@@ -12,10 +12,12 @@ from peaktrack import (
     BBox,
     FileFormatError,
     MotRow,
+    MotTable,
     list_head_frames,
     read_grid,
     read_head_outputs,
     read_mot_file,
+    read_mot_table,
     rows_to_annotations,
     rows_to_frames,
     write_grid,
@@ -27,6 +29,8 @@ from peaktrack.fileio import GRID_MAGIC, SPARSE_GRID_MAGIC
 from peaktrack.geometry import PipelineConfig
 from peaktrack.heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 from peaktrack.simulator import CorruptionConfig, SceneConfig, corrupt
+
+from .oracles import mot_rows_oracle
 
 
 class TestGridFile:
@@ -293,6 +297,206 @@ class TestMotFile:
     def test_negative_class_maps_to_zero(self):
         anns = rows_to_annotations([MotRow(1, 3, 0, 0, 5, 5, 1.0, -1, -1.0)])
         assert anns[0].objects[0].class_id == 0
+
+
+INT_FIELDS = {"frame": 0, "id": 1, "class": 7}
+
+
+def mot_line(**fields):
+    """A valid row's text with the named fields replaced."""
+    parts = "1,3,10,20,40,100,1,-1,-1".split(",")
+    for name, text in fields.items():
+        parts[INT_FIELDS[name]] = text
+    return ",".join(parts)
+
+
+class TestMotTable:
+    def test_columns(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text("2,7,1.5,2.25,10,20,0.875,3,0.5\n1,3,5,6,7,8,1,-1,-1\n")
+        table = read_mot_table(p)
+        assert isinstance(table, MotTable)
+        for name in ("frame", "track_id", "class_id"):
+            assert getattr(table, name).dtype == np.int64
+        assert table.box.dtype == np.float64 and table.box.shape == (2, 4)
+        np.testing.assert_array_equal(table.frame, [2, 1])
+        np.testing.assert_array_equal(table.track_id, [7, 3])
+        np.testing.assert_array_equal(table.class_id, [3, -1])
+        np.testing.assert_array_equal(table.box, [[1.5, 2.25, 10, 20], [5, 6, 7, 8]])
+        np.testing.assert_array_equal(table.conf, [0.875, 1.0])
+        np.testing.assert_array_equal(table.visibility, [0.5, -1.0])
+        assert table.rows() == read_mot_file(p)
+
+    def test_frames_ascend_and_keep_file_order_within_a_frame(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text(
+            "3,9,0,0,1,1,1,-1,-1\n1,5,1,0,1,1,1,-1,-1\n3,2,2,0,1,1,1,-1,-1\n"
+            "1,4,3,0,1,1,1,-1,-1\n2,1,4,0,1,1,1,-1,-1\n"
+        )
+        frames = read_mot_table(p).frames()
+        assert list(frames) == [1, 2, 3]
+        assert [frames[f].ids for f in frames] == [[5, 4], [1], [9, 2]]
+        np.testing.assert_array_equal(frames[3].boxes[:, 0], [0.0, 2.0])
+        by_rows = rows_to_frames(read_mot_file(p))
+        for f, cols in frames.items():
+            assert cols.ids == [i for i, _ in by_rows[f]]
+            assert cols.boxes.tolist() == [[b.x1, b.y1, b.w, b.h] for _, b in by_rows[f]]
+
+    def test_empty_and_blank_files(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text(" \n\n\x0c\r\n")
+        table = read_mot_table(p)
+        assert table.box.shape == (0, 4) and table.frame.shape == (0,)
+        assert table.rows() == [] and table.frames() == {}
+
+    def test_form_feed_inside_a_line_does_not_split_it(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text("1,3,10,20,40,100,1,-1,-1\n\x0c2,3,10,\x0c20,40,100,1,-1,-1\x0c\n2,x ,0\n")
+        with pytest.raises(FileFormatError, match=r"rows\.txt:3: expected 9"):
+            read_mot_table(p)
+
+    def test_first_bad_line_wins_over_a_later_one(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text(
+            "1,3,10,20,40,100,1,-1,-1\n1,4,10,20,0,100,1,-1,-1\n"
+            "1,3,10,20,40,100,1,-1\n2,x,1,1,1,1,1,-1,-1\n"
+        )
+        with pytest.raises(
+            FileFormatError, match=r"rows\.txt:2: BBox extent must be positive, got w=0\.0"
+        ):
+            read_mot_table(p)
+
+
+class TestMotIntegerFields:
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_is_not_integral(self, tmp_path, field, text):
+        p = tmp_path / "rows.txt"
+        p.write_text(f"{mot_line()}\n{mot_line(**{field: text})}\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value) == f"{p}:2: {field} {text!r} is not integral"
+
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    @pytest.mark.parametrize("text", ["9223372036854775808", "1e19", "-1e300"])
+    def test_beyond_int64_is_out_of_range(self, tmp_path, field, text):
+        p = tmp_path / "rows.txt"
+        p.write_text(f"{mot_line()}\n{mot_line(**{field: text})}\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value) == f"{p}:2: {field} {text!r} is out of range"
+
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    def test_int64_edges_are_kept(self, tmp_path, field):
+        # 2**63 - 1 is not a float64; the largest float64 below 2**63 is
+        big = 2**63 - 1024
+        p = tmp_path / "rows.txt"
+        p.write_text(f"{mot_line(**{field: str(big)})}\n{mot_line(id=str(-(2**63)))}\n")
+        first, second = read_mot_file(p)
+        assert dataclasses.astuple(first)[INT_FIELDS[field]] == big
+        assert second.track_id == -(2**63)
+
+
+# Field padding the reader accepts (float() strips it), line padding that
+# str.strip removes, and the line ends that universal newlines translate.
+FIELD_PAD = st.sampled_from(["", " ", "\t", "\x0c", "\x0b", "\x85", " "])
+LINE_PAD = st.sampled_from(["", " ", "\x0c", "\x1c", " "])
+BLANK = st.sampled_from(["", " ", "\t", "\x0c", "\x1c \x0c"])
+NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
+MUTATIONS = [
+    None,
+    "drop field",
+    "extra field",
+    "not a number",
+    "fractional int",
+    "non-finite int",
+    "huge int",
+    "bad extent",
+    "frame zero",
+    "repeat key",
+]
+mot_rows = st.lists(
+    st.builds(
+        MotRow,
+        frame=st.integers(1, 4),
+        track_id=st.integers(-3, 6),
+        x=st.floats(-1e4, 1e4),
+        y=st.floats(-1e4, 1e4),
+        w=st.floats(0.01, 1e4),
+        h=st.floats(0.01, 1e4),
+        conf=st.floats(-2.0, 2.0),
+        class_id=st.integers(-1, 3),
+        visibility=st.floats(-1e7, 1e7),
+    ),
+    min_size=2,
+    max_size=12,
+    unique_by=lambda r: (r.frame, r.track_id),
+)
+
+
+def dress(data, fields: list[str]) -> list[str]:
+    """A line's fields padded, some numbers in exponent form."""
+    out = []
+    for text in fields:
+        if data.draw(st.booleans()):
+            text = f"{float(text):e}"
+        out.append(data.draw(FIELD_PAD) + text + data.draw(FIELD_PAD))
+    return out
+
+
+def mutate(data, fields: list[str], others: list[list[str]]) -> list[str]:
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    fields = list(fields)
+    int_field = data.draw(st.sampled_from(list(INT_FIELDS.values())))
+    if kind == "drop field":
+        del fields[data.draw(st.integers(0, 8))]
+    elif kind == "extra field":
+        fields.insert(data.draw(st.integers(0, 9)), "0")
+    elif kind == "not a number":
+        fields[data.draw(st.integers(0, 8))] = data.draw(st.sampled_from(["x", "", "1..2", "0x1"]))
+    elif kind == "fractional int":
+        fields[int_field] = data.draw(st.sampled_from(["1.5", "-0.25", "2e-1"]))
+    elif kind == "non-finite int":
+        fields[int_field] = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
+    elif kind == "huge int":
+        fields[int_field] = data.draw(st.sampled_from(["1e19", "-1e30", "9223372036854775808"]))
+    elif kind == "bad extent":
+        fields[data.draw(st.sampled_from([4, 5]))] = data.draw(st.sampled_from(["0", "-0", "-3.5"]))
+    elif kind == "frame zero":
+        fields[0] = data.draw(st.sampled_from(["0", "-2"]))
+    elif kind == "repeat key":
+        fields[:2] = data.draw(st.sampled_from(others))[:2]
+    return fields
+
+
+class TestMotReaderAgainstOracle:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=mot_rows, data=st.data())
+    def test_rows_or_first_error_match_the_per_line_reader(self, tmp_path, rows, data):
+        p = tmp_path / "rows.txt"
+        write_mot_file(p, rows)
+        lines = [dress(data, line.split(",")) for line in p.read_text().splitlines()]
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k] = mutate(data, lines[k], lines[:k] + lines[k + 1 :])
+        text = ""
+        for fields in lines:
+            for _ in range(data.draw(st.integers(0, 2))):
+                text += data.draw(BLANK) + data.draw(NEWLINE)
+            line = ",".join(fields)
+            text += data.draw(LINE_PAD) + line + data.draw(LINE_PAD) + data.draw(NEWLINE)
+        p.write_bytes(text.encode("utf-8"))
+
+        expected = mot_rows_oracle(p)
+        if isinstance(expected, str):
+            with pytest.raises(FileFormatError) as exc:
+                read_mot_file(p)
+            assert str(exc.value) == expected
+        else:
+            assert [dataclasses.astuple(r) for r in read_mot_file(p)] == expected
 
 
 class TestHeadDirectory:
