@@ -279,6 +279,11 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
     frame_indices = list_head_frames(args.gt)
     if not frame_indices:
         raise ValueError(f"no head grids found in {args.gt}")
+    stray = sorted(set(list_head_frames(args.pred)) - set(frame_indices))
+    if stray:
+        raise ValueError(
+            f"{args.pred}: prediction frames {stray} have no ground truth in {args.gt}"
+        )
 
     first_targets: FrameTargets | None = None
     for frame_index in frame_indices:

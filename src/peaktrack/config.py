@@ -44,7 +44,7 @@ class ConfigFile:
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}")
         unknown = set(parser.sections()) - _SECTIONS.keys()
         if unknown:

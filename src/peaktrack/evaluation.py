@@ -174,34 +174,6 @@ def _sorted_ids(seq: Mapping[int, FrameColumns]) -> np.ndarray:
     return np.array(sorted(set().union(*(cols.ids for cols in seq.values()))))
 
 
-class _IdHits:
-    """IDF1 input: on how many frames each (gt id, pred id) pair overlaps.
-
-    Rows are the ground truth ids and columns the prediction ids, both in
-    ascending order.
-    """
-
-    def __init__(self, gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]):
-        self.gt_ids = _sorted_ids(gt)
-        self.pred_ids = _sorted_ids(pred)
-        self.counts = np.zeros((len(self.gt_ids), len(self.pred_ids)))
-
-    def add(
-        self, gt_ids: Sequence[int], pred_ids: Sequence[int], iou: np.ndarray, threshold: float
-    ) -> None:
-        r, c = np.nonzero(iou >= threshold)
-        if r.size:
-            rows = np.searchsorted(self.gt_ids, gt_ids)
-            cols = np.searchsorted(self.pred_ids, pred_ids)
-            np.add.at(self.counts, (rows[r], cols[c]), 1.0)
-
-    def idf1(self, boxes: int) -> float:
-        """2*IDTP / `boxes` (gt plus pred boxes) under the best trajectory pairing."""
-        rows, cols = linear_sum_assignment(-self.counts)
-        idtp = float(self.counts[rows, cols].sum())
-        return 2.0 * idtp / boxes
-
-
 def _check_sequences(
     gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]
 ) -> tuple[int, int]:
@@ -231,7 +203,10 @@ def compute_clear(
     gt, pred = _columns(gt), _columns(pred)
     lo, hi = _check_sequences(gt, pred)
 
-    id_hits = _IdHits(gt, pred)
+    # IDF1 input: on how many frames each (gt id, pred id) pair overlaps, rows
+    # and columns in ascending id order
+    all_gt_ids, all_pred_ids = _sorted_ids(gt), _sorted_ids(pred)
+    hits = np.zeros((len(all_gt_ids), len(all_pred_ids)))
     corr: dict[int, int] = {}
     fp = fn = idsw = tp = 0
     iou_sum = 0.0
@@ -242,7 +217,11 @@ def compute_clear(
         pred_ids, pred_boxes = pred.get(frame, _NO_BOXES)
         iou = _iou_matrix(gt_boxes, pred_boxes)
         tally, corr = _match(iou, gt_ids, pred_ids, corr, iou_threshold)
-        id_hits.add(gt_ids, pred_ids, iou, iou_threshold)
+        r, c = np.nonzero(iou >= iou_threshold)
+        if r.size:
+            rows = np.searchsorted(all_gt_ids, gt_ids)
+            cols = np.searchsorted(all_pred_ids, pred_ids)
+            np.add.at(hits, (rows[r], cols[c]), 1.0)
         fp += tally.fp
         fn += tally.fn
         idsw += tally.idsw
@@ -252,14 +231,16 @@ def compute_clear(
         covered.update(gid for gid, _ in tally.matches)
 
     gt_total = tp + fn
+    rows, cols = linear_sum_assignment(-hits)  # the best trajectory pairing
     coverages = [covered[gid] / n for gid, n in present.items()]
     mt = sum(c >= MOSTLY_TRACKED_COVERAGE for c in coverages) / len(coverages)
     ml = sum(c <= MOSTLY_LOST_COVERAGE for c in coverages) / len(coverages)
     return MetricsReport(
         mota=1.0 - (fp + fn + idsw) / gt_total,
         motp=iou_sum / tp if tp else 0.0,
-        # every gt box is a TP or an FN, every prediction a TP or an FP
-        idf1=id_hits.idf1(gt_total + tp + fp),
+        # IDF1 = 2*IDTP / (gt boxes + pred boxes); every gt box is a TP or an
+        # FN, every prediction a TP or an FP
+        idf1=2.0 * float(hits[rows, cols].sum()) / (gt_total + tp + fp),
         mt=mt,
         ml=ml,
         fp=fp,

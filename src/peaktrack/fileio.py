@@ -21,16 +21,20 @@ with noise added is about half non-zero and costs about the dense size.
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
 are written as -1 where this pipeline has nothing meaningful to put there.
-`read_mot_table` is the one reader.  It decodes the file with universal
-newlines, splits on "\n" alone, skips lines that are blank after
-`str.strip`, and converts every field of the file in one
-`np.array(fields, dtype=np.float64)` call, which parses each string with
-Python's `float`.  The rules (9 fields, numbers only, frame, id and class
-integral and within int64, a valid box, frame >= 1, no repeated
-(frame, id)) are then boolean masks over the rows, and the first bad line
-in file order is reported.  The result is a `MotTable` of columns;
-`MotTable.rows` gives `MotRow`s and `MotTable.frames` the per-frame ids
-and boxes that scoring reads.
+`read_mot_table` is the one reader: masks accept, one walk explains.  It
+decodes the file as UTF-8 with universal newlines (a byte that is not UTF-8
+is kept as a lone surrogate, which no number holds), splits on "\n" alone,
+skips lines that are blank after `str.strip`, and converts every field of
+the file in one `np.array(fields, dtype=np.float64)` call, which parses
+each string with Python's `float`.  Boolean masks over the rows then test
+the other rules (frame, id and class integral and within int64, a valid
+box, frame >= 1, no repeated (frame, id)).  A file that passes becomes a
+`MotTable` of columns; `MotTable.rows` gives `MotRow`s and
+`MotTable.frames` the per-frame ids and boxes that scoring reads.  A file
+that fails anywhere, in the field count, the conversion or a mask, is
+walked again line by line in file order, and the first rule its first bad
+line breaks is reported as `path:line: reason`; text that is not UTF-8 is
+the first rule of each line.
 
 A head-output directory holds four grid files per frame, named
 NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid, and one grid
@@ -170,8 +174,8 @@ class MotRow:
 
 
 _INT_FIELDS = ((0, "frame"), (1, "id"), (7, "class"))
-_FLOAT_FIELDS = (2, 3, 4, 5, 6, 8)  # x, y, w, h, conf, visibility
 _INT64_END = 2.0**63  # integral float64 values in [-2**63, 2**63) fit int64
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that "surrogateescape" kept
 
 
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
@@ -217,7 +221,9 @@ def read_mot_table(path: str | Path) -> MotTable:
     A file that breaks a rule raises `FileFormatError` for its first bad
     line, as `path:line: reason`.
     """
-    with open(path, "r", encoding="utf-8") as fh:  # universal newlines
+    # universal newlines; a byte that is not UTF-8 becomes a lone surrogate,
+    # which no number holds, so the walk finds its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
     # split on "\n" alone: str.splitlines would also split on \f, \x1c or
     # \u2028 inside a line and shift the line numbers
@@ -225,51 +231,29 @@ def read_mot_table(path: str | Path) -> MotTable:
         (no, line) for no, line in enumerate(map(str.strip, text.split("\n")), start=1) if line
     ]
     lines = [line for _, line in numbered]
-    n = len(lines)
-
-    counted = np.array([line.count(",") == 8 for line in lines], dtype=bool)
-    if not counted.all():
-        lines = [line if ok else ",,,,,,,," for line, ok in zip(lines, counted)]
-    fields = ",".join(lines).split(",") if lines else []
     try:
-        values = np.array(fields, dtype=np.float64)
-        number = np.ones(values.shape, dtype=bool)
-    except ValueError:
-        number = np.array([_is_number(text) for text in fields], dtype=bool)
-        values = np.array(
-            [text if ok else "nan" for text, ok in zip(fields, number)], dtype=np.float64
-        )
-    values = values.reshape(n, 9)
-    number = number.reshape(n, 9)
+        if any(line.count(",") != 8 for line in lines):
+            raise ValueError("a line without 9 fields")
+        fields = ",".join(lines).split(",") if lines else []
+        values = np.array(fields, dtype=np.float64).reshape(len(lines), 9)
+    except ValueError:  # the walk finds the line and words the reason
+        raise _first_error(path, numbered) from None
 
     ints = values[:, [i for i, _ in _INT_FIELDS]]
-    fits = (ints == np.trunc(ints)) & (ints >= -_INT64_END) & (ints < _INT64_END)
     box = values[:, 2:6]
-    frame, track_id, class_id = np.where(fits, ints, 0).astype(np.int64).T
     good = (
-        counted
-        & number.all(axis=1)
-        & fits.all(axis=1)
-        # `BBox`'s rule, which `_row_error` asks for the reason
+        ((ints == np.trunc(ints)) & (ints >= -_INT64_END) & (ints < _INT64_END)).all(axis=1)
         & np.isfinite(box).all(axis=1)
         & (box[:, 2] > 0)
         & (box[:, 3] > 0)
-        & (frame >= 1)
+        & (ints[:, 0] >= 1)
     )
-    # a row repeats a (frame, id) when the row before it in (frame, id, row)
-    # order has the same key
-    order = np.lexsort((track_id, frame))
-    repeat = np.zeros(n, dtype=bool)
-    repeat[order[1:]] = (frame[order[1:]] == frame[order[:-1]]) & (
-        track_id[order[1:]] == track_id[order[:-1]]
-    )
-    bad = ~good | repeat
-    if bad.any():
-        row = int(np.argmax(bad))
-        first = int(np.argmax((frame == frame[row]) & (track_id == track_id[row])))
-        line_no, line = numbered[row]
-        reason = _row_error(line, values[row], number[row], numbered[first][0])
-        raise FileFormatError(f"{path}:{line_no}: {reason}")
+    # a (frame, id) repeats when two neighbours in sorted key order are equal;
+    # the integral float64 values compare as their int64 ones do
+    keys = ints[np.lexsort((ints[:, 1], ints[:, 0])), :2]
+    if not good.all() or (keys[1:] == keys[:-1]).all(axis=1).any():
+        raise _first_error(path, numbered)
+    frame, track_id, class_id = ints.astype(np.int64).T
     return MotTable(
         frame=frame,
         track_id=track_id,
@@ -280,40 +264,47 @@ def read_mot_table(path: str | Path) -> MotTable:
     )
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _first_error(path: str | Path, numbered: Sequence[tuple[int, str]]) -> FileFormatError:
+    """The first rule that the first bad line of a MOT file breaks.
 
-
-def _row_error(line: str, values: np.ndarray, number: np.ndarray, earlier: int) -> str:
-    """Why a rejected row fails: its first broken rule, in the order of
-    field count, frame, id, class, the other numbers, box, frame >= 1 and
-    repeated (frame, id), the last named with its `earlier` line."""
-    fields = line.split(",")
-    if len(fields) != 9:
-        return f"expected 9 comma-separated fields, got {len(fields)}"
-    for i, what in _INT_FIELDS:
-        if not number[i]:
-            return f"{what} {fields[i]!r} is not a number"
-        value = float(values[i])
-        if not (math.isfinite(value) and value == math.trunc(value)):
-            return f"{what} {fields[i]!r} is not integral"
-        if not -_INT64_END <= value < _INT64_END:
-            return f"{what} {fields[i]!r} is out of range"
-    for i in _FLOAT_FIELDS:
-        if not number[i]:
-            return f"could not convert string to float: {fields[i]!r}"
-    try:
-        BBox(*values[2:6].tolist())
-    except ValueError as exc:
-        return str(exc)
-    frame, track_id = int(values[0]), int(values[1])
-    if frame < 1:
-        return "frame must be >= 1"
-    return f"id {track_id} already appears in frame {frame} at line {earlier}"
+    Lines are walked in file order, and each line's rules are checked in
+    this order: UTF-8 text; field count; frame, id and class (a number,
+    integral, within int64); the six float fields parse; a valid `BBox`;
+    frame >= 1; and a (frame, id) no earlier line holds.
+    """
+    seen: dict[tuple[int, int], int] = {}
+    for line_no, line in numbered:
+        try:
+            escaped = _ESCAPED_BYTE.search(line)
+            if escaped:
+                raise ValueError(f"not UTF-8 text (byte 0x{ord(escaped[0]) - 0xDC00:02x})")
+            fields = line.split(",")
+            if len(fields) != 9:
+                raise ValueError(f"expected 9 comma-separated fields, got {len(fields)}")
+            ints = []
+            for i, what in _INT_FIELDS:
+                try:
+                    value = float(fields[i])
+                except ValueError:
+                    raise ValueError(f"{what} {fields[i]!r} is not a number") from None
+                if not (math.isfinite(value) and value == math.trunc(value)):
+                    raise ValueError(f"{what} {fields[i]!r} is not integral")
+                if not -_INT64_END <= value < _INT64_END:
+                    raise ValueError(f"{what} {fields[i]!r} is out of range")
+                ints.append(int(value))
+            frame, track_id, _ = ints
+            x, y, w, h, _, _ = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
+            BBox(x, y, w, h)
+            if frame < 1:
+                raise ValueError("frame must be >= 1")
+            earlier = seen.setdefault((frame, track_id), line_no)
+            if earlier != line_no:
+                raise ValueError(
+                    f"id {track_id} already appears in frame {frame} at line {earlier}"
+                )
+        except ValueError as exc:
+            return FileFormatError(f"{path}:{line_no}: {exc}")
+    raise AssertionError(f"{path}: rejected, but no line breaks a rule")
 
 
 def read_mot_file(path: str | Path) -> list[MotRow]:

@@ -1,3 +1,4 @@
+import shutil
 import struct
 import subprocess
 import sys
@@ -175,6 +176,44 @@ class TestExitCodes:
         pred.write_text("1,1,0,0,10,10,1,-1,-1\n1,1,5,5,10,10,1,-1,-1\n")
         assert main(["evaluate", "--gt", str(gt), "--pred", str(pred)]) == 2
         assert "pred.txt:2: id 1 already appears in frame 1 at line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "overlay", "render-heatmap"])
+    def test_non_utf8_mot_file_is_format_error_naming_the_line(self, tmp_path, capsys, command):
+        gt = tmp_path / "gt.txt"
+        # "\r\n", a blank line ended by "\r" and "\n" come before line 4
+        gt.write_bytes(
+            b"1,1,0,0,10,10,1,-1,-1\r\n\r2,1,0,0,10,10,1,-1,-1\n2,2,0,0,10,\xff10,1,-1,-1\n"
+        )
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--gt", str(gt), "--pred", str(gt)],
+            "overlay": ["overlay", "--gt", str(gt), "--pred", str(gt), "--frame", "1"],
+            "render-heatmap": ["render-heatmap", "--gt", str(gt), "--frame", "1"],
+        }[command]
+        if command != "evaluate":
+            argv += ["--out", str(out), "--width", "64", "--height", "64"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {gt}:4: not UTF-8 text (byte 0xff)\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_is_validation_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"[scene]\n# caf\xe9\nwidth = 128\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_losscheck_prediction_frames_without_ground_truth_are_validation_error(
+        self, sim_heads, tmp_path, capsys
+    ):
+        gt = tmp_path / "gt_heads"
+        shutil.copytree(sim_heads, gt)
+        for grid in gt.glob("000004.*.grid"):
+            grid.unlink()
+        assert main(["losscheck", "--pred", sim_heads, "--gt", str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {sim_heads}: prediction frames [4] have no ground truth" in captured.err
+        assert captured.out == ""
 
     def test_frame_gap_in_heads_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)

@@ -499,6 +499,62 @@ class TestMotReaderAgainstOracle:
             assert [dataclasses.astuple(r) for r in read_mot_file(p)] == expected
 
 
+GOOD_LINE = "1,1,0,0,10,10,1,-1,-1"
+
+
+class TestMotReaderRuleOrder:
+    """Lines that break two rules report the one the per-line reader meets first."""
+
+    @pytest.mark.parametrize(
+        "lines, line_no, reason",
+        [
+            (
+                [GOOD_LINE, "1,2,nan,0,10,10,abc,-1,-1"],
+                2,
+                "could not convert string to float: 'abc'",
+            ),
+            (
+                [GOOD_LINE, "0,1,0,0,10,10,1,-1,-1", "0,1,0,0,10,10,1,-1,-1"],
+                2,
+                "frame must be >= 1",
+            ),
+            ([GOOD_LINE, "1,x,0,0,10,10,1,-1"], 2, "expected 9 comma-separated fields, got 8"),
+            (
+                ["1,1,0,0,0,10,1,-1,-1", GOOD_LINE],
+                1,
+                "BBox extent must be positive, got w=0.0, h=10.0",
+            ),
+            (
+                [GOOD_LINE, "1,2,inf,0,10,10,1,-1,-1", GOOD_LINE],
+                2,
+                "BBox must be finite, got inf",
+            ),
+        ],
+    )
+    def test_first_rule_matches_the_per_line_reader(self, tmp_path, lines, line_no, reason):
+        p = tmp_path / "rows.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value) == mot_rows_oracle(p) == f"{p}:{line_no}: {reason}"
+
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            (b"1,1,0,0,10,10,1,-1,-1\n1,1,0,0,10,\xe910,1,-1\n", 2, "not UTF-8 text (byte 0xe9)"),
+            (b"1,1,0,0,10,10,1,-1\n1,1,0,0,10,\xe910,1,-1,-1\n", 1, "expected 9 comma-"),
+        ],
+    )
+    def test_a_byte_that_is_not_utf8_is_the_first_rule_of_its_line(
+        self, tmp_path, text, line_no, reason
+    ):
+        p = tmp_path / "rows.txt"
+        p.write_bytes(text)
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value).startswith(f"{p}:{line_no}: {reason}")
+
+
 class TestHeadDirectory:
     def test_write_read_and_listing(self, tmp_path, rng):
         head = HeadOutput(
