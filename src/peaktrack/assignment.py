@@ -28,9 +28,10 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.
     column, the lowest index among ties.  A row whose cheapest column is
     still free takes it without a search, as the search would in its first
     step: the scan meets the lowest tied free column last, and no dual
-    moves.  A search that visits rows lowers v on its labelled columns
-    only, so afterwards only the remaining rows whose cheapest column was
-    labelled are refreshed.  The tie rule and the pairs are unchanged.
+    moves.  A search lowers v only on the columns it labels, and those stay
+    matched, so a free column still has v = 0 and the argmin stays exact
+    for it; a row whose cheapest column was taken runs a search.  The tie
+    rule and the pairs are unchanged.
     """
     c = np.array(cost, dtype=np.float64)
     if c.ndim != 2 or not np.isfinite(c).all():
@@ -44,15 +45,13 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.
     u, v = np.zeros(nr), np.zeros(nc)
     col4row = np.full(nr, -1, dtype=np.intp)
     row4col = np.full(nc, -1, dtype=np.intp)
-    # each unprocessed row's cheapest column (the lowest index among ties)
-    # and its reduced cost; u = v = 0 here, and a row's u stays 0 until it
-    # is processed
+    # each row's cheapest column (the lowest index among ties); a row's u
+    # stays 0 until it is processed
     best = c.argmin(axis=1) if nc else np.zeros(0, dtype=np.intp)
-    least = c[np.arange(nr), best]
     for cur in range(nr):
         j = best[cur]
         if row4col[j] < 0:  # the search would label j first and stop there
-            u[cur] += least[cur]
+            u[cur] += c[cur, j]
             row4col[j], col4row[cur] = cur, j
             continue
         spc = c[cur] - u[cur] - v  # shortest path cost to each column
@@ -82,14 +81,6 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.
             rows = np.array(visited, dtype=np.intp)
             u[rows] += min_val - spc[col4row[rows]]
             v[labelled] -= min_val - spc[labelled]
-            # v fell only on the labelled columns, so a later row's minimum
-            # can have moved only if its cheapest column was labelled; those
-            # columns stay matched, so a stale entry would only cost a search
-            stale = cur + 1 + np.flatnonzero(labelled[best[cur + 1 :]])
-            if stale.size:
-                r = c[stale] - v
-                best[stale] = r.argmin(axis=1)
-                least[stale] = r[np.arange(stale.size), best[stale]]
         while True:  # flip the path ending at the free column j
             i = path[j]
             row4col[j] = i

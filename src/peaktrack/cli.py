@@ -156,6 +156,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     frame_indices = list_head_frames(args.heads)
     if not frame_indices:
         raise ValueError(f"no head grids found in {args.heads}")
+    if frame_indices[0] < 1:  # the rows written below are MOT rows
+        raise FileFormatError(
+            f"{head_grid_path(args.heads, frame_indices[0], 'heatmap')}: head frame "
+            "indices start at 1, as MOT frames do"
+        )
     # `step` takes each call as the next frame, so a gap would be associated
     # with a one-frame displacement
     missing = sorted(set(range(frame_indices[0], frame_indices[-1] + 1)) - set(frame_indices))
@@ -333,8 +338,9 @@ def cmd_overlay(args: argparse.Namespace) -> int:
         raise ValueError(f"frame {args.frame} not present in {args.gt} or {args.pred}")
     width, height = args.width, args.height
     if width == 0 or height == 0:
-        width = width or int(math.ceil(max(r.x + r.w for r in all_rows))) + 10
-        height = height or int(math.ceil(max(r.y + r.h for r in all_rows))) + 10
+        # boxes left of or above the canvas still leave the 10-pixel margin
+        width = width or max(math.ceil(max(r.x + r.w for r in all_rows)), 0) + 10
+        height = height or max(math.ceil(max(r.y + r.h for r in all_rows)), 0) + 10
 
     img = np.zeros((height, width, 3), dtype=np.uint8)
     for rows, color in ((gt_rows, (0, 200, 0)), (pred_rows, (230, 60, 60))):

@@ -128,7 +128,9 @@ def read_grid(path: str | Path) -> np.ndarray:
         values = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
         if not np.all(np.isfinite(values)):
             raise FileFormatError(f"{path}: grid contains non-finite values")
-        return values.reshape(h, w, c).astype(np.float64)
+        grid = _zero_grid(path, h, w, c)
+        grid[...] = values.reshape(h, w, c)
+        return grid
 
     count_end = _HEADER_END + _COUNT.size
     if len(data) < count_end:
@@ -150,9 +152,17 @@ def read_grid(path: str | Path) -> np.ndarray:
         raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: grid contains non-finite values")
-    grid = np.zeros(size, dtype=np.float64)
-    grid[index] = values
-    return grid.reshape(h, w, c)
+    grid = _zero_grid(path, h, w, c)
+    grid.reshape(-1)[index] = values
+    return grid
+
+
+def _zero_grid(path: str | Path, h: int, w: int, c: int) -> np.ndarray:
+    """The float64 grid a file's header asks for; a size numpy refuses is the file's fault."""
+    try:
+        return np.zeros((h, w, c))
+    except MemoryError:
+        raise FileFormatError(f"{path}: cannot allocate a {h}x{w}x{c} grid") from None
 
 
 @dataclass(frozen=True)

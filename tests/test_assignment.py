@@ -73,11 +73,21 @@ class TestLinearSumAssignment:
         rows, cols = linear_sum_assignment([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
         assert cols.tolist() == [2, 1, 0]
 
+    def test_row_whose_cheapest_column_was_labelled_searches(self):
+        # Row 0 takes column 0 in the seed pass.  Row 1's search labels
+        # column 0, row 2's cheapest, so row 2 searches too and finds the
+        # free column 1.  scipy gives the same pairs.
+        cost = [[0.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+        assert linear_sum_assignment(cost)[1].tolist() == [0, 2, 1]
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        assert scipy_optimize.linear_sum_assignment(cost)[1].tolist() == [0, 2, 1]
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(cost_matrices(), crowd_matrices()), st.booleans())
     def test_pairs_match_scipy(self, drawn, maximize):
         # Not only the total: among tied optima both solvers pick the same
-        # pairs.  Crowd matrices run the seed pass and its refresh.
+        # pairs.  In crowd matrices neighbouring rows share their cheapest
+        # column, so both the seed pass and the searches run.
         scipy_optimize = pytest.importorskip("scipy.optimize")
         if isinstance(drawn, tuple):
             n_rows, n_cols, cost = drawn

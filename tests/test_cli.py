@@ -2,6 +2,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,33 @@ class TestExitCodes:
         assert main(["track", "--heads", str(out / "heads"), "--out", str(tmp_path / "r.txt")]) == 2
         assert "000002.heatmap.grid: indices are not strictly ascending" in capsys.readouterr().err
 
+    def test_unallocatable_grid_header_is_format_error(self, tmp_path, sim_heads, capsys):
+        heads = tmp_path / "heads"
+        shutil.copytree(sim_heads, heads)
+        # 23 bytes whose 65535x65535x65535 header asks numpy for 2 PiB
+        (heads / "000002.heatmap.grid").write_bytes(
+            b"TTGRID2" + struct.pack("<IIII", 65535, 65535, 65535, 0)
+        )
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(heads), "--out", str(res)]) == 2
+        assert (
+            "000002.heatmap.grid: cannot allocate a 65535x65535x65535 grid"
+            in capsys.readouterr().err
+        )
+        assert not res.exists()
+
+    def test_frame_zero_in_heads_is_format_error(self, tmp_path, sim_heads, capsys):
+        # frames 1-3 renamed to 0-2: track would write MOT rows with frame 0
+        heads = tmp_path / "heads"
+        heads.mkdir()
+        for frame in (1, 2, 3):
+            for grid in Path(sim_heads).glob(f"{frame:06d}.*.grid"):
+                shutil.copy(grid, heads / grid.name.replace(f"{frame:06d}", f"{frame - 1:06d}"))
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(heads), "--out", str(res)]) == 2
+        assert "000000.heatmap.grid: head frame indices start at 1" in capsys.readouterr().err
+        assert not res.exists()
+
     def test_corrupt_grid_is_io_error(self, tmp_path):
         heads = tmp_path / "heads"
         heads.mkdir()
@@ -508,6 +536,15 @@ class TestOverlay:
         w, h = want.split("x")
         assert out.read_bytes().startswith(f"P6\n{w} {h}\n".encode())
 
+    @pytest.mark.parametrize("x", ["-20.0", "-200.0"])
+    def test_autosize_keeps_the_margin_for_boxes_left_of_the_canvas(self, tmp_path, capsys, x):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,{x},5.0,10.0,10.0,1,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert "wrote 10x25 overlay" in capsys.readouterr().out
+        assert out.read_bytes() == b"P6\n10 25\n255\n" + bytes(10 * 25 * 3)
 
     def test_absent_frame_is_validation_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

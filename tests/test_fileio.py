@@ -166,6 +166,17 @@ class TestSparseGridFile:
         with pytest.raises(FileFormatError, match=rf"bad\.grid: .*{message}"):
             read_grid(p)
 
+    def test_unallocatable_header_is_format_error_naming_file(self, tmp_path):
+        # 23 bytes: k = 0 passes every sparse check, but 65535**3 float64
+        # cells are 2 PiB, which numpy refuses without touching memory
+        p = tmp_path / "huge.grid"
+        p.write_bytes(sparse_file((65535, 65535, 65535), [], []))
+        assert p.stat().st_size == 23
+        with pytest.raises(
+            FileFormatError, match=r"huge\.grid: cannot allocate a 65535x65535x65535 grid"
+        ):
+            read_grid(p)
+
 
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 TINY = float(np.finfo(np.float32).smallest_subnormal)
