@@ -68,7 +68,6 @@ from .simulator import (
     corrupt,
     gen_scene,
     pick_reference_frame,
-    simulate_static_pair,
     synthesize_head_outputs,
 )
 

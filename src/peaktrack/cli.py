@@ -362,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, MemoryError) as exc:  # ConfigError included
+        # MemoryError: a canvas or grid larger than numpy can allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -125,31 +125,27 @@ def read_grid(path: str | Path) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
             )
+        index = slice(None)
         values = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
-        if not np.all(np.isfinite(values)):
-            raise FileFormatError(f"{path}: grid contains non-finite values")
-        grid = _zero_grid(path, h, w, c)
-        grid[...] = values.reshape(h, w, c)
-        return grid
-
-    count_end = _HEADER_END + _COUNT.size
-    if len(data) < count_end:
-        raise FileFormatError(
-            f"{path}: truncated header, expected {count_end} bytes, got {len(data)}"
-        )
-    (k,) = _COUNT.unpack(data[_HEADER_END:count_end])
-    expected = count_end + 8 * k
-    if len(data) != expected:
-        raise FileFormatError(
-            f"{path}: payload mismatch, expected {expected} bytes for {k} values, "
-            f"got {len(data)}"
-        )
-    index = np.frombuffer(data, dtype="<u4", count=k, offset=count_end)
-    values = np.frombuffer(data, dtype="<f4", count=k, offset=count_end + 4 * k)
-    if np.any(index[1:] <= index[:-1]):
-        raise FileFormatError(f"{path}: indices are not strictly ascending")
-    if k and index[-1] >= size:
-        raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
+    else:
+        count_end = _HEADER_END + _COUNT.size
+        if len(data) < count_end:
+            raise FileFormatError(
+                f"{path}: truncated header, expected {count_end} bytes, got {len(data)}"
+            )
+        (k,) = _COUNT.unpack(data[_HEADER_END:count_end])
+        expected = count_end + 8 * k
+        if len(data) != expected:
+            raise FileFormatError(
+                f"{path}: payload mismatch, expected {expected} bytes for {k} values, "
+                f"got {len(data)}"
+            )
+        index = np.frombuffer(data, dtype="<u4", count=k, offset=count_end)
+        values = np.frombuffer(data, dtype="<f4", count=k, offset=count_end + 4 * k)
+        if np.any(index[1:] <= index[:-1]):
+            raise FileFormatError(f"{path}: indices are not strictly ascending")
+        if k and index[-1] >= size:
+            raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: grid contains non-finite values")
     grid = _zero_grid(path, h, w, c)

@@ -166,42 +166,55 @@ def _grid_dims(image_size: tuple[int, int], downsample: int) -> tuple[int, int]:
     return h_px // downsample, w_px // downsample
 
 
+def check_class_ids(objects: tuple[ObjectAnnotation, ...], num_classes: int) -> None:
+    """Fail unless num_classes >= 1 and every object's class is one of them."""
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    for obj in objects:
+        if not 0 <= obj.class_id < num_classes:
+            raise ValueError(f"class_id {obj.class_id} out of range for {num_classes} classes")
+
+
+def clamped_top(bbox: BBox, image_size: tuple[int, int], downsample: int) -> TopPoint | None:
+    """A box's anchor on the frame: its top point clamped onto the frame.
+
+    A top point up to one cell (R pixels) outside the frame is clamped onto
+    its border, strictly inside so its cell index stays in range; one
+    farther out has no anchor (None).
+    """
+    h_px, w_px = image_size
+    margin = float(downsample)
+    top = top_point_from_bbox(bbox)
+    if not (-margin <= top.x < w_px + margin and -margin <= top.y < h_px + margin):
+        return None
+    return TopPoint(min(max(top.x, 0.0), w_px - 1e-6), min(max(top.y, 0.0), h_px - 1e-6))
+
+
 def place_objects(
     ann: FrameAnnotations,
     image_size: tuple[int, int],
     downsample: int,
     num_classes: int = 1,
 ) -> list[Placement]:
-    """Resolve each object to a grid cell, skipping those too far off-frame.
+    """Resolve each object to a grid cell, skipping those without an anchor.
 
-    Top points up to one cell outside the frame are clamped onto its border;
-    anything farther is dropped (a warning reports the count).  Rendering
-    and `simulator.corrupt` both place objects through it, so the heatmap
-    bumps and the regression entries always sit at the same cells.
+    Objects anchor at `clamped_top`; those beyond its margin are dropped (a
+    warning reports the count).  Rendering and `simulator.corrupt` both
+    place objects through it, so the heatmap bumps and the regression
+    entries always sit at the same cells.
     """
-    h_px, w_px = image_size
     _grid_dims(image_size, downsample)
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    margin = float(downsample)
+    check_class_ids(ann.objects, num_classes)
     placements: list[Placement] = []
     skipped = 0
     for obj in ann.objects:
-        if not 0 <= obj.class_id < num_classes:
-            raise ValueError(
-                f"class_id {obj.class_id} out of range for {num_classes} classes"
-            )
-        top = top_point_from_bbox(obj.bbox)
-        if not (-margin <= top.x < w_px + margin and -margin <= top.y < h_px + margin):
+        top = clamped_top(obj.bbox, image_size, downsample)
+        if top is None:
             skipped += 1
             continue
-        clamped = TopPoint(
-            min(max(top.x, 0.0), w_px - 1e-6),
-            min(max(top.y, 0.0), h_px - 1e-6),
-        )
-        cell, offset = quantize_point(clamped, downsample)
+        cell, offset = quantize_point(top, downsample)
         sigma = gaussian_sigma((obj.bbox.w, obj.bbox.h), downsample)
-        placements.append(Placement(obj, clamped, cell, offset, sigma))
+        placements.append(Placement(obj, top, cell, offset, sigma))
     if skipped:
         logger.warning(
             "frame %d: skipped %d object(s) with top point beyond the clamp margin",

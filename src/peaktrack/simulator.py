@@ -1,16 +1,19 @@
 """Synthetic scenes, ideal head outputs, and controlled corruption.
 
 The generator moves constant-velocity agents inside the frame (velocities
-flip at the borders so boxes never leave it) and hands out persistent ids,
-which gives the rest of the pipeline a deterministic desk-scale test bed.
-`corrupt` converts annotations into the grids a perfect network would
-emit, degraded with the usual failure modes: dropped objects, spurious
-peaks, position jitter, heatmap noise and a temporally jittered reference
-frame.  `synthesize_head_outputs` is `corrupt` with every rate 0.
+flip at the borders, and a step of any length is folded back in, so boxes
+never leave it) and hands out persistent ids, which gives the rest of the
+pipeline a deterministic desk-scale test bed.  `corrupt` converts
+annotations into the grids a perfect network would emit, degraded with the
+usual failure modes: dropped objects, spurious peaks, position jitter,
+heatmap noise and a temporally jittered reference frame.
+`synthesize_head_outputs` is `corrupt` with every rate 0.  Seeds must be
+>= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +25,17 @@ from .heatmap import (
     ObjectAnnotation,
     _draw_gaussian,
     _grid_dims,
+    check_class_ids,
+    clamped_top,
     gaussian_sigma,
     place_objects,
 )
+
+
+def _require_seed(seed: int) -> None:
+    # numpy's own message for a negative seed names no config key
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,7 @@ class SceneConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        _require_seed(self.seed)
 
     @property
     def image_size(self) -> tuple[int, int]:
@@ -85,6 +97,7 @@ class CorruptionConfig:
             raise ValueError("corruption rates must be non-negative")
         if not 0 <= self.temporal_jitter_k <= 3:
             raise ValueError("temporal_jitter_k must be in 0..3")
+        _require_seed(self.seed)
 
 
 @dataclass
@@ -116,6 +129,10 @@ def _reflect(pos: float, vel: float, hi: float) -> tuple[float, float]:
     # Fold the position back into [0, hi], flipping direction per bounce.
     if hi <= 0.0:
         return 0.0, 0.0
+    if abs(pos) > 2.0 * hi:
+        # a period of 2*hi is two bounces, so vel keeps its sign; fmod is exact,
+        # and the loop alone would never end once 2*hi - pos rounds to -pos
+        pos = math.fmod(pos, 2.0 * hi)
     while pos < 0.0 or pos > hi:
         if pos < 0.0:
             pos = -pos
@@ -208,8 +225,12 @@ def corrupt(
     boxes are shifted by N(0, jitter_sigma^2).  The survivors are then
     rendered as a perfect network would: the heatmap is their ground truth,
     and at each one's top cell the size, quantization offset and
-    displacement (current top minus previous top, zero for objects without
-    a previous-frame match) are written; all other cells stay zero.  A
+    displacement (current top minus reference top, zero for objects without
+    one) are written; all other cells stay zero.  Both tops are
+    `heatmap.clamped_top`; a reference object beyond its margin has no top
+    and is not placed, so only this frame's skips are logged.  Every class
+    id of both frames is checked before the first random draw, so an
+    out-of-range class fails whatever `fn_rate` drops.  A
     Poisson(fp_rate)-distributed number of spurious peaks is injected at
     uniform positions with sizes resampled from the frame's objects, each
     carrying believable size/offset entries and a score in [0.5, 1].
@@ -217,6 +238,9 @@ def corrupt(
     and clamped back to [0, 1].  Pass `rng` to thread one stream through a
     whole sequence; otherwise a fresh one is seeded from the config.
     """
+    rows, cols = _grid_dims(image_size, downsample)
+    prev_objects = ann_prev.objects if ann_prev is not None else ()
+    check_class_ids((*ann_t.objects, *prev_objects), num_classes)
     if rng is None:
         rng = np.random.default_rng(corruption.seed)
     h_px, w_px = image_size
@@ -236,14 +260,11 @@ def corrupt(
             )
         kept = jittered
 
-    prev_tops: dict[int, TopPoint] = {}
-    if ann_prev is not None:
-        for p in place_objects(ann_prev, image_size, downsample, num_classes):
-            prev_tops[p.annotation.track_id] = p.top
+    # None for a reference object beyond the clamp margin, as for an unmatched one
+    prev_tops = {o.track_id: clamped_top(o.bbox, image_size, downsample) for o in prev_objects}
     kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
     placements = place_objects(kept_ann, image_size, downsample, num_classes)
 
-    rows, cols = _grid_dims(image_size, downsample)
     heatmap = np.zeros((rows, cols, num_classes))
     size_map = np.zeros((rows, cols, 2))
     offset_map = np.zeros((rows, cols, 2))
@@ -283,44 +304,3 @@ def corrupt(
         np.clip(heatmap, 0.0, 1.0, out=heatmap)
 
     return HeadOutput(heatmap, size_map, offset_map, disp_map, downsample)
-
-
-def simulate_static_pair(
-    ann: FrameAnnotations,
-    image_size: tuple[int, int],
-    scale_range: tuple[float, float],
-    translate_range: tuple[float, float],
-    seed: int,
-) -> tuple[FrameAnnotations, FrameAnnotations]:
-    """Fake a previous frame for a single static frame.
-
-    One scale s and translation (tx, ty) are drawn and treated as the motion
-    from the synthetic previous frame to the current one (p_now = s * p_prev
-    + t, sizes scaled by s), so the previous boxes are the inverse image of
-    the given ones.  Objects then carry consistent non-trivial displacements.
-    Fails if the sampled transform pushes every box outside the frame.
-    """
-    lo_s, hi_s = scale_range
-    if not 0 < lo_s <= hi_s:
-        raise ValueError("scale_range must be positive and ordered")
-    lo_t, hi_t = translate_range
-    if lo_t > hi_t:
-        raise ValueError("translate_range must be ordered")
-    rng = np.random.default_rng(seed)
-    s = float(rng.uniform(lo_s, hi_s))
-    tx = float(rng.uniform(lo_t, hi_t))
-    ty = float(rng.uniform(lo_t, hi_t))
-
-    h_px, w_px = image_size
-    prev_objects = []
-    any_inside = not ann.objects
-    for obj in ann.objects:
-        box = obj.bbox
-        prev_box = BBox((box.x1 - tx) / s, (box.y1 - ty) / s, box.w / s, box.h / s)
-        if prev_box.x2 > 0 and prev_box.x1 < w_px and prev_box.y2 > 0 and prev_box.y1 < h_px:
-            any_inside = True
-        prev_objects.append(ObjectAnnotation(obj.track_id, obj.class_id, prev_box))
-    if not any_inside:
-        raise ValueError("transform pushed every box outside the frame")
-    prev = FrameAnnotations(max(ann.frame_index - 1, 1), tuple(prev_objects))
-    return prev, ann

@@ -272,6 +272,35 @@ class TestExitCodes:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["scene", "corruption"])
+    def test_negative_seed_is_validation_error_naming_the_key(self, tmp_path, capsys, section):
+        seed_line = {"scene": "seed = 14", "corruption": "seed = 7"}[section]
+        cfg = write_cfg(tmp_path, CORRUPT_CFG.replace(seed_line, "seed = -1"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {cfg}: [{section}] seed must be >= 0, got -1" in capsys.readouterr().err
+
+    # numpy refuses both sizes (6.51 EiB and 711 PiB) under any overcommit
+    # setting; past 2**63 bytes it raises ValueError instead of MemoryError
+    def test_unallocatable_overlay_canvas_is_validation_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,1.0,5.0,10.0,10.0,1,-1,-1\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1,1,1e17,5.0,10.0,10.0,0.9,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(pred), "--frame", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
+    def test_unallocatable_heatmap_is_validation_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,1.0,0.0,2.0,2.0,1,-1,-1\n")
+        out = tmp_path / "hm.grid"
+        argv = ["render-heatmap", "--gt", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv + ["--width", "400000000000000000", "--height", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
     def test_unordered_sparse_grid_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"

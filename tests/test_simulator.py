@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from peaktrack import (
     decode_detections,
     gen_scene,
     pick_reference_frame,
-    simulate_static_pair,
     synthesize_head_outputs,
     top_point_from_bbox,
 )
@@ -73,6 +74,16 @@ class TestGenScene:
                 if prev is not None:
                     assert ann.frame_index - prev == 1, "id returned after a gap"
                 last_seen[o.track_id] = ann.frame_index
+
+    def test_any_speed_is_folded_into_the_frame(self):
+        # at 1e20 px per frame, 2*hi - pos rounds to -pos, so a bounce-by-bounce
+        # fold never ends
+        cfg = scene_cfg(frames=4, min_speed=1e20, max_speed=1e20)
+        for ann in gen_scene(cfg):
+            for obj in ann.objects:
+                b = obj.bbox
+                assert 0.0 <= b.x1 and b.x2 <= cfg.width
+                assert 0.0 <= b.y1 and b.y2 <= cfg.height
 
     def test_oversized_objects_rejected(self):
         with pytest.raises(ValueError):
@@ -214,6 +225,36 @@ class TestCorrupt:
         with pytest.raises(ValueError, match=f"num_classes must be >= 1, got {num_classes}"):
             corrupt(empty, None, (64, 64), 4, CorruptionConfig(), num_classes)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("frame", ["current", "reference"])
+    def test_out_of_range_class_fails_whatever_fn_rate_draws(self, seed, frame):
+        ok = ObjectAnnotation(1, 0, BBox(30.0, 40.0, 24.0, 60.0))
+        bad = ObjectAnnotation(2, 3, BBox(120.0, 40.0, 24.0, 60.0))
+        ann = FrameAnnotations(2, (ok, bad) if frame == "current" else (ok,))
+        prev = FrameAnnotations(1, (ok, bad) if frame == "reference" else (ok,))
+        with pytest.raises(ValueError, match="class_id 3 out of range for 1 classes"):
+            corrupt(ann, prev, (256, 256), 4, CorruptionConfig(fn_rate=0.5, seed=seed))
+
+    def test_reference_frame_skips_are_not_logged_again(self, caplog):
+        # track 2's frame-1 top is beyond the one-cell margin: skipped when
+        # frame 1 is rendered, and no reference top for frame 2
+        inside = ObjectAnnotation(1, 0, BBox(30.0, 40.0, 24.0, 60.0))
+        frames = [
+            FrameAnnotations(1, (inside, ObjectAnnotation(2, 0, BBox(-100.0, 40.0, 24.0, 60.0)))),
+            FrameAnnotations(2, (inside, ObjectAnnotation(2, 0, BBox(100.0, 40.0, 24.0, 60.0)))),
+        ]
+        with caplog.at_level(logging.WARNING, logger="peaktrack.heatmap"):
+            heads = [
+                corrupt(ann, frames[i - 1] if i else None, (256, 256), 4, CorruptionConfig())
+                for i, ann in enumerate(frames)
+            ]
+        assert [r.getMessage() for r in caplog.records] == [
+            "frame 1: skipped 1 object(s) with top point beyond the clamp margin"
+        ]
+        top = top_point_from_bbox(frames[1].objects[1].bbox)
+        assert heads[1].heatmap[int(top.y) // 4, int(top.x) // 4, 0] == 1.0
+        np.testing.assert_array_equal(heads[1].disp_map, 0.0)
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             CorruptionConfig(fn_rate=1.2)
@@ -233,54 +274,3 @@ class TestReferenceFrame:
                 assert 1 <= j <= 100
                 assert abs(j - t) <= 3
 
-
-class TestStaticPair:
-    def test_identity_transform_zero_displacement(self):
-        ann = FrameAnnotations(
-            1, (ObjectAnnotation(1, 0, BBox(50, 60, 30, 80)),)
-        )
-        prev, cur = simulate_static_pair(ann, (512, 512), (1.0, 1.0), (0.0, 0.0), seed=1)
-        assert cur is ann
-        assert prev.objects[0].bbox == ann.objects[0].bbox
-
-    def test_pure_translation_displacement(self):
-        ann = FrameAnnotations(
-            1,
-            (
-                ObjectAnnotation(1, 0, BBox(50, 60, 30, 80)),
-                ObjectAnnotation(2, 0, BBox(200, 100, 40, 90)),
-            ),
-        )
-        prev, cur = simulate_static_pair(ann, (512, 512), (1.0, 1.0), (10.0, 10.0), seed=1)
-        # translate_range is degenerate at +10, so both components are +10
-        for obj, prev_obj in zip(cur.objects, prev.objects):
-            t_cur = top_point_from_bbox(obj.bbox)
-            t_prev = top_point_from_bbox(prev_obj.bbox)
-            assert t_cur.x - t_prev.x == pytest.approx(10.0, abs=1e-9)
-            assert t_cur.y - t_prev.y == pytest.approx(10.0, abs=1e-9)
-
-    def test_scale_displacement_at_reference_point(self):
-        # previous top lands at (100, 200); scaling motion by 1.1 about the
-        # origin moves it by exactly (10, 20)
-        w, h = 40.0, 80.0
-        cur_box = BBox(1.1 * (100 - w / 2), 1.1 * (200 - h / 10), 1.1 * w, 1.1 * h)
-        ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, cur_box),))
-        prev, cur = simulate_static_pair(ann, (512, 512), (1.1, 1.1), (0.0, 0.0), seed=3)
-        t_prev = top_point_from_bbox(prev.objects[0].bbox)
-        t_cur = top_point_from_bbox(cur.objects[0].bbox)
-        assert t_prev.x == pytest.approx(100.0, abs=1e-9)
-        assert t_prev.y == pytest.approx(200.0, abs=1e-9)
-        assert t_cur.x - t_prev.x == pytest.approx(10.0, abs=1e-9)
-        assert t_cur.y - t_prev.y == pytest.approx(20.0, abs=1e-9)
-
-    def test_transform_pushing_everything_out_rejected(self):
-        ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(10, 10, 20, 20)),))
-        with pytest.raises(ValueError):
-            simulate_static_pair(ann, (128, 128), (1.0, 1.0), (5000.0, 5000.0), seed=1)
-
-    def test_bad_ranges_rejected(self):
-        ann = FrameAnnotations(1, ())
-        with pytest.raises(ValueError):
-            simulate_static_pair(ann, (128, 128), (0.0, 1.0), (0.0, 0.0), seed=1)
-        with pytest.raises(ValueError):
-            simulate_static_pair(ann, (128, 128), (1.0, 1.0), (5.0, 2.0), seed=1)
