@@ -27,7 +27,6 @@ from .fileio import (
     read_head_outputs,
     read_mot_file,
     read_mot_table,
-    rows_to_annotations,
     rows_to_frames,
     write_grid,
     write_head_outputs,

@@ -23,15 +23,13 @@ from .fileio import (
     head_grid_path,
     list_head_frames,
     read_head_outputs,
-    read_mot_file,
     read_mot_table,
-    rows_to_annotations,
     write_grid,
     write_head_outputs,
     write_mot_file,
 )
 from .geometry import BBox, PipelineConfig
-from .heatmap import decode_detections, render_gt_heatmap
+from .heatmap import FrameAnnotations, ObjectAnnotation, decode_detections, render_gt_heatmap
 from .losses import (
     FrameTargets,
     finite_difference_check,
@@ -116,10 +114,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{args.config}: [scene] downsample {scene.downsample} differs from "
             f"[pipeline] downsample {pipeline.downsample}"
         )
-
-    frames = gen_scene(scene)
     out_dir = Path(args.out)
     heads_dir = out_dir / HEADS_DIR_NAME
+    # `track` would track the frames that a longer scene left in heads/ as this one's
+    stale = []
+    if heads_dir.is_dir():
+        stale = [f for f in list_head_frames(heads_dir) if not 1 <= f <= scene.frames]
+    if stale:
+        raise ValueError(
+            f"{heads_dir}: head frames {stale} lie outside this scene's frames "
+            f"1..{scene.frames}; remove them or simulate into another --out"
+        )
+
+    frames = gen_scene(scene)
     heads_dir.mkdir(parents=True, exist_ok=True)
 
     gt_rows = [
@@ -220,13 +227,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_render_heatmap(args: argparse.Namespace) -> int:
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
-    annotations = rows_to_annotations(read_mot_file(args.gt))
-    by_index = {ann.frame_index: ann for ann in annotations}
-    if args.frame not in by_index:
+    table = read_mot_table(args.gt)
+    at = table.frame == args.frame
+    if not at.any():
         raise ValueError(f"frame {args.frame} not present in {args.gt}")
-    heatmap = render_gt_heatmap(
-        by_index[args.frame], (args.height, args.width), args.downsample, args.classes
+    # class -1 (a row without a class), like any negative class, renders on channel 0
+    rows = zip(table.track_id[at].tolist(), table.class_id[at].tolist(), table.box[at].tolist())
+    ann = FrameAnnotations(
+        args.frame, [ObjectAnnotation(i, max(c, 0), BBox(*box)) for i, c, box in rows]
     )
+    heatmap = render_gt_heatmap(ann, (args.height, args.width), args.downsample, args.classes)
     write_grid(args.out, heatmap)
     print(f"wrote {heatmap.shape[0]}x{heatmap.shape[1]}x{heatmap.shape[2]} heatmap to {args.out}")
     return 0
@@ -331,22 +341,22 @@ def cmd_overlay(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--width and --height must be >= 0 (0 = auto), got {args.width} and {args.height}"
         )
-    gt_rows = read_mot_file(args.gt)
-    pred_rows = read_mot_file(args.pred)
-    all_rows = gt_rows + pred_rows
-    if not any(r.frame == args.frame for r in all_rows):
+    gt = read_mot_table(args.gt)
+    pred = read_mot_table(args.pred)
+    if not ((gt.frame == args.frame).any() or (pred.frame == args.frame).any()):
         raise ValueError(f"frame {args.frame} not present in {args.gt} or {args.pred}")
     width, height = args.width, args.height
     if width == 0 or height == 0:
-        # boxes left of or above the canvas still leave the 10-pixel margin
-        width = width or max(math.ceil(max(r.x + r.w for r in all_rows)), 0) + 10
-        height = height or max(math.ceil(max(r.y + r.h for r in all_rows)), 0) + 10
+        # rows of every frame count; boxes left of or above the canvas keep the margin
+        boxes = np.concatenate([gt.box, pred.box])
+        right, bottom = (boxes[:, :2] + boxes[:, 2:]).max(axis=0).tolist()
+        width = width or max(math.ceil(right), 0) + 10
+        height = height or max(math.ceil(bottom), 0) + 10
 
     img = np.zeros((height, width, 3), dtype=np.uint8)
-    for rows, color in ((gt_rows, (0, 200, 0)), (pred_rows, (230, 60, 60))):
-        for r in rows:
-            if r.frame == args.frame:
-                _draw_box(img, r.box, color)
+    for table, color in ((gt, (0, 200, 0)), (pred, (230, 60, 60))):
+        for box in table.box[table.frame == args.frame].tolist():
+            _draw_box(img, BBox(*box), color)
     with open(args.out, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(img.tobytes())

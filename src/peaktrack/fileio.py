@@ -29,16 +29,22 @@ the file in one `np.array(fields, dtype=np.float64)` call, which parses
 each string with Python's `float`.  Boolean masks over the rows then test
 the other rules (frame, id and class integral and within int64, a valid
 box, frame >= 1, no repeated (frame, id)).  A file that passes becomes a
-`MotTable` of columns; `MotTable.rows` gives `MotRow`s and
-`MotTable.frames` the per-frame ids and boxes that scoring reads.  A file
-that fails anywhere, in the field count, the conversion or a mask, is
+`MotTable` of columns, the form every command reads; `MotTable.frames`
+gives the per-frame ids and boxes that scoring reads.  A file that fails
+anywhere, in the field count, the conversion or a mask, is
 walked again line by line in file order, and the first rule its first bad
 line breaks is reported as `path:line: reason`; text that is not UTF-8 is
 the first rule of each line.
 
+`MotRow` and `write_mot_file` are the one writer.  `read_mot_file`,
+`MotTable.rows` and `rows_to_frames` are a row view that no command reads;
+they stay only for `benchmarks/traced.py`, which times evaluate through them.
+
 A head-output directory holds four grid files per frame, named
-NNNNNN.heatmap.grid / .size.grid / .offset.grid / .disp.grid, and one grid
-shape: every frame's grids have the same rows and columns.
+<frame>.heatmap.grid / .size.grid / .offset.grid / .disp.grid with <frame>
+the frame index, zero-padded to at least 6 digits (a name the writer would
+not write, such as 0000001.heatmap.grid, is no frame), and one grid shape:
+every frame's grids have the same rows and columns.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -55,7 +60,7 @@ import numpy as np
 
 from .evaluation import FrameColumns
 from .geometry import BBox, require_downsample
-from .heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
+from .heatmap import HeadOutput
 
 GRID_MAGIC = b"TTGRID1"
 SPARSE_GRID_MAGIC = b"TTGRID2"
@@ -172,11 +177,6 @@ class MotRow:
     conf: float = 1.0
     class_id: int = -1
     visibility: float = -1.0
-
-    @cached_property
-    def box(self) -> BBox:
-        """The row's box, built (and so validated) once, on first use."""
-        return BBox(self.x, self.y, self.w, self.h)
 
 
 _INT_FIELDS = ((0, "frame"), (1, "id"), (7, "class"))
@@ -331,21 +331,8 @@ def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:
     """Group rows by frame for the evaluation module."""
     frames: dict[int, list[tuple[int, BBox]]] = {}
     for r in rows:
-        frames.setdefault(r.frame, []).append((r.track_id, r.box))
+        frames.setdefault(r.frame, []).append((r.track_id, BBox(r.x, r.y, r.w, r.h)))
     return frames
-
-
-def rows_to_annotations(rows: Sequence[MotRow]) -> list[FrameAnnotations]:
-    """Rows as per-frame annotations; a class of -1 maps to class 0."""
-    by_frame: dict[int, list[ObjectAnnotation]] = {}
-    for r in rows:
-        class_id = 0 if r.class_id < 0 else r.class_id
-        by_frame.setdefault(r.frame, []).append(
-            ObjectAnnotation(r.track_id, class_id, r.box)
-        )
-    return [
-        FrameAnnotations(frame, tuple(objs)) for frame, objs in sorted(by_frame.items())
-    ]
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:
@@ -381,11 +368,11 @@ def read_head_outputs(
 
 
 def list_head_frames(directory: str | Path) -> list[int]:
-    """Frame indices present in a head-output directory, ascending."""
-    pattern = re.compile(r"^(\d{6})\.heatmap\.grid$")
+    """Frame indices of the heatmap files named as the writer names them, ascending."""
+    pattern = re.compile(r"(\d+)\.heatmap\.grid")
     frames = []
     for entry in Path(directory).iterdir():
-        m = pattern.match(entry.name)
-        if m:
-            frames.append(int(m.group(1)))
+        m = pattern.fullmatch(entry.name)
+        if m and head_grid_path(directory, int(m[1]), "heatmap").name == entry.name:
+            frames.append(int(m[1]))
     return sorted(frames)

@@ -248,6 +248,21 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
 
+    def test_stale_head_frames_are_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        cfg = write_cfg(tmp_path, SCENE_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0  # same frames
+        short = write_cfg(tmp_path, SCENE_CFG.replace("frames = 12", "frames = 5"), "short.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", short, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'heads'}: head frames [6, 7, 8, 9, 10, 11, 12] lie outside "
+            "this scene's frames 1..5; remove them or simulate into another --out\n"
+        )
+        assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_scene_downsample_zero_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG + "downsample = 0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -463,6 +478,29 @@ class TestRenderHeatmap:
             == 1
         )
 
+    def test_negative_class_renders_on_channel_zero(self, tmp_path):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,-1,-1\n")
+        out = tmp_path / "hm.grid"
+        argv = ["render-heatmap", "--gt", str(gt), "--frame", "1", "--out", str(out)]
+        assert main(argv + ["--width", "256", "--height", "256", "--classes", "2"]) == 0
+        hm = read_grid(out)
+        assert hm.shape == (64, 64, 2)
+        assert hm[:, :, 0].max() == 1.0 and not hm[:, :, 1].any()
+
+    def test_only_the_requested_frame_is_rendered(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,100,100,40,100,1,0,-1\n2,1,100,100,40,100,1,5,-1\n")
+        out = tmp_path / "hm.grid"
+        argv = ["render-heatmap", "--gt", str(gt), "--out", str(out), "--width", "256"]
+        argv += ["--height", "256", "--classes", "1"]
+        assert main(argv + ["--frame", "1"]) == 0
+        assert read_grid(out).max() == 1.0
+        out.unlink()
+        assert main(argv + ["--frame", "2"]) == 1
+        assert "error: class_id 5 out of range for 1 classes" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "dims",
@@ -574,6 +612,16 @@ class TestOverlay:
         assert main(argv) == 0
         assert "wrote 10x25 overlay" in capsys.readouterr().out
         assert out.read_bytes() == b"P6\n10 25\n255\n" + bytes(10 * 25 * 3)
+
+    def test_autosize_counts_other_frames_and_prediction_only_boxes(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0.0,0.0,10.0,10.0,1,-1,-1\n2,1,0.0,0.0,100.0,10.0,1,-1,-1\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1,1,0.0,0.0,10.0,200.0,0.9,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        argv = ["overlay", "--gt", str(gt), "--pred", str(pred), "--frame", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert "wrote 110x210 overlay" in capsys.readouterr().out
 
     def test_absent_frame_is_validation_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

@@ -18,7 +18,6 @@ from peaktrack import (
     read_head_outputs,
     read_mot_file,
     read_mot_table,
-    rows_to_annotations,
     rows_to_frames,
     write_grid,
     write_head_outputs,
@@ -248,13 +247,6 @@ class TestMotFile:
         frames = rows_to_frames(rows)
         assert frames[1] == [(3, BBox(10, 20, 40, 100))]
 
-    def test_frames_reuse_the_box_the_reader_validated(self, tmp_path):
-        p = tmp_path / "rows.txt"
-        p.write_text("1,3,10,20,40,100,1,-1,-1\n")
-        rows = read_mot_file(p)
-        assert rows_to_frames(rows)[1][0][1] is rows[0].box
-        assert rows_to_annotations(rows)[0].objects[0].bbox is rows[0].box
-
     def test_round_trip_preserves_order(self, tmp_path):
         rows = [
             MotRow(2, 7, 1.5, 2.25, 10.0, 20.0, 0.875),
@@ -304,10 +296,6 @@ class TestMotFile:
             FileFormatError, match="rows.txt:4: id 3 already appears in frame 1 at line 1"
         ):
             read_mot_file(p)
-
-    def test_negative_class_maps_to_zero(self):
-        anns = rows_to_annotations([MotRow(1, 3, 0, 0, 5, 5, 1.0, -1, -1.0)])
-        assert anns[0].objects[0].class_id == 0
 
 
 INT_FIELDS = {"frame": 0, "id": 1, "class": 7}
@@ -580,6 +568,12 @@ class TestHeadDirectory:
         assert list_head_frames(tmp_path) == [1, 2, 3]
         back = read_head_outputs(tmp_path, 2, 4)
         np.testing.assert_array_equal(back.heatmap, head.heatmap)
+
+    def test_listing_takes_every_name_the_writer_writes(self, tmp_path):
+        # frame 1000000 takes 7 digits; 0000002 is padded as the writer never pads
+        for name in ("000001", "999999", "1000000", "0000002"):
+            write_grid(tmp_path / f"{name}.heatmap.grid", np.zeros((4, 4, 1)))
+        assert list_head_frames(tmp_path) == [1, 999999, 1000000]
 
     def test_missing_map_reported(self, tmp_path):
         write_grid(tmp_path / "000001.heatmap.grid", np.zeros((4, 4, 1)))
