@@ -22,11 +22,13 @@ from .fileio import (
     FileFormatError,
     MotRow,
     MotTable,
+    SparseGrid,
     list_head_frames,
     read_grid,
     read_head_outputs,
     read_mot_file,
     read_mot_table,
+    read_sparse_grid,
     rows_to_frames,
     write_grid,
     write_head_outputs,

@@ -18,6 +18,15 @@ when H*W*C exceeds 2**32 and an index could overflow u32.  Head grids are a
 few Gaussian bumps and a few regression cells, so they go sparse; a heatmap
 with noise added is about half non-zero and costs about the dense size.
 
+`read_sparse_grid` is the one parser.  For either payload it gives a
+`SparseGrid`: the shape, the ascending int64 flat indices of the values
+whose float32 bits are not zero, and those values as float64.  It makes
+every check on the file, and refuses a header whose dense float64 grid
+numpy cannot allocate, so `.dense()` of a grid it read works.
+`read_grid(path)` is `read_sparse_grid(path).dense()`.  `read_head_outputs`
+keeps the four grids sparse, and `track` decodes them from their stored
+cells (`heatmap.extract_peaks`, `heatmap.decode_detections`).
+
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
 are written as -1 where this pipeline has nothing meaningful to put there.
@@ -110,8 +119,40 @@ def write_grid(path: str | Path, grid: np.ndarray) -> None:
         fh.write(values.tobytes())
 
 
-def read_grid(path: str | Path) -> np.ndarray:
-    """Load a dense or sparse grid file back as a dense float64 array."""
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class SparseGrid:
+    """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
+
+    `index` holds flat positions (row-major, channels minor) as int64 in
+    strictly ascending order, `values` the finite float64 value at each.
+    `np.asarray(grid)` is `grid.dense()`.
+    """
+
+    shape: tuple[int, int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The grid as a float64 array of `shape`."""
+        grid = np.zeros(self.shape)
+        grid.reshape(-1)[self.index] = self.values
+        return grid
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a SparseGrid has no dense array to share without a copy")
+        return self.dense() if dtype is None else self.dense().astype(dtype)
+
+    def lookup(self, flat: np.ndarray) -> np.ndarray:
+        """The values at flat positions, by binary search; a cell not stored reads 0.0."""
+        if not self.index.size:
+            return np.zeros(np.shape(flat))
+        at = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
+        return np.where(self.index[at] == flat, self.values[at], 0.0)
+
+
+def read_sparse_grid(path: str | Path) -> SparseGrid:
+    """Load a dense or sparse grid file as its cells whose float32 bits are not zero."""
     data = Path(path).read_bytes()
     magic = data[: len(GRID_MAGIC)]
     if magic not in (GRID_MAGIC, SPARSE_GRID_MAGIC):
@@ -130,8 +171,10 @@ def read_grid(path: str | Path) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
             )
-        index = slice(None)
-        values = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
+        dense = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
+        # the cells the writer would store: -0.0 and denormals included
+        index = np.flatnonzero(dense.view("<u4"))
+        values = dense[index]
     else:
         count_end = _HEADER_END + _COUNT.size
         if len(data) < count_end:
@@ -153,17 +196,17 @@ def read_grid(path: str | Path) -> np.ndarray:
             raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
     if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: grid contains non-finite values")
-    grid = _zero_grid(path, h, w, c)
-    grid.reshape(-1)[index] = values
-    return grid
-
-
-def _zero_grid(path: str | Path, h: int, w: int, c: int) -> np.ndarray:
-    """The float64 grid a file's header asks for; a size numpy refuses is the file's fault."""
     try:
-        return np.zeros((h, w, c))
+        # `.dense()` must not fail on a grid read here; np.empty touches no memory
+        np.empty((h, w, c))
     except MemoryError:
         raise FileFormatError(f"{path}: cannot allocate a {h}x{w}x{c} grid") from None
+    return SparseGrid((h, w, c), index.astype(np.int64), values.astype(np.float64))
+
+
+def read_grid(path: str | Path) -> np.ndarray:
+    """Load a dense or sparse grid file back as a dense float64 array."""
+    return read_sparse_grid(path).dense()
 
 
 @dataclass(frozen=True)
@@ -247,11 +290,14 @@ def read_mot_table(path: str | Path) -> MotTable:
 
     ints = values[:, [i for i, _ in _INT_FIELDS]]
     box = values[:, 2:6]
+    with np.errstate(over="ignore"):  # an edge past float64's range is inf, and bad
+        edges = box[:, :2] + box[:, 2:]
     good = (
         ((ints == np.trunc(ints)) & (ints >= -_INT64_END) & (ints < _INT64_END)).all(axis=1)
         & np.isfinite(box).all(axis=1)
         & (box[:, 2] > 0)
         & (box[:, 3] > 0)
+        & np.isfinite(edges).all(axis=1)
         & (ints[:, 0] >= 1)
     )
     # a (frame, id) repeats when two neighbours in sorted key order are equal;
@@ -349,18 +395,19 @@ def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput
 def read_head_outputs(
     directory: str | Path, frame_index: int, downsample: int
 ) -> HeadOutput:
-    """One frame's four grids as a `HeadOutput`.
+    """One frame's four grids as a `HeadOutput` of `SparseGrid`s.
 
-    A frame that breaks a `HeadOutput` rule is a `FileFormatError` naming
-    the frame's files.
+    A missing grid file, or a frame that breaks a `HeadOutput` rule, is a
+    `FileFormatError` naming the file or the frame's files.
     """
     require_downsample(downsample)  # a bad argument, not a bad file
     grids = {}
     for name, field in _HEAD_FILES.items():
         path = head_grid_path(directory, frame_index, name)
-        if not path.exists():
-            raise FileFormatError(f"missing head grid {path}")
-        grids[field] = read_grid(path)
+        try:
+            grids[field] = read_sparse_grid(path)
+        except FileNotFoundError:
+            raise FileFormatError(f"missing head grid {path}") from None
     try:
         return HeadOutput(**grids, downsample=downsample)
     except ValueError as exc:

@@ -34,7 +34,10 @@ def require_downsample(downsample: int) -> None:
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h)."""
+    """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
+
+    Every field and the far edges x2 = x1 + w and y2 = y1 + h are finite.
+    """
 
     x1: float
     y1: float
@@ -45,6 +48,8 @@ class BBox:
         _require_finite("BBox", self.x1, self.y1, self.w, self.h)
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"BBox extent must be positive, got w={self.w}, h={self.h}")
+        if not (math.isfinite(self.x2) and math.isfinite(self.y2)):
+            raise ValueError(f"BBox edges must be finite, got x2={self.x2}, y2={self.y2}")
 
     @property
     def x2(self) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .geometry import (
     require_downsample,
     top_point_from_bbox,
 )
+
+if TYPE_CHECKING:  # fileio imports this module
+    from .fileio import SparseGrid
+
+    Grid = np.ndarray | SparseGrid
 
 logger = logging.getLogger(__name__)
 
@@ -70,12 +76,14 @@ class HeadOutput:
     `heatmap` has one channel per class with values in [0, 1]; `size_map`
     carries (w, h) in pixels, `offset_map` sub-cell fractions (x, y) and
     `disp_map` per-object motion (dx, dy) in pixels, each with 2 channels.
+    Each grid is a dense array or a `fileio.SparseGrid`, as
+    `read_head_outputs` gives them.
     """
 
-    heatmap: np.ndarray
-    size_map: np.ndarray
-    offset_map: np.ndarray
-    disp_map: np.ndarray
+    heatmap: Grid
+    size_map: Grid
+    offset_map: Grid
+    disp_map: Grid
     downsample: int
 
     def __post_init__(self) -> None:
@@ -83,15 +91,17 @@ class HeadOutput:
             f.name: getattr(self, f.name) for f in fields(self) if f.name != "downsample"
         }
         for name, g in grids.items():
-            if g.ndim != 3:
+            if len(g.shape) != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
+            # a cell a sparse grid does not store is 0.0, in range and finite
+            stored = g if isinstance(g, np.ndarray) else g.values
             if name == "heatmap":
                 # NaN and +-inf fail this form, so it doubles as the finiteness check
-                if not (g.min(initial=0.0) >= 0.0 and g.max(initial=0.0) <= 1.0):
+                if not (stored.min(initial=0.0) >= 0.0 and stored.max(initial=0.0) <= 1.0):
                     raise ValueError("heatmap values must lie in [0, 1]")
             elif g.shape[2] != 2:
                 raise ValueError(f"{name} must have 2 channels")
-            elif not np.all(np.isfinite(g)):
+            elif not np.all(np.isfinite(stored)):
                 raise ValueError(f"{name} contains non-finite values")
         shapes = {g.shape[:2] for g in grids.values()}
         if len(shapes) != 1:
@@ -263,7 +273,7 @@ def _draw_gaussian(
 
 
 def extract_peaks(
-    heatmap: np.ndarray,
+    heatmap: Grid,
     max_peaks: int,
     score_threshold: float,
 ) -> list[tuple[GridPoint, int, float]]:
@@ -275,9 +285,39 @@ def extract_peaks(
     Results at or above `score_threshold` are sorted by descending score,
     ties broken by lower row, then lower column, then lower channel, and
     truncated to `max_peaks` (a warning reports the count found and kept).
+
+    A dense heatmap is scanned whole.  A `SparseGrid` takes only its stored
+    cells at or above the threshold as candidates and looks up their
+    neighbors, unless the threshold is <= 0: then a cell that is not stored
+    can be a peak, and the heatmap is scanned dense.
     """
-    if heatmap.ndim != 3:
+    if not isinstance(heatmap, np.ndarray) and score_threshold <= 0:
+        heatmap = heatmap.dense()
+    if len(heatmap.shape) != 3:
         raise ValueError("heatmap must be a (rows, cols, channels) array")
+    if isinstance(heatmap, np.ndarray):
+        flat, scores = _scanned_peaks(heatmap, score_threshold)
+    else:
+        flat, scores = _stored_peaks(heatmap, score_threshold)
+    # flat positions ascend in (row, col, channel) order
+    order = np.lexsort((flat, -scores))
+    if order.size > max_peaks:
+        logger.warning(
+            "kept %d of %d peaks at or above score threshold %g (max_peaks)",
+            max_peaks,
+            order.size,
+            score_threshold,
+        )
+    order = order[:max_peaks]
+    rows, cols, channels = (a.tolist() for a in np.unravel_index(flat[order], heatmap.shape))
+    return [
+        (GridPoint(c, r), ch, s)
+        for r, c, ch, s in zip(rows, cols, channels, scores[order].tolist())
+    ]
+
+
+def _scanned_peaks(heatmap: np.ndarray, score_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and scores of a dense heatmap's peaks, by a scan of every cell."""
     rows, cols, channels = heatmap.shape
     padded = np.full((rows + 2, cols + 2, channels), -np.inf)
     padded[1:-1, 1:-1] = heatmap
@@ -287,20 +327,37 @@ def extract_peaks(
             if dr != 1 or dc != 1:
                 is_peak &= heatmap >= padded[dr : dr + rows, dc : dc + cols]
     # np.nonzero on a 3-d mask is ~20x slower than this on a 256x256x1 grid
-    r_all, c_all, ch_all = np.unravel_index(np.flatnonzero(is_peak), is_peak.shape)
-    s_all = heatmap[r_all, c_all, ch_all]
-    order = np.lexsort((ch_all, c_all, r_all, -s_all))
-    if order.size > max_peaks:
-        logger.warning(
-            "kept %d of %d peaks at or above score threshold %g (max_peaks)",
-            max_peaks,
-            order.size,
-            score_threshold,
-        )
-    return [
-        (GridPoint(int(c_all[i]), int(r_all[i])), int(ch_all[i]), float(s_all[i]))
-        for i in order[:max_peaks]
-    ]
+    flat = np.flatnonzero(is_peak)
+    return flat, np.take(heatmap, flat).astype(np.float64, copy=False)
+
+
+_NEIGHBORS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc])
+
+
+def _stored_peaks(heatmap: SparseGrid, score_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and scores of a sparse heatmap's peaks, for a threshold > 0.
+
+    Only a stored cell reaches the threshold; each is compared with its
+    neighbors, looked up among the stored cells.  A neighbor row off the
+    grid is a flat position no cell has, so it reads 0.0, below every
+    candidate; a neighbor column off the grid would wrap into the next or
+    previous row, so it is skipped.
+    """
+    _, cols, channels = heatmap.shape
+    reached = heatmap.values >= score_threshold
+    flat, scores = heatmap.index[reached], heatmap.values[reached]
+    n_col = (flat // channels % cols)[:, None] + _NEIGHBORS[:, 1]
+    neighbors = heatmap.lookup(flat[:, None] + (_NEIGHBORS @ (cols, 1)) * channels)
+    is_peak = ((n_col < 0) | (n_col >= cols) | (scores[:, None] >= neighbors)).all(axis=1)
+    return flat[is_peak], scores[is_peak]
+
+
+def _at_cells(grid: Grid, rows: np.ndarray, cols: np.ndarray) -> list[list[float]]:
+    """The channel values of (row, col) cells of a dense or sparse grid, one list per cell."""
+    if isinstance(grid, np.ndarray):
+        return grid[rows, cols].tolist()
+    _, width, channels = grid.shape
+    return grid.lookup((rows * width + cols)[:, None] * channels + np.arange(channels)).tolist()
 
 
 def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
@@ -319,15 +376,20 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
             f"head downsample {head.downsample} != config downsample {cfg.downsample}"
         )
     peaks = extract_peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
+    rows = np.array([cell.row for cell, _, _ in peaks], dtype=np.int64)
+    cols = np.array([cell.col for cell, _, _ in peaks], dtype=np.int64)
+    cells = zip(
+        peaks,
+        _at_cells(head.size_map, rows, cols),
+        _at_cells(head.offset_map, rows, cols),
+        _at_cells(head.disp_map, rows, cols),
+    )
     detections: list[Detection] = []
     dropped = 0
-    for cell, class_id, score in peaks:
-        ox, oy = head.offset_map[cell.row, cell.col]
-        w, h = head.size_map[cell.row, cell.col]
+    for (cell, class_id, score), (w, h), (ox, oy), (dx, dy) in cells:
         if w <= 0 or h <= 0:
             dropped += 1
             continue
-        dx, dy = head.disp_map[cell.row, cell.col]
         top = TopPoint(
             (cell.col + float(ox)) * cfg.downsample,
             (cell.row + float(oy)) * cfg.downsample,

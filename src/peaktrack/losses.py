@@ -145,20 +145,28 @@ def targets_from_head(gt_head: HeadOutput) -> FrameTargets:
 
     Cells whose heatmap value is exactly 1 are object centers; the targets
     for each are read from the dense maps at that cell.  Only meaningful on
-    synthesized (noise-free) ground truth.
+    synthesized (noise-free) ground truth.  Sparse grids are made dense.
     """
-    rows, cols = np.nonzero((gt_head.heatmap == 1.0).any(axis=2))
+    heatmap, size_map, offset_map, disp_map = _dense_grids(gt_head)
+    rows, cols = np.nonzero((heatmap == 1.0).any(axis=2))
     points = []
     for r, c in zip(rows.tolist(), cols.tolist()):
         points.append(
             SupervisedPoint(
                 cell=GridPoint(c, r),
-                size=tuple(gt_head.size_map[r, c].tolist()),
-                offset=tuple(gt_head.offset_map[r, c].tolist()),
-                displacement=tuple(gt_head.disp_map[r, c].tolist()),
+                size=tuple(size_map[r, c].tolist()),
+                offset=tuple(offset_map[r, c].tolist()),
+                displacement=tuple(disp_map[r, c].tolist()),
             )
         )
-    return FrameTargets(heatmap=gt_head.heatmap, points=tuple(points))
+    return FrameTargets(heatmap=heatmap, points=tuple(points))
+
+
+def _dense_grids(head: HeadOutput) -> tuple[np.ndarray, ...]:
+    """heatmap, size, offset and displacement as dense arrays (`SparseGrid.dense()`)."""
+    return tuple(
+        np.asarray(g) for g in (head.heatmap, head.size_map, head.offset_map, head.disp_map)
+    )
 
 
 def total_loss(
@@ -178,14 +186,11 @@ def total_loss(
             f"target heatmap {targets.heatmap.shape}"
         )
     n = max(targets.n_objects, 1)
-    l_h, _ = focal_loss(pred.heatmap, targets.heatmap, cfg.focal_alpha, cfg.focal_beta, n)
-    l_size, _ = masked_l1_loss(pred.size_map, [(p.cell, p.size) for p in targets.points], n)
-    l_off, _ = masked_l1_loss(
-        pred.offset_map, [(p.cell, p.offset) for p in targets.points], n
-    )
-    l_d, _ = masked_l1_loss(
-        pred.disp_map, [(p.cell, p.displacement) for p in targets.points], n
-    )
+    heatmap, size_map, offset_map, disp_map = _dense_grids(pred)
+    l_h, _ = focal_loss(heatmap, targets.heatmap, cfg.focal_alpha, cfg.focal_beta, n)
+    l_size, _ = masked_l1_loss(size_map, [(p.cell, p.size) for p in targets.points], n)
+    l_off, _ = masked_l1_loss(offset_map, [(p.cell, p.offset) for p in targets.points], n)
+    l_d, _ = masked_l1_loss(disp_map, [(p.cell, p.displacement) for p in targets.points], n)
     total = l_h + cfg.size_loss_weight * l_size + l_off + l_d
     return LossBreakdown(
         l_h=l_h,

@@ -280,6 +280,8 @@ def mot_rows_oracle(path):
                     return where + f"BBox must be finite, got {v!r}"
             if w <= 0 or h <= 0:
                 return where + f"BBox extent must be positive, got w={w}, h={h}"
+            if not (math.isfinite(x + w) and math.isfinite(y + h)):
+                return where + f"BBox edges must be finite, got x2={x + w}, y2={y + h}"
             if frame < 1:
                 return where + "frame must be >= 1"
             earlier = first_line.setdefault((frame, track_id), line_no)

@@ -248,6 +248,27 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--gt", "{boxes}", "--pred", "{boxes}"],
+            ["overlay", "--gt", "{boxes}", "--pred", "{boxes}", "--frame", "1", "--out", "{out}"],
+            ["overlay", "--gt", "{boxes}", "--pred", "{boxes}", "--frame", "1", "--out", "{out}",
+             "--width", "64", "--height", "64"],
+        ],
+        ids=["evaluate", "overlay-autosize", "overlay-sized"],
+    )
+    def test_overflowing_box_edge_is_format_error(self, tmp_path, capsys, command):
+        # x and w are finite, x + w is not
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("1,1,1e308,0,1e308,10,1,-1,-1\n")
+        out = tmp_path / "frame.ppm"
+        assert main([arg.format(boxes=boxes, out=out) for arg in command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {boxes}:1: BBox edges must be finite, got x2=inf, y2=10.0\n"
+        )
+        assert not out.exists()
+
     def test_stale_head_frames_are_validation_error(self, tmp_path, capsys):
         out = tmp_path / "sim"
         cfg = write_cfg(tmp_path, SCENE_CFG)

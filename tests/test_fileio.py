@@ -18,6 +18,7 @@ from peaktrack import (
     read_head_outputs,
     read_mot_file,
     read_mot_table,
+    read_sparse_grid,
     rows_to_frames,
     write_grid,
     write_head_outputs,
@@ -228,6 +229,36 @@ class TestGridRoundTrip:
     def test_negative_zero_and_denormals(self, tmp_path, grid):
         assert_round_trip(tmp_path / "g.grid", grid)
 
+    @ROUND_TRIP
+    @given(grid=st.one_of(arrays(np.float32, SHAPES, elements=SPECIAL), sparse_grids(SPECIAL)))
+    def test_stored_cells_of_either_payload(self, tmp_path, grid):
+        """The parser keeps the cells whose float32 bits are not zero, and `.dense()`
+        is the float32 grid, whichever payload holds it."""
+        nonzero = np.flatnonzero(bits(grid))
+        header = struct.pack("<III", *grid.shape)
+        payloads = {
+            "written": None,
+            "dense": GRID_MAGIC + header + grid.astype("<f4").tobytes(),
+            "sparse": SPARSE_GRID_MAGIC
+            + header
+            + struct.pack("<I", nonzero.size)
+            + nonzero.astype("<u4").tobytes()
+            + grid.reshape(-1)[nonzero].astype("<f4").tobytes(),
+        }
+        for name, data in payloads.items():
+            path = tmp_path / f"{name}.grid"
+            if data is None:
+                write_grid(path, grid)
+            else:
+                path.write_bytes(data)
+            cells = read_sparse_grid(path)
+            assert cells.shape == grid.shape and cells.index.dtype == np.int64
+            np.testing.assert_array_equal(cells.index, nonzero)
+            np.testing.assert_array_equal(bits(cells.values), bits(grid).reshape(-1)[nonzero])
+            dense = cells.dense()
+            assert dense.dtype == np.float64
+            np.testing.assert_array_equal(bits(dense), bits(grid))
+
     @settings(ROUND_TRIP, max_examples=10)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_noisy_heatmap(self, tmp_path, seed):
@@ -411,6 +442,7 @@ MUTATIONS = [
     "non-finite int",
     "huge int",
     "bad extent",
+    "overflowing edge",
     "frame zero",
     "repeat key",
 ]
@@ -461,6 +493,10 @@ def mutate(data, fields: list[str], others: list[list[str]]) -> list[str]:
         fields[int_field] = data.draw(st.sampled_from(["1e19", "-1e30", "9223372036854775808"]))
     elif kind == "bad extent":
         fields[data.draw(st.sampled_from([4, 5]))] = data.draw(st.sampled_from(["0", "-0", "-3.5"]))
+    elif kind == "overflowing edge":
+        # x + w or y + h past float64's range, each field finite
+        axis = data.draw(st.sampled_from([0, 1]))
+        fields[2 + axis] = fields[4 + axis] = data.draw(st.sampled_from(["1e308", "1.7e308"]))
     elif kind == "frame zero":
         fields[0] = data.draw(st.sampled_from(["0", "-2"]))
     elif kind == "repeat key":
@@ -527,6 +563,11 @@ class TestMotReaderRuleOrder:
                 [GOOD_LINE, "1,2,inf,0,10,10,1,-1,-1", GOOD_LINE],
                 2,
                 "BBox must be finite, got inf",
+            ),
+            (
+                [GOOD_LINE, "1,2,1e308,0,1e308,10,1,-1,-1", "1,2,0,0,0,10,1,-1,-1"],
+                2,
+                "BBox edges must be finite, got x2=inf, y2=10.0",
             ),
         ],
     )

@@ -37,6 +37,12 @@ class TestTopPointFromBBox:
         with pytest.raises(ValueError):
             BBox(0, 0, math.inf, 1)
 
+    @pytest.mark.parametrize("box", [(1e308, 0, 1e308, 10), (0, 1.7e308, 5, 1.7e308)])
+    def test_overflowing_edge_rejected(self, box):
+        # each field is finite, but x1 + w or y1 + h is not
+        with pytest.raises(ValueError, match="BBox edges must be finite"):
+            BBox(*box)
+
 
 class TestQuantize:
     def test_half_cell(self):

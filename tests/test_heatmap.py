@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,7 @@ from peaktrack import (
     top_point_from_bbox,
     write_head_outputs,
 )
+from peaktrack.fileio import SparseGrid
 from peaktrack.geometry import GridPoint
 from peaktrack.heatmap import _draw_gaussian, place_objects
 from peaktrack.simulator import synthesize_head_outputs
@@ -391,3 +392,103 @@ class TestHeadOutputRules:
         heatmap = np.zeros((8, 8, 1))
         heatmap[3, 4, 0] = 1.0
         assert HeadOutput(**self.grids(heatmap=heatmap), downsample=4).grid_shape == (8, 8)
+
+
+def stored(grid: np.ndarray) -> SparseGrid:
+    """The cells `write_grid` would store (float32 bits not zero), as a `SparseGrid`."""
+    values = np.asarray(grid, dtype=np.float32).reshape(-1)
+    index = np.flatnonzero(values.view(np.uint32))
+    return SparseGrid(grid.shape, index, values[index].astype(np.float64))
+
+
+# few distinct levels make plateaus and score ties common; -0.0 is a stored zero
+LEVELS = st.one_of(st.sampled_from([-0.0, 0.3, 0.4, 0.5, 1.0]), st.floats(0, 1, width=32))
+REGRESSED = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 8.0]), st.floats(-50, 50, width=32))
+
+
+@st.composite
+def painted_grids(draw, shape, elements):
+    """A zero grid with rectangles (plateaus) and single cells, mostly on the
+    border, of one value each painted on one channel; every value is a
+    float32, as grid files hold them."""
+    grid = np.zeros(shape, dtype=np.float32)
+    rows, cols, channels = shape
+    for _ in range(draw(st.integers(0, 4))):
+        r0, r1 = sorted(draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2)))
+        c0, c1 = sorted(draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=2)))
+        grid[r0 : r1 + 1, c0 : c1 + 1, draw(st.integers(0, channels - 1))] = draw(elements)
+    # a border cell's flat neighbours in the previous or next row are no neighbours
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.one_of(st.sampled_from([0, rows - 1]), st.integers(0, rows - 1)))
+        col = draw(st.one_of(st.sampled_from([0, cols - 1]), st.integers(0, cols - 1)))
+        grid[row, col, draw(st.integers(0, channels - 1))] = draw(elements)
+    return grid.astype(np.float64)
+
+
+@st.composite
+def sparse_heads(draw):
+    rows, cols, classes = draw(st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)))
+    heatmap = draw(painted_grids((rows, cols, classes), LEVELS))
+    maps = [draw(painted_grids((rows, cols, 2), REGRESSED)) for _ in range(3)]
+    return [heatmap, *maps]
+
+
+def wrapped_rows(right: float, left: float) -> list[np.ndarray]:
+    """A 2x3 head whose cells (0, 2) and (1, 0) are adjacent in flat order only."""
+    heatmap = np.zeros((2, 3, 1))
+    heatmap[0, 2, 0], heatmap[1, 0, 0] = right, left
+    return [heatmap] + [np.full((2, 3, 2), 8.0)] * 3
+
+
+class TestStoredCells:
+    """A `SparseGrid` decodes as its dense grid does, at any threshold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_heads(), st.integers(1, 20), st.sampled_from([0.0, 0.4, 1.0]))
+    @example(wrapped_rows(0.5, 1.0), 20, 0.4)
+    @example(wrapped_rows(1.0, 0.5), 20, 0.4)
+    def test_peaks_match_dense_scan_and_oracle(self, grids, max_peaks, score_threshold):
+        hm = grids[0]
+        sparse = stored(hm)
+        found = []
+        for grid in (sparse, sparse.dense()):
+            peaks = extract_peaks(grid, max_peaks, score_threshold)
+            # repr tells -0.0 from 0.0
+            found.append([(c.row, c.col, ch, repr(s)) for c, ch, s in peaks])
+        assert found[0] == found[1]
+        got = [(r, c, ch, float(s)) for r, c, ch, s in found[0]]
+        assert got == peaks_oracle(hm, max_peaks, score_threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_heads(), st.integers(1, 20), st.sampled_from([0.0, 0.4, 1.0]))
+    def test_decode_matches_dense_head(self, grids, max_peaks, score_threshold):
+        cfg = PipelineConfig(
+            max_peaks=max_peaks, score_threshold=score_threshold, num_classes=grids[0].shape[2]
+        )
+        sparse = HeadOutput(*map(stored, grids), downsample=4)
+        dense = HeadOutput(*(g.dense() for g in map(stored, grids)), downsample=4)
+        got, want = decode_detections(sparse, cfg), decode_detections(dense, cfg)
+        assert got == want
+        assert [repr(d.score) for d in got] == [repr(d.score) for d in want]
+
+    def test_unstored_cells_are_peaks_at_threshold_zero(self):
+        hm = np.zeros((3, 3, 1))
+        hm[0, 0, 0] = 0.5
+        cells = [(c.row, c.col) for c, _, _ in extract_peaks(stored(hm), 100, 0.0)]
+        # every zero cell away from the 0.5 is >= its neighbours
+        assert cells == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+    def test_heatmap_rules_check_stored_values(self):
+        grids = [stored(np.zeros((8, 8, c))) for c in (1, 2, 2, 2)]
+        heatmap = SparseGrid((8, 8, 1), np.array([5]), np.array([1.5]))
+        with pytest.raises(ValueError, match=r"heatmap values must lie in \[0, 1\]"):
+            HeadOutput(heatmap, *grids[1:], downsample=4)
+        size_map = SparseGrid((8, 8, 3), np.array([], dtype=np.int64), np.array([]))
+        with pytest.raises(ValueError, match="size_map must have 2 channels"):
+            HeadOutput(grids[0], size_map, *grids[2:], downsample=4)
+        disp_map = SparseGrid((8, 8, 2), np.array([3]), np.array([np.nan]))
+        with pytest.raises(ValueError, match="disp_map contains non-finite values"):
+            HeadOutput(*grids[:3], disp_map, downsample=4)
+        offset_map = SparseGrid((8, 9, 2), np.array([], dtype=np.int64), np.array([]))
+        with pytest.raises(ValueError, match="head grids disagree on spatial dims"):
+            HeadOutput(grids[0], grids[1], offset_map, grids[3], downsample=4)
