@@ -11,21 +11,21 @@ kinds share the magic length and the header; all numbers are little endian:
                      channel-minor, strictly ascending, each < H*W*C), then
                      k x f32 values, all finite; every other value is 0.0
 
-`write_grid` stores the values whose float32 bit pattern is not zero (so
--0.0 and denormals round-trip exactly) and picks whichever payload is
-smaller: sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense
-when H*W*C exceeds 2**32 and an index could overflow u32.  Head grids are a
-few Gaussian bumps and a few regression cells, so they go sparse; a heatmap
-with noise added is about half non-zero and costs about the dense size.
+A `SparseGrid` holds a grid as its stored cells and checks its own index
+rules when it is built: three dims >= 1, and a 1-D integer index, strictly
+ascending and inside the grid, with one value each.  `SparseGrid.of` is the
+one stored-cell rule: a cell is stored when its float bits are not zero, so
+-0.0 and denormals round-trip exactly.  `write_grid` stores those cells of
+the float32 grid and picks whichever payload is smaller: sparse when
+4 + 8k < 4*H*W*C, dense otherwise, and always dense when H*W*C exceeds 2**32
+and an index could overflow u32.  Head grids go sparse; a heatmap with
+noise added is about half non-zero and costs about the dense size.
 
-`read_sparse_grid` is the one parser.  For either payload it gives a
-`SparseGrid`: the shape, the ascending int64 flat indices of the values
-whose float32 bits are not zero, and those values as float64.  It makes
-every check on the file, and refuses a header whose dense float64 grid
-numpy cannot allocate, so `.dense()` of a grid it read works.
-`read_grid(path)` is `read_sparse_grid(path).dense()`.  `read_head_outputs`
-keeps the four grids sparse, and `track` decodes them from their stored
-cells (`heatmap.extract_peaks`, `heatmap.decode_detections`).
+`read_sparse_grid` is the one parser: it checks the bytes and that every
+value is finite, builds a `SparseGrid` (by `SparseGrid.of` from a dense
+payload), reports any broken rule as `path: reason`, and refuses a header
+whose dense float64 grid numpy cannot allocate, so `.dense()` works;
+`read_grid` is its `.dense()`.  `track` decodes the stored cells.
 
 MOT rows are the 9-column comma-separated MOTChallenge layout
 (frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
@@ -97,40 +97,65 @@ def write_grid(path: str | Path, grid: np.ndarray) -> None:
         raise ValueError("grid must be a (rows, cols, channels) array")
     if arr.size == 0:
         raise ValueError("grid must be non-empty")
-    h, w, c = arr.shape
     # a finite float64 beyond the float32 range becomes inf here, so the
     # finiteness check runs on the float32 values that are written
     with np.errstate(over="ignore"):
-        values = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-    stored = values.view("<u4") != 0
-    k = int(np.count_nonzero(stored))
+        values = np.ascontiguousarray(arr, dtype="<f4")
+    cells = SparseGrid.of(values)
+    if not np.all(np.isfinite(cells.values)):
+        raise ValueError("grid contains non-finite values")
+    k = cells.index.size
     if 4 + 8 * k < 4 * values.size and values.size <= 2**32:
-        index = np.flatnonzero(stored)
-        values = values[index]
-        magic, indices = SPARSE_GRID_MAGIC, _COUNT.pack(k) + index.astype("<u4").tobytes()
+        magic, indices = SPARSE_GRID_MAGIC, _COUNT.pack(k) + cells.index.astype("<u4").tobytes()
+        values = cells.values.astype("<f4")
     else:
         magic, indices = GRID_MAGIC, b""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("grid contains non-finite values")
     with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(_HEADER.pack(h, w, c))
-        fh.write(indices)
+        fh.write(magic + _HEADER.pack(*arr.shape) + indices)
         fh.write(values.tobytes())
+
+
+def _require_dims(shape: tuple[int, ...]) -> str:
+    """A grid has three dims, each at least 1; returns them as "HxWxC"."""
+    dims = "x".join(map(str, shape))
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"invalid dims {dims}")
+    return dims
 
 
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
 class SparseGrid:
     """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
 
-    `index` holds flat positions (row-major, channels minor) as int64 in
-    strictly ascending order, `values` the finite float64 value at each.
-    `np.asarray(grid)` is `grid.dense()`.
+    `index` holds flat positions (row-major, channels minor) as integers,
+    strictly ascending and inside the grid, and `values` the float64 value at
+    each; other input raises `ValueError`.  `np.asarray(grid)` is `grid.dense()`.
     """
 
     shape: tuple[int, int, int]
     index: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        dims = _require_dims(self.shape)
+        index = self.index
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError("index must be a 1-D integer array")
+        if self.values.shape != index.shape:
+            raise ValueError(f"{index.size} indices but {self.values.size} values")
+        if np.any(index[1:] <= index[:-1]):
+            raise ValueError("indices are not strictly ascending")
+        if index.size and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
+            bad = index[0] if index[0] < 0 else index[-1]
+            raise ValueError(f"index {bad} out of range for {dims} grid")
+
+    @classmethod
+    def of(cls, array: np.ndarray) -> SparseGrid:
+        """The cells of a float array whose bits are not zero, so -0.0 and denormals count."""
+        flat = array.reshape(-1)
+        # np.flatnonzero on the raw bits is slower than on this comparison
+        index = np.flatnonzero(flat.view(f"u{flat.itemsize}") != 0)
+        return cls(array.shape, index, flat[index].astype(np.float64))
 
     def dense(self) -> np.ndarray:
         """The grid as a float64 array of `shape`."""
@@ -155,53 +180,41 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
     """Load a dense or sparse grid file as its cells whose float32 bits are not zero."""
     data = Path(path).read_bytes()
     magic = data[: len(GRID_MAGIC)]
-    if magic not in (GRID_MAGIC, SPARSE_GRID_MAGIC):
-        raise FileFormatError(f"{path}: bad magic, not a grid file")
-    if len(data) < _HEADER_END:
-        raise FileFormatError(
-            f"{path}: truncated header, expected {_HEADER_END} bytes, got {len(data)}"
-        )
-    h, w, c = _HEADER.unpack(data[len(GRID_MAGIC) : _HEADER_END])
-    if h < 1 or w < 1 or c < 1:
-        raise FileFormatError(f"{path}: invalid dims {h}x{w}x{c}")
-    size = h * w * c
-    if magic == GRID_MAGIC:
-        expected = _HEADER_END + 4 * size
-        if len(data) != expected:
-            raise FileFormatError(
-                f"{path}: payload mismatch, expected {expected} bytes, got {len(data)}"
-            )
-        dense = np.frombuffer(data, dtype="<f4", offset=_HEADER_END)
-        # the cells the writer would store: -0.0 and denormals included
-        index = np.flatnonzero(dense.view("<u4"))
-        values = dense[index]
-    else:
-        count_end = _HEADER_END + _COUNT.size
-        if len(data) < count_end:
-            raise FileFormatError(
-                f"{path}: truncated header, expected {count_end} bytes, got {len(data)}"
-            )
-        (k,) = _COUNT.unpack(data[_HEADER_END:count_end])
-        expected = count_end + 8 * k
-        if len(data) != expected:
-            raise FileFormatError(
-                f"{path}: payload mismatch, expected {expected} bytes for {k} values, "
-                f"got {len(data)}"
-            )
-        index = np.frombuffer(data, dtype="<u4", count=k, offset=count_end)
-        values = np.frombuffer(data, dtype="<f4", count=k, offset=count_end + 4 * k)
-        if np.any(index[1:] <= index[:-1]):
-            raise FileFormatError(f"{path}: indices are not strictly ascending")
-        if k and index[-1] >= size:
-            raise FileFormatError(f"{path}: index {index[-1]} out of range for {h}x{w}x{c} grid")
-    if not np.all(np.isfinite(values)):
-        raise FileFormatError(f"{path}: grid contains non-finite values")
+    try:
+        if magic not in (GRID_MAGIC, SPARSE_GRID_MAGIC):
+            raise ValueError("bad magic, not a grid file")
+        if len(data) < _HEADER_END:
+            raise ValueError(f"truncated header, expected {_HEADER_END} bytes, got {len(data)}")
+        shape = _HEADER.unpack(data[len(GRID_MAGIC) : _HEADER_END])
+        dims = _require_dims(shape)  # before the payload, whose length the dims give
+        if magic == GRID_MAGIC:
+            expected = _HEADER_END + 4 * math.prod(shape)
+            if len(data) != expected:
+                raise ValueError(f"payload mismatch, expected {expected} bytes, got {len(data)}")
+            grid = SparseGrid.of(np.frombuffer(data, "<f4", offset=_HEADER_END).reshape(shape))
+        else:
+            count_end = _HEADER_END + _COUNT.size
+            if len(data) < count_end:
+                raise ValueError(f"truncated header, expected {count_end} bytes, got {len(data)}")
+            (k,) = _COUNT.unpack(data[_HEADER_END:count_end])
+            expected = count_end + 8 * k
+            if len(data) != expected:
+                raise ValueError(
+                    f"payload mismatch, expected {expected} bytes for {k} values, got {len(data)}"
+                )
+            index = np.frombuffer(data, "<u4", count=k, offset=count_end)
+            values = np.frombuffer(data, "<f4", count=k, offset=count_end + 4 * k)
+            grid = SparseGrid(shape, index.astype(np.int64), values.astype(np.float64))
+        if not np.all(np.isfinite(grid.values)):
+            raise ValueError("grid contains non-finite values")
+    except ValueError as exc:  # the byte checks above and the rules of `SparseGrid`
+        raise FileFormatError(f"{path}: {exc}") from None
     try:
         # `.dense()` must not fail on a grid read here; np.empty touches no memory
-        np.empty((h, w, c))
+        np.empty(shape)
     except MemoryError:
-        raise FileFormatError(f"{path}: cannot allocate a {h}x{w}x{c} grid") from None
-    return SparseGrid((h, w, c), index.astype(np.int64), values.astype(np.float64))
+        raise FileFormatError(f"{path}: cannot allocate a {dims} grid") from None
+    return grid
 
 
 def read_grid(path: str | Path) -> np.ndarray:

@@ -32,6 +32,14 @@ def require_downsample(downsample: int) -> None:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
 
 
+def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
+    """The one rule for a peak search: at least one peak, a threshold in [0, 1]."""
+    if max_peaks < 1:
+        raise ValueError("max_peaks must be >= 1")
+    if not 0.0 <= score_threshold <= 1.0:
+        raise ValueError("score_threshold must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
@@ -130,10 +138,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         require_downsample(self.downsample)
-        if self.max_peaks < 1:
-            raise ValueError("max_peaks must be >= 1")
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError("score_threshold must be in [0, 1]")
+        require_peak_limits(self.max_peaks, self.score_threshold)
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if self.gate_scale <= 0:

@@ -4,9 +4,10 @@ A frame's objects are rendered as one Gaussian bump per object on the
 heatmap channel of its class, centered on the quantized cell of its top
 point and with a peak value of exactly 1.  Overlapping bumps keep the
 elementwise maximum so values stay valid probabilities.  Decoding walks the
-opposite direction: local maxima of a predicted heatmap are read out
-together with the size, sub-cell offset and displacement regressed at the
-same cell.
+opposite direction, in arrays: `_peaks` finds the local maxima of a
+predicted heatmap, size, offset and displacement are read at those cells
+together, and one mask drops the peaks of non-positive size before a
+`Detection` is built for each peak kept.  `extract_peaks` is the tuple view.
 
 Dimension tuples are (height, width) in input-image pixels; grids are
 numpy arrays of shape (H/R, W/R, channels) with x mapped to columns.
@@ -29,6 +30,7 @@ from .geometry import (
     TopPoint,
     quantize_point,
     require_downsample,
+    require_peak_limits,
     top_point_from_bbox,
 )
 
@@ -273,11 +275,15 @@ def _draw_gaussian(
 
 
 def extract_peaks(
-    heatmap: Grid,
-    max_peaks: int,
-    score_threshold: float,
+    heatmap: Grid, max_peaks: int, score_threshold: float
 ) -> list[tuple[GridPoint, int, float]]:
-    """Cells that are >= all 8 neighbors within their channel.
+    """The peaks `decode_detections` decodes (see `_peaks`), as (cell, channel, score) tuples."""
+    peaks = zip(*(a.tolist() for a in _peaks(heatmap, max_peaks, score_threshold)))
+    return [(GridPoint(c, r), ch, s) for r, c, ch, s in peaks]
+
+
+def _peaks(heatmap: Grid, max_peaks: int, score_threshold: float) -> tuple[np.ndarray, ...]:
+    """Rows, columns, channels and scores of the cells that are >= all 8 neighbors.
 
     Border cells compare only against existing neighbors.  A plateau is not
     thinned: equal adjacent cells are all peaks, as with CenterNet's
@@ -288,9 +294,10 @@ def extract_peaks(
 
     A dense heatmap is scanned whole.  A `SparseGrid` takes only its stored
     cells at or above the threshold as candidates and looks up their
-    neighbors, unless the threshold is <= 0: then a cell that is not stored
+    neighbors, unless the threshold is 0: then a cell that is not stored
     can be a peak, and the heatmap is scanned dense.
     """
+    require_peak_limits(max_peaks, score_threshold)
     if not isinstance(heatmap, np.ndarray) and score_threshold <= 0:
         heatmap = heatmap.dense()
     if len(heatmap.shape) != 3:
@@ -302,18 +309,10 @@ def extract_peaks(
     # flat positions ascend in (row, col, channel) order
     order = np.lexsort((flat, -scores))
     if order.size > max_peaks:
-        logger.warning(
-            "kept %d of %d peaks at or above score threshold %g (max_peaks)",
-            max_peaks,
-            order.size,
-            score_threshold,
-        )
+        message = "kept %d of %d peaks at or above score threshold %g (max_peaks)"
+        logger.warning(message, max_peaks, order.size, score_threshold)
     order = order[:max_peaks]
-    rows, cols, channels = (a.tolist() for a in np.unravel_index(flat[order], heatmap.shape))
-    return [
-        (GridPoint(c, r), ch, s)
-        for r, c, ch, s in zip(rows, cols, channels, scores[order].tolist())
-    ]
+    return (*np.unravel_index(flat[order], heatmap.shape), scores[order])
 
 
 def _scanned_peaks(heatmap: np.ndarray, score_threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +351,12 @@ def _stored_peaks(heatmap: SparseGrid, score_threshold: float) -> tuple[np.ndarr
     return flat[is_peak], scores[is_peak]
 
 
-def _at_cells(grid: Grid, rows: np.ndarray, cols: np.ndarray) -> list[list[float]]:
-    """The channel values of (row, col) cells of a dense or sparse grid, one list per cell."""
+def _at_cells(grid: Grid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (n, channels) float64 values of (row, col) cells of a dense or sparse grid."""
     if isinstance(grid, np.ndarray):
-        return grid[rows, cols].tolist()
+        return grid[rows, cols].astype(np.float64, copy=False)
     _, width, channels = grid.shape
-    return grid.lookup((rows * width + cols)[:, None] * channels + np.arange(channels)).tolist()
+    return grid.lookup((rows * width + cols)[:, None] * channels + np.arange(channels))
 
 
 def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
@@ -375,37 +374,19 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
         raise ValueError(
             f"head downsample {head.downsample} != config downsample {cfg.downsample}"
         )
-    peaks = extract_peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
-    rows = np.array([cell.row for cell, _, _ in peaks], dtype=np.int64)
-    cols = np.array([cell.col for cell, _, _ in peaks], dtype=np.int64)
-    cells = zip(
-        peaks,
-        _at_cells(head.size_map, rows, cols),
-        _at_cells(head.offset_map, rows, cols),
-        _at_cells(head.disp_map, rows, cols),
-    )
-    detections: list[Detection] = []
-    dropped = 0
-    for (cell, class_id, score), (w, h), (ox, oy), (dx, dy) in cells:
-        if w <= 0 or h <= 0:
-            dropped += 1
-            continue
-        top = TopPoint(
-            (cell.col + float(ox)) * cfg.downsample,
-            (cell.row + float(oy)) * cfg.downsample,
-        )
-        detections.append(
-            Detection(
-                top=top,
-                cell=cell,
-                size=(float(w), float(h)),
-                score=score,
-                class_id=class_id,
-                displacement=(float(dx), float(dy)),
-            )
-        )
-    if dropped:
+    rows, cols, channels, scores = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
+    size = _at_cells(head.size_map, rows, cols)
+    kept = (size > 0).all(axis=1)
+    if not kept.all():
         logger.warning(
-            "dropped %d of %d peaks whose regressed size is not positive", dropped, len(peaks)
+            "dropped %d of %d peaks whose regressed size is not positive", (~kept).sum(), kept.size
         )
-    return detections
+    rows, cols, channels, scores, size = (a[kept] for a in (rows, cols, channels, scores, size))
+    cells = np.stack([cols, rows], axis=1)
+    tops = (cells + _at_cells(head.offset_map, rows, cols)) * cfg.downsample
+    disp = _at_cells(head.disp_map, rows, cols)
+    columns = (cells, channels, scores, tops, size, disp)
+    return [
+        Detection(TopPoint(x, y), GridPoint(c, r), (w, h), s, ch, (dx, dy))
+        for (c, r), ch, s, (x, y), (w, h), (dx, dy) in zip(*(a.tolist() for a in columns))
+    ]

@@ -25,7 +25,7 @@ from peaktrack import (
     write_mot_file,
 )
 from peaktrack.config import ConfigError, ConfigFile
-from peaktrack.fileio import GRID_MAGIC, SPARSE_GRID_MAGIC
+from peaktrack.fileio import GRID_MAGIC, SPARSE_GRID_MAGIC, SparseGrid
 from peaktrack.geometry import PipelineConfig
 from peaktrack.heatmap import FrameAnnotations, HeadOutput, ObjectAnnotation
 from peaktrack.simulator import CorruptionConfig, SceneConfig, corrupt
@@ -166,6 +166,21 @@ class TestSparseGridFile:
         with pytest.raises(FileFormatError, match=rf"bad\.grid: .*{message}"):
             read_grid(p)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            GRID_MAGIC + struct.pack("<III", 0, 3, 1) + b"\0" * 8,
+            sparse_file((0, 3, 1), [5, 1], [1.0]),
+            SPARSE_GRID_MAGIC + struct.pack("<III", 0, 3, 1),
+        ],
+        ids=["dense-long", "sparse-malformed", "sparse-no-count"],
+    )
+    def test_zero_dims_are_reported_before_the_payload(self, tmp_path, data):
+        p = tmp_path / "bad.grid"
+        p.write_bytes(data)
+        with pytest.raises(FileFormatError, match=r"bad\.grid: invalid dims 0x3x1$"):
+            read_grid(p)
+
     def test_unallocatable_header_is_format_error_naming_file(self, tmp_path):
         # 23 bytes: k = 0 passes every sparse check, but 65535**3 float64
         # cells are 2 PiB, which numpy refuses without touching memory
@@ -176,6 +191,42 @@ class TestSparseGridFile:
             FileFormatError, match=r"huge\.grid: cannot allocate a 65535x65535x65535 grid"
         ):
             read_grid(p)
+
+
+class TestSparseGrid:
+    @pytest.mark.parametrize(
+        "shape, index, values, message",
+        [
+            # the lookup would miss the 0.9 beside the 0.5, a second peak
+            ((4, 4, 1), [9, 5], [0.9, 0.5], "not strictly ascending"),
+            ((4, 4, 1), [5, 5], [0.9, 0.5], "not strictly ascending"),
+            ((4, 4, 1), [-1, 5], [0.9, 0.5], r"index -1 out of range for 4x4x1 grid"),
+            ((4, 4, 1), [5, 20], [0.9, 0.5], r"index 20 out of range for 4x4x1 grid"),
+            ((4, 4, 1), [5, 9], [0.9], "2 indices but 1 values"),
+            ((4, 4, 1), [5], [0.9, 0.5], "1 indices but 2 values"),
+            ((4, 0, 1), [], [], "invalid dims 4x0x1"),
+            ((4, 4), [5], [0.9], "invalid dims 4x4"),
+            ((4, 4, 1), [[5]], [[0.9]], "1-D integer array"),
+            ((4, 4, 1), [5.0], [0.9], "1-D integer array"),
+        ],
+        ids=[
+            "descending", "repeated", "negative", "out-of-range", "short-values",
+            "long-values", "zero-dim", "two-dims", "2-d-index", "float-index",
+        ],
+    )
+    def test_bad_structure_fails_at_construction(self, shape, index, values, message):
+        with pytest.raises(ValueError, match=message):
+            SparseGrid(shape, np.array(index), np.array(values))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_of_keeps_the_cells_whose_bits_are_not_zero(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        grid = np.zeros((2, 3, 2), dtype=dtype)
+        grid[0, 1, 1], grid[1, 0, 0], grid[1, 2, 1] = -0.0, tiny, 0.5
+        cells = SparseGrid.of(grid)
+        assert cells.shape == (2, 3, 2) and cells.values.dtype == np.float64
+        np.testing.assert_array_equal(cells.index, [3, 6, 11])
+        assert [repr(v) for v in cells.values.tolist()] == [repr(-0.0), repr(float(tiny)), "0.5"]
 
 
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)

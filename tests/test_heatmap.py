@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -189,6 +189,21 @@ class TestExtractPeaks:
         peaks = extract_peaks(hm, max_peaks, score_threshold)
         got = [(cell.row, cell.col, ch, score) for cell, ch, score in peaks]
         assert got == peaks_oracle(hm, max_peaks, score_threshold)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("max_peaks", [0, -1])
+    def test_max_peaks_below_one_rejected(self, caplog, sparse, max_peaks):
+        hm = np.zeros((5, 5, 1))
+        hm[0, 0, 0], hm[2, 2, 0], hm[4, 4, 0] = 0.9, 0.8, 0.7
+        with pytest.raises(ValueError, match="max_peaks must be >= 1"):
+            extract_peaks(stored(hm) if sparse else hm, max_peaks, 0.4)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_nan_score_threshold_rejected(self, sparse):
+        hm = np.full((5, 5, 1), 0.6)
+        with pytest.raises(ValueError, match=r"score_threshold must be in \[0, 1\]"):
+            extract_peaks(stored(hm) if sparse else hm, 10, math.nan)
 
 
 class TestDecode:
@@ -433,6 +448,27 @@ def sparse_heads(draw):
     return [heatmap, *maps]
 
 
+def decode_reference(grids, max_peaks, score_threshold, downsample):
+    """Decode peak by peak from `peaks_oracle` and dense reads of the grids.
+
+    A peak whose size has w <= 0 or h <= 0 is dropped; the others anchor at
+    ((col + ox) * R, (row + oy) * R).  Returns the detections as tuples, the
+    number dropped and the number of peaks found.
+    """
+    heatmap, size_map, offset_map, disp_map = grids
+    peaks = peaks_oracle(heatmap, max_peaks, score_threshold)
+    detections = []
+    for r, c, ch, score in peaks:
+        w, h = (float(v) for v in size_map[r, c])
+        if w <= 0 or h <= 0:
+            continue
+        ox, oy = (float(v) for v in offset_map[r, c])
+        top = ((c + ox) * downsample, (r + oy) * downsample)
+        disp = tuple(float(v) for v in disp_map[r, c])
+        detections.append((top, (r, c), (w, h), repr(score), ch, disp))
+    return detections, len(peaks) - len(detections), len(peaks)
+
+
 def wrapped_rows(right: float, left: float) -> list[np.ndarray]:
     """A 2x3 head whose cells (0, 2) and (1, 0) are adjacent in flat order only."""
     heatmap = np.zeros((2, 3, 1))
@@ -470,6 +506,28 @@ class TestStoredCells:
         got, want = decode_detections(sparse, cfg), decode_detections(dense, cfg)
         assert got == want
         assert [repr(d.score) for d in got] == [repr(d.score) for d in want]
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(sparse_heads(), st.integers(1, 20), st.sampled_from([0.0, 0.4, 1.0]))
+    def test_decode_matches_per_peak_reference(self, caplog, grids, max_peaks, score_threshold):
+        cfg = PipelineConfig(
+            max_peaks=max_peaks, score_threshold=score_threshold, num_classes=grids[0].shape[2]
+        )
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="peaktrack.heatmap"):
+            dets = decode_detections(HeadOutput(*map(stored, grids), downsample=4), cfg)
+        got = [
+            ((d.top.x, d.top.y), (d.cell.row, d.cell.col), d.size, repr(d.score))
+            + (d.class_id, d.displacement)
+            for d in dets
+        ]
+        want, dropped, found = decode_reference(grids, max_peaks, score_threshold, 4)
+        assert got == want
+        warnings = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        expected = f"dropped {dropped} of {found} peaks whose regressed size is not positive"
+        assert warnings == ([expected] if dropped else [])
 
     def test_unstored_cells_are_peaks_at_threshold_zero(self):
         hm = np.zeros((3, 3, 1))
