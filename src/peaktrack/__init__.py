@@ -22,7 +22,6 @@ from .fileio import (
     FileFormatError,
     MotRow,
     MotTable,
-    SparseGrid,
     list_head_frames,
     read_grid,
     read_head_outputs,
@@ -48,7 +47,9 @@ from .heatmap import (
     FrameAnnotations,
     HeadOutput,
     ObjectAnnotation,
+    SparseGrid,
     decode_detections,
+    draw_bumps,
     extract_peaks,
     gaussian_sigma,
     render_gt_heatmap,

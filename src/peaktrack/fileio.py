@@ -11,15 +11,15 @@ kinds share the magic length and the header; all numbers are little endian:
                      channel-minor, strictly ascending, each < H*W*C), then
                      k x f32 values, all finite; every other value is 0.0
 
-A `SparseGrid` holds a grid as its stored cells and checks its own index
-rules when it is built: three dims >= 1, and a 1-D integer index, strictly
-ascending and inside the grid, with one value each.  `SparseGrid.of` is the
-one stored-cell rule: a cell is stored when its float bits are not zero, so
--0.0 and denormals round-trip exactly.  `write_grid` stores those cells of
-the float32 grid and picks whichever payload is smaller: sparse when
-4 + 8k < 4*H*W*C, dense otherwise, and always dense when H*W*C exceeds 2**32
-and an index could overflow u32.  Head grids go sparse; a heatmap with
-noise added is about half non-zero and costs about the dense size.
+`write_grid` takes a dense array or a `heatmap.SparseGrid` (the grid as
+its stored cells) and writes the same bytes for both forms of one grid.  It
+stores the cells whose float32 bits are not zero (`SparseGrid.of`'s rule,
+so -0.0 and denormals round-trip exactly), reading a `SparseGrid`'s stored
+values without scanning the grid, and picks whichever payload is smaller:
+sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense when H*W*C
+exceeds 2**32 and an index could overflow u32.  Head grids go sparse; a
+heatmap with noise added is about half non-zero and costs about the dense
+size.
 
 `read_sparse_grid` is the one parser: it checks the bytes and that every
 value is finite, builds a `SparseGrid` (by `SparseGrid.of` from a dense
@@ -69,7 +69,7 @@ import numpy as np
 
 from .evaluation import FrameColumns
 from .geometry import BBox, require_downsample
-from .heatmap import HeadOutput
+from .heatmap import HeadOutput, SparseGrid, require_grid_dims, stored_bits
 
 GRID_MAGIC = b"TTGRID1"
 SPARSE_GRID_MAGIC = b"TTGRID2"
@@ -90,90 +90,39 @@ class FileFormatError(Exception):
     """A file does not follow one of the formats above."""
 
 
-def write_grid(path: str | Path, grid: np.ndarray) -> None:
-    """Store a (rows, cols, channels) array as float32, dense or sparse."""
-    arr = np.asarray(grid)
-    if arr.ndim != 3:
-        raise ValueError("grid must be a (rows, cols, channels) array")
-    if arr.size == 0:
-        raise ValueError("grid must be non-empty")
-    # a finite float64 beyond the float32 range becomes inf here, so the
-    # finiteness check runs on the float32 values that are written
-    with np.errstate(over="ignore"):
-        values = np.ascontiguousarray(arr, dtype="<f4")
-    cells = SparseGrid.of(values)
-    if not np.all(np.isfinite(cells.values)):
-        raise ValueError("grid contains non-finite values")
-    k = cells.index.size
-    if 4 + 8 * k < 4 * values.size and values.size <= 2**32:
-        magic, indices = SPARSE_GRID_MAGIC, _COUNT.pack(k) + cells.index.astype("<u4").tobytes()
-        values = cells.values.astype("<f4")
-    else:
-        magic, indices = GRID_MAGIC, b""
-    with open(path, "wb") as fh:
-        fh.write(magic + _HEADER.pack(*arr.shape) + indices)
-        fh.write(values.tobytes())
+def write_grid(path: str | Path, grid: np.ndarray | SparseGrid) -> None:
+    """Store a (rows, cols, channels) array or `SparseGrid` as float32, dense or sparse.
 
-
-def _require_dims(shape: tuple[int, ...]) -> str:
-    """A grid has three dims, each at least 1; returns them as "HxWxC"."""
-    dims = "x".join(map(str, shape))
-    if len(shape) != 3 or min(shape) < 1:
-        raise ValueError(f"invalid dims {dims}")
-    return dims
-
-
-@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
-class SparseGrid:
-    """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
-
-    `index` holds flat positions (row-major, channels minor) as integers,
-    strictly ascending and inside the grid, and `values` the float64 value at
-    each; other input raises `ValueError`.  `np.asarray(grid)` is `grid.dense()`.
+    Both forms of one grid write the same bytes.  A `SparseGrid` is not
+    scanned: its stored values are cast to float32 and those whose float32
+    bits are not zero are kept.
     """
-
-    shape: tuple[int, int, int]
-    index: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        dims = _require_dims(self.shape)
-        index = self.index
-        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError("index must be a 1-D integer array")
-        if self.values.shape != index.shape:
-            raise ValueError(f"{index.size} indices but {self.values.size} values")
-        if np.any(index[1:] <= index[:-1]):
-            raise ValueError("indices are not strictly ascending")
-        if index.size and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
-            bad = index[0] if index[0] < 0 else index[-1]
-            raise ValueError(f"index {bad} out of range for {dims} grid")
-
-    @classmethod
-    def of(cls, array: np.ndarray) -> SparseGrid:
-        """The cells of a float array whose bits are not zero, so -0.0 and denormals count."""
-        flat = array.reshape(-1)
-        # np.flatnonzero on the raw bits is slower than on this comparison
-        index = np.flatnonzero(flat.view(f"u{flat.itemsize}") != 0)
-        return cls(array.shape, index, flat[index].astype(np.float64))
-
-    def dense(self) -> np.ndarray:
-        """The grid as a float64 array of `shape`."""
-        grid = np.zeros(self.shape)
-        grid.reshape(-1)[self.index] = self.values
-        return grid
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a SparseGrid has no dense array to share without a copy")
-        return self.dense() if dtype is None else self.dense().astype(dtype)
-
-    def lookup(self, flat: np.ndarray) -> np.ndarray:
-        """The values at flat positions, by binary search; a cell not stored reads 0.0."""
-        if not self.index.size:
-            return np.zeros(np.shape(flat))
-        at = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
-        return np.where(self.index[at] == flat, self.values[at], 0.0)
+    # a finite float64 beyond the float32 range becomes inf in these casts,
+    # so the finiteness check runs on the float32 values that are written
+    with np.errstate(over="ignore"):
+        if not isinstance(grid, SparseGrid):
+            arr = np.asarray(grid)
+            if arr.ndim != 3:
+                raise ValueError("grid must be a (rows, cols, channels) array")
+            if arr.size == 0:
+                raise ValueError("grid must be non-empty")
+            grid = SparseGrid.of(np.ascontiguousarray(arr, dtype="<f4"))
+        values = grid.values.astype("<f4")
+    kept = stored_bits(values)
+    index, values = grid.index[kept], values[kept]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid contains non-finite values")
+    size, k = math.prod(grid.shape), index.size
+    if 4 + 8 * k < 4 * size and size <= 2**32:
+        magic = SPARSE_GRID_MAGIC
+        payload = _COUNT.pack(k) + index.astype("<u4").tobytes() + values.tobytes()
+    else:
+        dense = np.zeros(size, dtype="<f4")
+        dense[index] = values
+        magic, payload = GRID_MAGIC, dense.tobytes()
+    with open(path, "wb") as fh:
+        fh.write(magic + _HEADER.pack(*grid.shape))
+        fh.write(payload)
 
 
 def read_sparse_grid(path: str | Path) -> SparseGrid:
@@ -186,7 +135,7 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
         if len(data) < _HEADER_END:
             raise ValueError(f"truncated header, expected {_HEADER_END} bytes, got {len(data)}")
         shape = _HEADER.unpack(data[len(GRID_MAGIC) : _HEADER_END])
-        dims = _require_dims(shape)  # before the payload, whose length the dims give
+        dims = require_grid_dims(shape)  # before the payload, whose length the dims give
         if magic == GRID_MAGIC:
             expected = _HEADER_END + 4 * math.prod(shape)
             if len(data) != expected:
@@ -212,7 +161,7 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
     try:
         # `.dense()` must not fail on a grid read here; np.empty touches no memory
         np.empty(shape)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
         raise FileFormatError(f"{path}: cannot allocate a {dims} grid") from None
     return grid
 

@@ -3,14 +3,21 @@
 A frame's objects are rendered as one Gaussian bump per object on the
 heatmap channel of its class, centered on the quantized cell of its top
 point and with a peak value of exactly 1.  Overlapping bumps keep the
-elementwise maximum so values stay valid probabilities.  Decoding walks the
+elementwise maximum so values stay valid probabilities.  `draw_bumps` draws
+all of a frame's bumps at once, into a `SparseGrid` of the cells they
+cover; `render_gt_heatmap` is its `.dense()`.  Decoding walks the
 opposite direction, in arrays: `_peaks` finds the local maxima of a
 predicted heatmap, size, offset and displacement are read at those cells
 together, and one mask drops the peaks of non-positive size before a
 `Detection` is built for each peak kept.  `extract_peaks` is the tuple view.
 
 Dimension tuples are (height, width) in input-image pixels; grids are
-numpy arrays of shape (H/R, W/R, channels) with x mapped to columns.
+numpy arrays of shape (H/R, W/R, channels) with x mapped to columns, or
+`SparseGrid`s of that shape.  A `SparseGrid` holds a grid as its stored
+cells and checks its own index rules when it is built: three dims >= 1, and
+a 1-D integer index, strictly ascending and inside the grid, with one value
+each.  `SparseGrid.of` is the one stored-cell rule: a cell is stored when
+its float bits are not zero, so -0.0 and denormals count.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,11 +40,6 @@ from .geometry import (
     top_point_from_bbox,
 )
 
-if TYPE_CHECKING:  # fileio imports this module
-    from .fileio import SparseGrid
-
-    Grid = np.ndarray | SparseGrid
-
 logger = logging.getLogger(__name__)
 
 # Peak value of a Gaussian tail at 3 standard deviations is ~1.1e-2, below
@@ -46,6 +47,75 @@ logger = logging.getLogger(__name__)
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
 MIN_SIGMA_CELLS = 2.0 / 3.0
 GAUSSIAN_IOU = 0.7
+
+
+def require_grid_dims(shape: tuple[int, ...]) -> str:
+    """A grid has three dims, each at least 1; returns them as "HxWxC"."""
+    dims = "x".join(map(str, shape))
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"invalid dims {dims}")
+    return dims
+
+
+def stored_bits(values: np.ndarray) -> np.ndarray:
+    """Mask of the float values whose bits are not zero, so -0.0 and denormals count."""
+    return values.view(f"u{values.itemsize}") != 0
+
+
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class SparseGrid:
+    """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
+
+    `index` holds flat positions (row-major, channels minor) as integers,
+    strictly ascending and inside the grid, and `values` the float64 value at
+    each; other input raises `ValueError`.  `np.asarray(grid)` is `grid.dense()`.
+    """
+
+    shape: tuple[int, int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        dims = require_grid_dims(self.shape)
+        index = self.index
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError("index must be a 1-D integer array")
+        if self.values.shape != index.shape:
+            raise ValueError(f"{index.size} indices but {self.values.size} values")
+        if np.any(index[1:] <= index[:-1]):
+            raise ValueError("indices are not strictly ascending")
+        if index.size and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
+            bad = index[0] if index[0] < 0 else index[-1]
+            raise ValueError(f"index {bad} out of range for {dims} grid")
+
+    @classmethod
+    def of(cls, array: np.ndarray) -> SparseGrid:
+        """The cells of a float array whose bits are not zero (`stored_bits`)."""
+        flat = array.reshape(-1)
+        # np.flatnonzero on the raw bits is slower than on this comparison
+        index = np.flatnonzero(stored_bits(flat))
+        return cls(array.shape, index, flat[index].astype(np.float64))
+
+    def dense(self) -> np.ndarray:
+        """The grid as a float64 array of `shape`."""
+        grid = np.zeros(self.shape)
+        grid.reshape(-1)[self.index] = self.values
+        return grid
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a SparseGrid has no dense array to share without a copy")
+        return self.dense() if dtype is None else self.dense().astype(dtype)
+
+    def lookup(self, flat: np.ndarray) -> np.ndarray:
+        """The values at flat positions, by binary search; a cell not stored reads 0.0."""
+        if not self.index.size:
+            return np.zeros(np.shape(flat))
+        at = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
+        return np.where(self.index[at] == flat, self.values[at], 0.0)
+
+
+Grid = np.ndarray | SparseGrid
 
 
 @dataclass(frozen=True)
@@ -78,8 +148,8 @@ class HeadOutput:
     `heatmap` has one channel per class with values in [0, 1]; `size_map`
     carries (w, h) in pixels, `offset_map` sub-cell fractions (x, y) and
     `disp_map` per-object motion (dx, dy) in pixels, each with 2 channels.
-    Each grid is a dense array or a `fileio.SparseGrid`, as
-    `read_head_outputs` gives them.
+    Each grid is a dense array or a `SparseGrid`, as `simulator.corrupt`
+    and `fileio.read_head_outputs` give them.
     """
 
     heatmap: Grid
@@ -246,32 +316,58 @@ def render_gt_heatmap(
 
     Each object contributes exp(-(dx^2 + dy^2) / (2 sigma^2)) around its top
     cell on its class channel, truncated at 3 sigma; overlaps keep the max.
-    The center cell is exactly 1.
+    The center cell is exactly 1.  This is `draw_bumps(...).dense()`.
     """
     placements = place_objects(ann, image_size, downsample, num_classes)
-    rows, cols = _grid_dims(image_size, downsample)
-    heatmap = np.zeros((rows, cols, num_classes), dtype=np.float64)
-    for p in placements:
-        _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
-    return heatmap
+    shape = (*_grid_dims(image_size, downsample), num_classes)
+    cells = [(p.cell.row, p.cell.col, p.annotation.class_id) for p in placements]
+    rows, cols, channels = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    sigmas = np.array([p.sigma for p in placements])
+    return draw_bumps(shape, rows, cols, channels, sigmas, np.ones(len(placements))).dense()
 
 
-def _draw_gaussian(
-    channel: np.ndarray, cell: GridPoint, sigma: float, peak: float = 1.0
-) -> None:
-    rows, cols = channel.shape
-    reach = int(math.ceil(GAUSSIAN_TRUNCATION_SIGMAS * sigma))
-    r0 = max(cell.row - reach, 0)
-    r1 = min(cell.row + reach, rows - 1)
-    c0 = max(cell.col - reach, 0)
-    c1 = min(cell.col + reach, cols - 1)
-    rr = np.arange(r0, r1 + 1, dtype=np.float64) - cell.row
-    cc = np.arange(c0, c1 + 1, dtype=np.float64) - cell.col
-    d2 = rr[:, None] ** 2 + cc[None, :] ** 2
-    bump = peak * np.exp(-d2 / (2.0 * sigma * sigma))
-    bump[d2 > (GAUSSIAN_TRUNCATION_SIGMAS * sigma) ** 2] = 0.0
-    region = channel[r0 : r1 + 1, c0 : c1 + 1]
-    np.maximum(region, bump, out=region)
+def draw_bumps(
+    shape: tuple[int, int, int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    channels: np.ndarray,
+    sigmas: np.ndarray,
+    peaks: np.ndarray,
+) -> SparseGrid:
+    """Bump i, of height peaks[i] > 0 at (rows[i], cols[i]) on channels[i], as a grid.
+
+    A bump covers the square window of reach ceil(3 sigma) around its cell,
+    clipped to the grid; a cell at squared distance d2 from the center
+    holds peak * exp(-d2 / (2 sigma^2)), and 0 where d2 > (3 sigma)^2.
+    Where bumps overlap, a cell keeps the maximum.  All windows are laid
+    out in one array, and the grid is never made dense.
+    """
+    n_rows, n_cols, n_channels = shape
+    reach = np.ceil(GAUSSIAN_TRUNCATION_SIGMAS * sigmas).astype(np.int64)
+    r0, c0 = np.maximum(rows - reach, 0), np.maximum(cols - reach, 0)
+    height = np.minimum(rows + reach, n_rows - 1) - r0 + 1
+    width = np.minimum(cols + reach, n_cols - 1) - c0 + 1
+    # window cell j of bump b sits at row r0 + j // width, column c0 + j % width
+    counts = height * width
+    bump = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(bump.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    r = r0[bump] + j // width[bump]
+    c = c0[bump] + j % width[bump]
+    d2 = ((r - rows[bump]) ** 2 + (c - cols[bump]) ** 2).astype(np.float64)
+    # Python's float pow: numpy's square differs from it in the last bit for
+    # about one value in a thousand, and the cut must not move
+    limit = np.array([(GAUSSIAN_TRUNCATION_SIGMAS * s) ** 2 for s in sigmas.tolist()])
+    inside = d2 <= limit[bump]
+    bump, d2 = bump[inside], d2[inside]
+    sigma = sigmas[bump]
+    values = peaks[bump] * np.exp(-d2 / (2.0 * sigma * sigma))
+    flat = (r[inside] * n_cols + c[inside]) * n_channels + channels[bump]
+    order = np.argsort(flat)
+    flat, values = flat[order], values[order]
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    if first.size:
+        flat, values = flat[first], np.maximum.reduceat(values, first)
+    return SparseGrid(shape, flat, values)
 
 
 def extract_peaks(

@@ -4,9 +4,10 @@ The generator moves constant-velocity agents inside the frame (velocities
 flip at the borders, and a step of any length is folded back in, so boxes
 never leave it) and hands out persistent ids, which gives the rest of the
 pipeline a deterministic desk-scale test bed.  `corrupt` converts
-annotations into the grids a perfect network would emit, degraded with the
-usual failure modes: dropped objects, spurious peaks, position jitter,
-heatmap noise and a temporally jittered reference frame.
+annotations into the grids a perfect network would emit, as `SparseGrid`s of
+their stored cells, degraded with the usual failure modes: dropped objects,
+spurious peaks, position jitter, heatmap noise and a temporally jittered
+reference frame.
 `synthesize_head_outputs` is `corrupt` with every rate 0.  Seeds must be
 >= 0.
 """
@@ -23,12 +24,14 @@ from .heatmap import (
     FrameAnnotations,
     HeadOutput,
     ObjectAnnotation,
-    _draw_gaussian,
+    SparseGrid,
     _grid_dims,
     check_class_ids,
     clamped_top,
+    draw_bumps,
     gaussian_sigma,
     place_objects,
+    stored_bits,
 )
 
 
@@ -210,6 +213,12 @@ def pick_reference_frame(
     return int(rng.integers(lo, hi + 1))
 
 
+def _stored(shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray) -> SparseGrid:
+    """The entries whose float bits are not zero, as a grid: `SparseGrid.of`'s rule."""
+    kept = stored_bits(values)
+    return SparseGrid(shape, index[kept], values[kept])
+
+
 def corrupt(
     ann_t: FrameAnnotations,
     ann_prev: FrameAnnotations | None,
@@ -237,6 +246,11 @@ def corrupt(
     Finally Gaussian noise of scale `hm_noise_sigma` is added to the heatmap
     and clamped back to [0, 1].  Pass `rng` to thread one stream through a
     whole sequence; otherwise a fresh one is seeded from the config.
+
+    The four grids are `SparseGrid`s built from per-entry arrays: the
+    heatmap is `heatmap.draw_bumps` of all bumps, made dense only to add
+    noise, and each regression grid keeps the last entry written to a cell.
+    No dense regression grid is allocated.
     """
     rows, cols = _grid_dims(image_size, downsample)
     prev_objects = ann_prev.objects if ann_prev is not None else ()
@@ -265,17 +279,18 @@ def corrupt(
     kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
     placements = place_objects(kept_ann, image_size, downsample, num_classes)
 
-    heatmap = np.zeros((rows, cols, num_classes))
-    size_map = np.zeros((rows, cols, 2))
-    offset_map = np.zeros((rows, cols, 2))
-    disp_map = np.zeros((rows, cols, 2))
+    # one entry per placement, then per false positive:
+    # row, col, class, sigma, peak, w, h, offset x, offset y, dx, dy
+    entries = []
     for p in placements:
-        _draw_gaussian(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
-        r, c = p.cell.row, p.cell.col
-        size_map[r, c] = (p.annotation.bbox.w, p.annotation.bbox.h)
-        offset_map[r, c] = p.offset
         prev = prev_tops.get(p.annotation.track_id)
-        disp_map[r, c] = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
+        disp = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
+        box = p.annotation.bbox
+        entries.append(
+            (p.cell.row, p.cell.col, p.annotation.class_id, p.sigma, 1.0, box.w, box.h)
+            + p.offset
+            + disp
+        )
 
     size_pool = [(o.bbox.w, o.bbox.h) for o in ann_t.objects]
     for _ in range(int(rng.poisson(corruption.fp_rate))):
@@ -294,13 +309,27 @@ def corrupt(
         class_id = int(rng.integers(num_classes))
         peak = float(rng.uniform(0.5, 1.0))
         sigma = gaussian_sigma((fp_w, fp_h), downsample)
-        _draw_gaussian(heatmap[:, :, class_id], cell, sigma, peak=peak)
-        size_map[cell.row, cell.col] = (fp_w, fp_h)
-        offset_map[cell.row, cell.col] = offset
-        disp_map[cell.row, cell.col] = (0.0, 0.0)
+        entries.append(
+            (cell.row, cell.col, class_id, sigma, peak, fp_w, fp_h) + offset + (0.0, 0.0)
+        )
 
+    table = np.array(entries, dtype=np.float64).reshape(-1, 11)
+    cell_row, cell_col, channel = table[:, :3].astype(np.int64).T
+    heatmap = draw_bumps(
+        (rows, cols, num_classes), cell_row, cell_col, channel, table[:, 3], table[:, 4]
+    )
     if corruption.hm_noise_sigma > 0:
-        heatmap += rng.normal(0.0, corruption.hm_noise_sigma, size=heatmap.shape)
-        np.clip(heatmap, 0.0, 1.0, out=heatmap)
+        dense = heatmap.dense()
+        dense += rng.normal(0.0, corruption.hm_noise_sigma, size=dense.shape)
+        np.clip(dense, 0.0, 1.0, out=dense)
+        heatmap = SparseGrid.of(dense)
 
+    # a cell keeps its last entry, as assigning the entries in order would;
+    # np.unique keeps the first occurrence, so it reads them backwards
+    cells, last = np.unique((cell_row * cols + cell_col)[::-1], return_index=True)
+    index = (2 * cells[:, None] + (0, 1)).reshape(-1)
+    winners = table[::-1][last]
+    size_map, offset_map, disp_map = (
+        _stored((rows, cols, 2), index, winners[:, k : k + 2].reshape(-1)) for k in (5, 7, 9)
+    )
     return HeadOutput(heatmap, size_map, offset_map, disp_map, downsample)

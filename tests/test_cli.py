@@ -118,7 +118,7 @@ class TestPipelineFlow:
             written = read_head_outputs(out / "heads", ann.frame_index, scene.downsample)
             for name in ("heatmap", "size_map", "offset_map", "disp_map"):
                 # grid files store float32
-                expected = getattr(ideal, name).astype(np.float32)
+                expected = np.asarray(getattr(ideal, name), dtype=np.float32)
                 np.testing.assert_array_equal(getattr(written, name), expected)
 
 
@@ -363,6 +363,21 @@ class TestExitCodes:
             "000002.heatmap.grid: cannot allocate a 65535x65535x65535 grid"
             in capsys.readouterr().err
         )
+        assert not res.exists()
+
+    def test_grid_header_beyond_numpy_array_size_is_format_error(
+        self, tmp_path, sim_heads, capsys
+    ):
+        heads = tmp_path / "heads"
+        shutil.copytree(sim_heads, heads)
+        # 23 bytes whose header asks for more cells than numpy can index
+        (heads / "000002.heatmap.grid").write_bytes(
+            b"TTGRID2" + struct.pack("<IIII", 2**32 - 1, 2**32 - 1, 2**32 - 1, 0)
+        )
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(heads), "--out", str(res)]) == 2
+        dims = "x".join(["4294967295"] * 3)
+        assert f"000002.heatmap.grid: cannot allocate a {dims} grid" in capsys.readouterr().err
         assert not res.exists()
 
     def test_frame_zero_in_heads_is_format_error(self, tmp_path, sim_heads, capsys):

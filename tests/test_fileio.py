@@ -192,6 +192,16 @@ class TestSparseGridFile:
         ):
             read_grid(p)
 
+    def test_header_beyond_numpy_array_size_is_format_error_naming_file(self, tmp_path):
+        # 4294967295**3 cells are more than numpy can index: a ValueError, not
+        # a MemoryError, from the allocation probe
+        p = tmp_path / "huge.grid"
+        p.write_bytes(sparse_file((2**32 - 1,) * 3, [], []))
+        assert p.stat().st_size == 23
+        dims = "x".join(["4294967295"] * 3)
+        with pytest.raises(FileFormatError, match=rf"huge\.grid: cannot allocate a {dims} grid$"):
+            read_sparse_grid(p)
+
 
 class TestSparseGrid:
     @pytest.mark.parametrize(
@@ -316,8 +326,60 @@ class TestGridRoundTrip:
         ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(40, 30, 24, 60)),))
         cfg = CorruptionConfig(fp_rate=1.0, hm_noise_sigma=0.05, seed=seed)
         head = corrupt(ann, None, (128, 128), 4, cfg)
-        assert_round_trip(tmp_path / "g.grid", head.heatmap)
-        assert_round_trip(tmp_path / "s.grid", head.size_map)
+        assert_round_trip(tmp_path / "g.grid", np.asarray(head.heatmap))
+        assert_round_trip(tmp_path / "s.grid", np.asarray(head.size_map))
+
+
+# float64 values finite in float32; a float64 denormal becomes 0.0 there
+F64 = st.floats(-3.4e38, 3.4e38, allow_nan=False)
+
+
+@st.composite
+def stored_cells(draw, elements=st.one_of(F64, SPECIAL, st.sampled_from([5e-324, -5e-324]))):
+    """`SparseGrid`s of a drawn set of cells, from none to all, holding `elements`."""
+    shape = draw(SHAPES)
+    size = int(np.prod(shape))
+    index = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    values = draw(st.lists(elements, min_size=len(index), max_size=len(index)))
+    return SparseGrid(shape, np.array(sorted(index), dtype=np.int64), np.array(values))
+
+
+class TestWriteSparseGrid:
+    """`write_grid` of a `SparseGrid` writes the bytes of `write_grid` of its `.dense()`."""
+
+    @ROUND_TRIP
+    @given(grid=stored_cells())
+    def test_same_bytes_as_dense(self, tmp_path, grid):
+        write_grid(tmp_path / "sparse.grid", grid)
+        write_grid(tmp_path / "dense.grid", grid.dense())
+        assert (tmp_path / "sparse.grid").read_bytes() == (tmp_path / "dense.grid").read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, stored",
+        [(-0.0, True), (0.0, False), (5e-324, False), (-5e-324, True)],
+        ids=["negative-zero", "zero", "denormal", "negative-denormal"],
+    )
+    @pytest.mark.parametrize(
+        "shape, magic",
+        [((8, 8, 2), SPARSE_GRID_MAGIC), ((2, 2, 1), GRID_MAGIC)],
+        ids=["sparse", "dense"],
+    )
+    def test_stored_value_kept_by_its_float32_bits(self, tmp_path, value, stored, shape, magic):
+        # a float64 denormal is 0.0 in float32 and is not stored; its negative is -0.0, which is
+        grid = SparseGrid(shape, np.arange(4), np.array([value, 0.5, 0.5, 0.5]))
+        path = tmp_path / "g.grid"
+        write_grid(path, grid)
+        write_grid(tmp_path / "dense.grid", grid.dense())
+        data = path.read_bytes()
+        assert data[:7] == magic and data == (tmp_path / "dense.grid").read_bytes()
+        assert (0 in read_sparse_grid(path).index) == stored
+
+    @pytest.mark.parametrize("shape", [(8, 8, 2), (2, 2, 1)], ids=["sparse", "dense"])
+    def test_value_beyond_float32_range_rejected(self, tmp_path, shape):
+        grid = SparseGrid(shape, np.arange(4), np.array([0.5, 1e39, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_grid(tmp_path / "g.grid", grid)
+        assert not (tmp_path / "g.grid").exists()
 
 
 class TestMotFile:

@@ -23,8 +23,7 @@ from peaktrack import (
     write_head_outputs,
 )
 from peaktrack.fileio import SparseGrid
-from peaktrack.geometry import GridPoint
-from peaktrack.heatmap import _draw_gaussian, place_objects
+from peaktrack.heatmap import draw_bumps, place_objects
 from peaktrack.simulator import synthesize_head_outputs
 
 from .conftest import separated_annotations
@@ -72,8 +71,8 @@ class TestRender:
 
     def test_gaussian_profile_value(self):
         # two cells right of the center with sigma 2: exp(-4 / 8)
-        channel = np.zeros((21, 21))
-        _draw_gaussian(channel, GridPoint(10, 10), 2.0)
+        one = np.array([10]), np.array([10]), np.array([0]), np.array([2.0]), np.array([1.0])
+        channel = draw_bumps((21, 21, 1), *one).dense()[:, :, 0]
         assert channel[10, 12] == pytest.approx(math.exp(-0.5), abs=1e-12)
         assert channel[10, 10] == 1.0
 
@@ -148,8 +147,8 @@ class TestExtractPeaks:
         assert cells == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)]
 
     def test_threshold_above_peak_gives_nothing(self):
-        hm = np.zeros((9, 9, 1))
-        _draw_gaussian(hm[:, :, 0], GridPoint(4, 4), 1.0, peak=0.55)
+        one = np.array([4]), np.array([4]), np.array([0]), np.array([1.0]), np.array([0.55])
+        hm = draw_bumps((9, 9, 1), *one).dense()
         assert extract_peaks(hm, 100, 0.6) == []
 
     def test_peak_rule_soundness_on_noise(self, rng):

@@ -1,7 +1,10 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from peaktrack import (
     BBox,
@@ -10,13 +13,19 @@ from peaktrack import (
     ObjectAnnotation,
     PipelineConfig,
     SceneConfig,
+    SparseGrid,
+    TopPoint,
     corrupt,
     decode_detections,
+    gaussian_sigma,
     gen_scene,
     pick_reference_frame,
+    quantize_point,
+    render_gt_heatmap,
     synthesize_head_outputs,
     top_point_from_bbox,
 )
+from peaktrack.heatmap import clamped_top, place_objects
 
 
 def scene_cfg(**overrides):
@@ -102,7 +111,7 @@ class TestSynthesize:
         head = synthesize_head_outputs(ann, prev, (256, 256), 4)
         top = top_point_from_bbox(box)
         cell = (int(top.y // 4), int(top.x // 4))
-        assert tuple(head.disp_map[cell]) == (0.0, 0.0)
+        assert tuple(np.asarray(head.disp_map)[cell]) == (0.0, 0.0)
 
     def test_moved_object_displacement(self):
         prev_box = BBox(40, 44, 20, 50)
@@ -112,7 +121,7 @@ class TestSynthesize:
         head = synthesize_head_outputs(ann, prev, (256, 256), 4)
         top = top_point_from_bbox(cur_box)
         cell = (int(top.y // 4), int(top.x // 4))
-        assert tuple(head.disp_map[cell]) == (8.0, -4.0)
+        assert tuple(np.asarray(head.disp_map)[cell]) == (8.0, -4.0)
 
     def test_new_object_gets_zero_displacement(self):
         ann = FrameAnnotations(2, (ObjectAnnotation(7, 0, BBox(100, 100, 24, 60)),))
@@ -163,7 +172,7 @@ class TestCorrupt:
     def test_full_fn_rate_empties_heatmap(self):
         ann, prev = self.ann_pair()
         head = corrupt(ann, prev, (256, 256), 4, CorruptionConfig(fn_rate=1.0, seed=2))
-        assert head.heatmap.max() == 0.0
+        assert np.asarray(head.heatmap).max() == 0.0
 
     def test_fn_drop_count_matches_binomial(self):
         # 1000 single-object frames at fn_rate 0.3: drops within 3 sigma
@@ -174,7 +183,7 @@ class TestCorrupt:
         ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(100, 100, 24, 60)),))
         for _ in range(1000):
             head = corrupt(ann, None, (256, 256), 4, cfg, rng=rng)
-            if head.heatmap.max() == 0.0:
+            if np.asarray(head.heatmap).max() == 0.0:
                 dropped += 1
         sigma = (1000 * rate * (1 - rate)) ** 0.5
         assert abs(dropped - 1000 * rate) <= 3 * sigma
@@ -187,7 +196,7 @@ class TestCorrupt:
             head = corrupt(
                 ann, prev, (256, 256), 4, CorruptionConfig(fp_rate=3.0), rng=rng
             )
-            extra = (head.heatmap >= 0.5).sum() - 3
+            extra = (np.asarray(head.heatmap) >= 0.5).sum() - 3
             total_injected += max(int(extra), 0)
         assert total_injected > 0
 
@@ -199,7 +208,7 @@ class TestCorrupt:
         total = 0
         for _ in range(1000):
             head = corrupt(empty, None, (256, 256), 4, CorruptionConfig(fp_rate=rate), rng=rng)
-            total += int((head.heatmap >= 0.5).sum())
+            total += int((np.asarray(head.heatmap) >= 0.5).sum())
         sigma = (1000 * rate) ** 0.5
         assert abs(total - 1000 * rate) <= 3 * sigma
 
@@ -208,8 +217,9 @@ class TestCorrupt:
         head = corrupt(
             ann, prev, (256, 256), 4, CorruptionConfig(hm_noise_sigma=0.5, seed=9)
         )
-        assert head.heatmap.min() >= 0.0 and head.heatmap.max() <= 1.0
-        assert head.heatmap[head.heatmap > 0].size > 100  # noise floor exists
+        hm = np.asarray(head.heatmap)
+        assert hm.min() >= 0.0 and hm.max() <= 1.0
+        assert hm[hm > 0].size > 100  # noise floor exists
 
     def test_deterministic_under_seed(self):
         ann, prev = self.ann_pair()
@@ -252,7 +262,7 @@ class TestCorrupt:
             "frame 1: skipped 1 object(s) with top point beyond the clamp margin"
         ]
         top = top_point_from_bbox(frames[1].objects[1].bbox)
-        assert heads[1].heatmap[int(top.y) // 4, int(top.x) // 4, 0] == 1.0
+        assert np.asarray(heads[1].heatmap)[int(top.y) // 4, int(top.x) // 4, 0] == 1.0
         np.testing.assert_array_equal(heads[1].disp_map, 0.0)
 
     def test_invalid_rates_rejected(self):
@@ -260,6 +270,177 @@ class TestCorrupt:
             CorruptionConfig(fn_rate=1.2)
         with pytest.raises(ValueError):
             CorruptionConfig(temporal_jitter_k=4)
+
+
+def draw_gaussian_reference(channel, cell, sigma, peak=1.0):
+    """One bump drawn into a dense channel, window by window; overlaps keep the max."""
+    rows, cols = channel.shape
+    reach = int(math.ceil(3.0 * sigma))
+    r0 = max(cell.row - reach, 0)
+    r1 = min(cell.row + reach, rows - 1)
+    c0 = max(cell.col - reach, 0)
+    c1 = min(cell.col + reach, cols - 1)
+    rr = np.arange(r0, r1 + 1, dtype=np.float64) - cell.row
+    cc = np.arange(c0, c1 + 1, dtype=np.float64) - cell.col
+    d2 = rr[:, None] ** 2 + cc[None, :] ** 2
+    bump = peak * np.exp(-d2 / (2.0 * sigma * sigma))
+    bump[d2 > (3.0 * sigma) ** 2] = 0.0
+    region = channel[r0 : r1 + 1, c0 : c1 + 1]
+    np.maximum(region, bump, out=region)
+
+
+def corrupt_reference(ann_t, ann_prev, image_size, downsample, corruption, num_classes, rng):
+    """`corrupt` as it was written on four dense grids, one assignment per entry.
+
+    Also returns the kind ("object" or "fp") of every entry written to a cell
+    that an earlier entry of the frame wrote, in order.
+    """
+    rows, cols = image_size[0] // downsample, image_size[1] // downsample
+    prev_objects = ann_prev.objects if ann_prev is not None else ()
+    h_px, w_px = image_size
+    kept = [obj for obj in ann_t.objects if rng.random() >= corruption.fn_rate]
+    if corruption.jitter_sigma > 0:
+        jittered = []
+        for obj in kept:
+            dx, dy = rng.normal(0.0, corruption.jitter_sigma, size=2)
+            box = obj.bbox
+            moved = BBox(box.x1 + float(dx), box.y1 + float(dy), box.w, box.h)
+            jittered.append(ObjectAnnotation(obj.track_id, obj.class_id, moved))
+        kept = jittered
+    prev_tops = {o.track_id: clamped_top(o.bbox, image_size, downsample) for o in prev_objects}
+    kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
+    placements = place_objects(kept_ann, image_size, downsample, num_classes)
+
+    heatmap = np.zeros((rows, cols, num_classes))
+    size_map = np.zeros((rows, cols, 2))
+    offset_map = np.zeros((rows, cols, 2))
+    disp_map = np.zeros((rows, cols, 2))
+    written, rewrites = set(), []
+    for p in placements:
+        draw_gaussian_reference(heatmap[:, :, p.annotation.class_id], p.cell, p.sigma)
+        r, c = p.cell.row, p.cell.col
+        rewrites += ["object"] if (r, c) in written else []
+        written.add((r, c))
+        size_map[r, c] = (p.annotation.bbox.w, p.annotation.bbox.h)
+        offset_map[r, c] = p.offset
+        prev = prev_tops.get(p.annotation.track_id)
+        disp_map[r, c] = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
+
+    size_pool = [(o.bbox.w, o.bbox.h) for o in ann_t.objects]
+    for _ in range(int(rng.poisson(corruption.fp_rate))):
+        x = min(float(rng.uniform(0.0, w_px)), w_px - 1e-6)
+        y = min(float(rng.uniform(0.0, h_px)), h_px - 1e-6)
+        if size_pool:
+            base_w, base_h = size_pool[int(rng.integers(len(size_pool)))]
+            scale = float(rng.uniform(0.5, 1.5))
+            fp_w = min(base_w * scale, float(w_px))
+            fp_h = min(base_h * scale, float(h_px))
+        else:
+            fp_w = float(rng.uniform(w_px / 16.0, w_px / 4.0))
+            fp_h = float(rng.uniform(h_px / 16.0, h_px / 4.0))
+        cell, offset = quantize_point(TopPoint(x, y), downsample)
+        class_id = int(rng.integers(num_classes))
+        peak = float(rng.uniform(0.5, 1.0))
+        sigma = gaussian_sigma((fp_w, fp_h), downsample)
+        draw_gaussian_reference(heatmap[:, :, class_id], cell, sigma, peak=peak)
+        rewrites += ["fp"] if (cell.row, cell.col) in written else []
+        written.add((cell.row, cell.col))
+        size_map[cell.row, cell.col] = (fp_w, fp_h)
+        offset_map[cell.row, cell.col] = offset
+        disp_map[cell.row, cell.col] = (0.0, 0.0)
+
+    if corruption.hm_noise_sigma > 0:
+        heatmap += rng.normal(0.0, corruption.hm_noise_sigma, size=heatmap.shape)
+        np.clip(heatmap, 0.0, 1.0, out=heatmap)
+    return (heatmap, size_map, offset_map, disp_map), rewrites
+
+
+def assert_head_stores(head, dense_grids):
+    """Each grid holds exactly the cells of its dense reference whose float64 bits
+    are not zero, bit for bit."""
+    grids = (head.heatmap, head.size_map, head.offset_map, head.disp_map)
+    for grid, dense in zip(grids, dense_grids):
+        expected = SparseGrid.of(dense)
+        assert grid.shape == dense.shape
+        np.testing.assert_array_equal(grid.index, expected.index)
+        np.testing.assert_array_equal(grid.values.view(np.uint64), expected.values.view(np.uint64))
+
+
+@st.composite
+def frame_pairs(draw):
+    """A small frame and its reference: tops close enough that bumps overlap and
+    false positives often land on an object's cell, some beyond the clamp margin."""
+    downsample = draw(st.sampled_from([1, 2, 4]))
+    height, width = (downsample * draw(st.integers(2, 12)) for _ in range(2))
+    num_classes = draw(st.integers(1, 3))
+
+    def box():
+        w = draw(st.floats(1.0, 2.0 * width))
+        h = draw(st.floats(1.0, 2.0 * height))
+        x = draw(st.floats(-w / 2 - 2 * downsample, width))
+        y = draw(st.floats(-2.0 * downsample, height))
+        return BBox(x, y, w, h)
+
+    ids = draw(st.lists(st.integers(1, 8), unique=True, max_size=8))
+    objs = [ObjectAnnotation(i, draw(st.integers(0, num_classes - 1)), box()) for i in ids]
+    prev = [o for o in objs if draw(st.booleans())]
+    prev = [ObjectAnnotation(o.track_id, o.class_id, box()) for o in prev]
+    return (
+        FrameAnnotations(2, tuple(objs)),
+        FrameAnnotations(1, tuple(prev)) if draw(st.booleans()) else None,
+        (height, width),
+        downsample,
+        num_classes,
+    )
+
+
+CORRUPTIONS = st.builds(
+    CorruptionConfig,
+    fn_rate=st.sampled_from([0.0, 0.3]),
+    fp_rate=st.sampled_from([0.0, 1.0, 4.0]),
+    jitter_sigma=st.sampled_from([0.0, 1.5]),
+    hm_noise_sigma=st.sampled_from([0.0, 0.05]),
+)
+
+
+class TestCorruptAgainstDenseReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pair=frame_pairs(), corruption=CORRUPTIONS, seed=st.integers(0, 2**32 - 1))
+    def test_grids_are_the_dense_reference_stored_cells(self, pair, corruption, seed):
+        ann, prev, image_size, downsample, num_classes = pair
+        args = (ann, prev, image_size, downsample, corruption, num_classes)
+        head = corrupt(*args, rng=np.random.default_rng(seed))
+        dense, _ = corrupt_reference(*args, np.random.default_rng(seed))
+        assert_head_stores(head, dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=frame_pairs())
+    def test_render_is_the_reference_render(self, pair):
+        ann, _, image_size, downsample, num_classes = pair
+        expected = np.zeros((image_size[0] // downsample, image_size[1] // downsample, num_classes))
+        for p in place_objects(ann, image_size, downsample, num_classes):
+            draw_gaussian_reference(expected[:, :, p.annotation.class_id], p.cell, p.sigma)
+        rendered = render_gt_heatmap(ann, image_size, downsample, num_classes)
+        np.testing.assert_array_equal(rendered.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["object", "fp"])
+    def test_last_entry_written_to_a_cell_wins(self, kind):
+        # 4x4 cells crowded with objects and false positives; the seeds are
+        # searched for a frame where a later entry of this kind rewrites a cell
+        boxes = [BBox(2.0 + 3 * i, 1.0 + 2 * i, 4.0 + i, 6.0) for i in range(5)]
+        objs = tuple(ObjectAnnotation(i + 1, 0, box) for i, box in enumerate(boxes))
+        ann = FrameAnnotations(1, objs)
+        cfg = CorruptionConfig(fp_rate=4.0, jitter_sigma=1.0)
+        for seed in range(200):
+            dense, rewrites = corrupt_reference(
+                ann, None, (16, 16), 4, cfg, 1, np.random.default_rng(seed)
+            )
+            if kind in rewrites:
+                break
+        else:
+            pytest.fail(f"no seed below 200 rewrites a cell with an entry of kind {kind}")
+        head = corrupt(ann, None, (16, 16), 4, cfg, 1, rng=np.random.default_rng(seed))
+        assert_head_stores(head, dense)
 
 
 class TestReferenceFrame:
