@@ -52,7 +52,6 @@ from .heatmap import (
     draw_bumps,
     extract_peaks,
     gaussian_sigma,
-    render_gt_heatmap,
 )
 from .losses import (
     FrameTargets,
@@ -70,6 +69,7 @@ from .simulator import (
     corrupt,
     gen_scene,
     pick_reference_frame,
+    render_gt_heatmap,
     synthesize_head_outputs,
 )
 

@@ -29,7 +29,7 @@ from .fileio import (
     write_mot_file,
 )
 from .geometry import BBox, PipelineConfig
-from .heatmap import FrameAnnotations, ObjectAnnotation, decode_detections, render_gt_heatmap
+from .heatmap import FrameAnnotations, ObjectAnnotation, decode_detections
 from .losses import (
     FrameTargets,
     finite_difference_check,
@@ -38,7 +38,7 @@ from .losses import (
     targets_from_head,
     total_loss,
 )
-from .simulator import corrupt, gen_scene, pick_reference_frame
+from .simulator import corrupt, gen_scene, pick_reference_frame, render_gt_heatmap
 
 GT_FILE_NAME = "gt.txt"
 HEADS_DIR_NAME = "heads"

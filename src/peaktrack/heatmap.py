@@ -1,15 +1,17 @@
-"""Ground-truth heatmap rendering and head-output decoding.
+"""Head grids: Gaussian bumps, their sigma, and head-output decoding.
 
 A frame's objects are rendered as one Gaussian bump per object on the
 heatmap channel of its class, centered on the quantized cell of its top
 point and with a peak value of exactly 1.  Overlapping bumps keep the
 elementwise maximum so values stay valid probabilities.  `draw_bumps` draws
 all of a frame's bumps at once, into a `SparseGrid` of the cells they
-cover; `render_gt_heatmap` is its `.dense()`.  Decoding walks the
-opposite direction, in arrays: `_peaks` finds the local maxima of a
-predicted heatmap, size, offset and displacement are read at those cells
-together, and one mask drops the peaks of non-positive size before a
-`Detection` is built for each peak kept.  `extract_peaks` is the tuple view.
+cover, with the sigma of `gaussian_sigma`; `simulator.corrupt` places the
+objects, and `simulator.render_gt_heatmap` is its heatmap made dense.
+Decoding walks the opposite direction, in arrays: `_peaks` finds the local
+maxima of a predicted heatmap, size, offset and displacement are read at
+those cells together, and one mask drops the peaks of non-positive size
+before a `Detection` is built for each peak kept.  `extract_peaks` is the
+tuple view.
 
 Dimension tuples are (height, width) in input-image pixels; grids are
 numpy arrays of shape (H/R, W/R, channels) with x mapped to columns, or
@@ -34,10 +36,8 @@ from .geometry import (
     GridPoint,
     PipelineConfig,
     TopPoint,
-    quantize_point,
     require_downsample,
     require_peak_limits,
-    top_point_from_bbox,
 )
 
 logger = logging.getLogger(__name__)
@@ -189,19 +189,8 @@ class HeadOutput:
         return self.heatmap.shape[2]
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One renderable object: its clamped anchor and derived grid quantities."""
-
-    annotation: ObjectAnnotation
-    top: TopPoint
-    cell: GridPoint
-    offset: tuple[float, float]
-    sigma: float
-
-
-def _iou_radius(w: float, h: float, min_overlap: float = GAUSSIAN_IOU) -> float:
-    """Largest corner displacement keeping box IoU >= min_overlap.
+def _iou_radius(w, h, min_overlap: float = GAUSSIAN_IOU):
+    """Largest corner displacement keeping box IoU >= min_overlap, for floats or arrays.
 
     Three cases (shifted, shrunk, grown box), each a quadratic in the
     radius; the binding constraint is the smallest positive root.
@@ -209,32 +198,36 @@ def _iou_radius(w: float, h: float, min_overlap: float = GAUSSIAN_IOU) -> float:
     o = min_overlap
     b1 = h + w
     c1 = w * h * (1 - o) / (1 + o)
-    r1 = (b1 - math.sqrt(b1 * b1 - 4 * c1)) / 2
+    r1 = (b1 - np.sqrt(b1 * b1 - 4 * c1)) / 2
 
     a2 = 4.0
     b2 = 2 * (h + w)
     c2 = (1 - o) * w * h
-    r2 = (b2 - math.sqrt(b2 * b2 - 4 * a2 * c2)) / (2 * a2)
+    r2 = (b2 - np.sqrt(b2 * b2 - 4 * a2 * c2)) / (2 * a2)
 
     a3 = 4.0 * o
     b3 = -2 * o * (h + w)
     c3 = (o - 1) * w * h
-    r3 = (b3 + math.sqrt(b3 * b3 - 4 * a3 * c3)) / (2 * a3)
-    return min(r1, r2, r3)
+    r3 = (b3 + np.sqrt(b3 * b3 - 4 * a3 * c3)) / (2 * a3)
+    return np.minimum(np.minimum(r1, r2), r3)
 
 
-def gaussian_sigma(size: tuple[float, float], downsample: int) -> float:
+def gaussian_sigma(size, downsample: int):
     """Standard deviation (in cells) of the rendered bump for an object size.
 
     Derived from the IoU-0.7 corner radius of the box's cell-space extent,
     sigma = (2r + 1) / 6, clamped to at least 2/3 so tiny objects keep a
-    usable support.
+    usable support.  `size` is (w, h) as floats or as arrays of one shape,
+    and sigma has that shape; the first size that is not positive fails.
     """
     w, h = size
-    if w <= 0 or h <= 0:
-        raise ValueError(f"object size must be positive, got {size}")
+    bad = (np.asarray(w) <= 0) | (np.asarray(h) <= 0)
+    if bad.any():
+        first = np.argmax(bad)
+        got = (np.ravel(w)[first].item(), np.ravel(h)[first].item())
+        raise ValueError(f"object size must be positive, got {got}")
     r = _iou_radius(w / downsample, h / downsample)
-    return max((2.0 * r + 1.0) / 6.0, MIN_SIGMA_CELLS)
+    return np.maximum((2.0 * r + 1.0) / 6.0, MIN_SIGMA_CELLS)
 
 
 def _grid_dims(image_size: tuple[int, int], downsample: int) -> tuple[int, int]:
@@ -255,75 +248,6 @@ def check_class_ids(objects: tuple[ObjectAnnotation, ...], num_classes: int) -> 
     for obj in objects:
         if not 0 <= obj.class_id < num_classes:
             raise ValueError(f"class_id {obj.class_id} out of range for {num_classes} classes")
-
-
-def clamped_top(bbox: BBox, image_size: tuple[int, int], downsample: int) -> TopPoint | None:
-    """A box's anchor on the frame: its top point clamped onto the frame.
-
-    A top point up to one cell (R pixels) outside the frame is clamped onto
-    its border, strictly inside so its cell index stays in range; one
-    farther out has no anchor (None).
-    """
-    h_px, w_px = image_size
-    margin = float(downsample)
-    top = top_point_from_bbox(bbox)
-    if not (-margin <= top.x < w_px + margin and -margin <= top.y < h_px + margin):
-        return None
-    return TopPoint(min(max(top.x, 0.0), w_px - 1e-6), min(max(top.y, 0.0), h_px - 1e-6))
-
-
-def place_objects(
-    ann: FrameAnnotations,
-    image_size: tuple[int, int],
-    downsample: int,
-    num_classes: int = 1,
-) -> list[Placement]:
-    """Resolve each object to a grid cell, skipping those without an anchor.
-
-    Objects anchor at `clamped_top`; those beyond its margin are dropped (a
-    warning reports the count).  Rendering and `simulator.corrupt` both
-    place objects through it, so the heatmap bumps and the regression
-    entries always sit at the same cells.
-    """
-    _grid_dims(image_size, downsample)
-    check_class_ids(ann.objects, num_classes)
-    placements: list[Placement] = []
-    skipped = 0
-    for obj in ann.objects:
-        top = clamped_top(obj.bbox, image_size, downsample)
-        if top is None:
-            skipped += 1
-            continue
-        cell, offset = quantize_point(top, downsample)
-        sigma = gaussian_sigma((obj.bbox.w, obj.bbox.h), downsample)
-        placements.append(Placement(obj, top, cell, offset, sigma))
-    if skipped:
-        logger.warning(
-            "frame %d: skipped %d object(s) with top point beyond the clamp margin",
-            ann.frame_index,
-            skipped,
-        )
-    return placements
-
-
-def render_gt_heatmap(
-    ann: FrameAnnotations,
-    image_size: tuple[int, int],
-    downsample: int,
-    num_classes: int = 1,
-) -> np.ndarray:
-    """Render the ground-truth heatmap (rows, cols, num_classes) for a frame.
-
-    Each object contributes exp(-(dx^2 + dy^2) / (2 sigma^2)) around its top
-    cell on its class channel, truncated at 3 sigma; overlaps keep the max.
-    The center cell is exactly 1.  This is `draw_bumps(...).dense()`.
-    """
-    placements = place_objects(ann, image_size, downsample, num_classes)
-    shape = (*_grid_dims(image_size, downsample), num_classes)
-    cells = [(p.cell.row, p.cell.col, p.annotation.class_id) for p in placements]
-    rows, cols, channels = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-    sigmas = np.array([p.sigma for p in placements])
-    return draw_bumps(shape, rows, cols, channels, sigmas, np.ones(len(placements))).dense()
 
 
 def draw_bumps(

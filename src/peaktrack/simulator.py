@@ -7,19 +7,21 @@ pipeline a deterministic desk-scale test bed.  `corrupt` converts
 annotations into the grids a perfect network would emit, as `SparseGrid`s of
 their stored cells, degraded with the usual failure modes: dropped objects,
 spurious peaks, position jitter, heatmap noise and a temporally jittered
-reference frame.
-`synthesize_head_outputs` is `corrupt` with every rate 0.  Seeds must be
->= 0.
+reference frame.  Objects, reference-frame anchors and false positives
+are placed as columns through one array path.
+`synthesize_head_outputs` is `corrupt` with every rate 0, and
+`render_gt_heatmap` is its heatmap made dense.  Seeds must be >= 0.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox, PipelineConfig, TopPoint, quantize_point
+from .geometry import TOP_HEIGHT_FRACTION, BBox, PipelineConfig
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -27,12 +29,12 @@ from .heatmap import (
     SparseGrid,
     _grid_dims,
     check_class_ids,
-    clamped_top,
     draw_bumps,
     gaussian_sigma,
-    place_objects,
     stored_bits,
 )
+
+logger = logging.getLogger(__name__)
 
 
 def _require_seed(seed: int) -> None:
@@ -213,10 +215,55 @@ def pick_reference_frame(
     return int(rng.integers(lo, hi + 1))
 
 
+def render_gt_heatmap(
+    ann: FrameAnnotations,
+    image_size: tuple[int, int],
+    downsample: int,
+    num_classes: int = 1,
+) -> np.ndarray:
+    """Render the ground-truth heatmap (rows, cols, num_classes) for a frame.
+
+    Each object contributes exp(-(dx^2 + dy^2) / (2 sigma^2)) around its top
+    cell on its class channel, truncated at 3 sigma; overlaps keep the max.
+    The center cell is exactly 1.  This is the heatmap of
+    `synthesize_head_outputs(ann, None, ...)`, made dense.
+    """
+    return synthesize_head_outputs(ann, None, image_size, downsample, num_classes).heatmap.dense()
+
+
 def _stored(shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray) -> SparseGrid:
     """The entries whose float bits are not zero, as a grid: `SparseGrid.of`'s rule."""
     kept = stored_bits(values)
     return SparseGrid(shape, index[kept], values[kept])
+
+
+def _columns(objects: tuple[ObjectAnnotation, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes as (n, 4) rows (x1, y1, w, h), class ids and track ids of annotated objects."""
+    boxes = [(o.bbox.x1, o.bbox.y1, o.bbox.w, o.bbox.h) for o in objects]
+    return (
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array([o.class_id for o in objects], dtype=np.int64),
+        np.array([o.track_id for o in objects], dtype=np.int64),
+    )
+
+
+def _anchors(
+    boxes: np.ndarray, image_size: tuple[int, int], downsample: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors (n, 2) of (n, 4) boxes on the frame, and the mask of boxes that have one.
+
+    A box's anchor is its top point (`top_point_from_bbox`) clamped onto the
+    frame, strictly inside so its cell index stays in range.  A top point up
+    to one cell (R pixels) outside the frame is clamped; one farther out has
+    no anchor.
+    """
+    h_px, w_px = image_size
+    margin = float(downsample)
+    x = boxes[:, 0] + boxes[:, 2] / 2.0
+    y = boxes[:, 1] + boxes[:, 3] * TOP_HEIGHT_FRACTION
+    has = (-margin <= x) & (x < w_px + margin) & (-margin <= y) & (y < h_px + margin)
+    tops = np.stack([np.clip(x, 0.0, w_px - 1e-6), np.clip(y, 0.0, h_px - 1e-6)], axis=1)
+    return tops, has
 
 
 def corrupt(
@@ -231,26 +278,30 @@ def corrupt(
     """Head outputs for a frame pair, degraded by `corruption`.
 
     Each object is dropped with probability `fn_rate` and the survivors'
-    boxes are shifted by N(0, jitter_sigma^2).  The survivors are then
-    rendered as a perfect network would: the heatmap is their ground truth,
-    and at each one's top cell the size, quantization offset and
-    displacement (current top minus reference top, zero for objects without
-    one) are written; all other cells stay zero.  Both tops are
-    `heatmap.clamped_top`; a reference object beyond its margin has no top
-    and is not placed, so only this frame's skips are logged.  Every class
-    id of both frames is checked before the first random draw, so an
-    out-of-range class fails whatever `fn_rate` drops.  A
-    Poisson(fp_rate)-distributed number of spurious peaks is injected at
-    uniform positions with sizes resampled from the frame's objects, each
-    carrying believable size/offset entries and a score in [0.5, 1].
-    Finally Gaussian noise of scale `hm_noise_sigma` is added to the heatmap
-    and clamped back to [0, 1].  Pass `rng` to thread one stream through a
-    whole sequence; otherwise a fresh one is seeded from the config.
+    boxes are shifted by N(0, jitter_sigma^2); a shifted box whose edge
+    leaves float64 fails as `BBox` does.  The survivors are then rendered
+    as a perfect network would: the heatmap is their ground truth, and at
+    each one's top cell the size, quantization offset and displacement
+    (current anchor minus reference anchor, zero for objects without one)
+    are written; all other cells stay zero.  Both frames anchor by
+    `_anchors`; an object of this frame without an anchor is skipped (one
+    warning per frame reports the count), and one of the reference frame
+    gives no displacement and logs nothing.  Every class id of both frames
+    is checked before the first random draw, so an out-of-range class fails
+    whatever `fn_rate` drops.  A Poisson(fp_rate)-distributed number of
+    spurious peaks is injected at uniform positions with sizes resampled
+    from the frame's objects, each carrying believable size/offset entries
+    and a score in [0.5, 1].  Finally Gaussian noise of scale
+    `hm_noise_sigma` is added to the heatmap and clamped back to [0, 1].
+    Pass `rng` to thread one stream through a whole sequence; otherwise a
+    fresh one is seeded from the config.
 
-    The four grids are `SparseGrid`s built from per-entry arrays: the
-    heatmap is `heatmap.draw_bumps` of all bumps, made dense only to add
-    noise, and each regression grid keeps the last entry written to a cell.
-    No dense regression grid is allocated.
+    Objects and false positives are placed together, as columns of one
+    entry each, objects first: cell floor(p / R), offset p / R - cell and
+    the sigma of `gaussian_sigma`.  The four grids are `SparseGrid`s built
+    from those columns: the heatmap is `heatmap.draw_bumps` of all bumps,
+    made dense only to add noise, and each regression grid keeps the last
+    entry written to a cell.  No dense regression grid is allocated.
     """
     rows, cols = _grid_dims(image_size, downsample)
     prev_objects = ann_prev.objects if ann_prev is not None else ()
@@ -259,40 +310,35 @@ def corrupt(
         rng = np.random.default_rng(corruption.seed)
     h_px, w_px = image_size
 
-    kept = [obj for obj in ann_t.objects if rng.random() >= corruption.fn_rate]
+    all_boxes, class_ids, ids = _columns(ann_t.objects)
+    kept = rng.random(len(all_boxes)) >= corruption.fn_rate
+    boxes, class_ids, ids = all_boxes[kept], class_ids[kept], ids[kept]
     if corruption.jitter_sigma > 0:
-        jittered = []
-        for obj in kept:
-            dx, dy = rng.normal(0.0, corruption.jitter_sigma, size=2)
-            box = obj.bbox
-            jittered.append(
-                ObjectAnnotation(
-                    obj.track_id,
-                    obj.class_id,
-                    BBox(box.x1 + float(dx), box.y1 + float(dy), box.w, box.h),
-                )
-            )
-        kept = jittered
+        boxes[:, :2] += rng.normal(0.0, corruption.jitter_sigma, size=(len(boxes), 2))
+        # the first box with an edge beyond float64 raises BBox's own message
+        for box in boxes[~np.isfinite(boxes[:, :2] + boxes[:, 2:]).all(axis=1)][:1]:
+            BBox(*box.tolist())
 
-    # None for a reference object beyond the clamp margin, as for an unmatched one
-    prev_tops = {o.track_id: clamped_top(o.bbox, image_size, downsample) for o in prev_objects}
-    kept_ann = FrameAnnotations(ann_t.frame_index, tuple(kept))
-    placements = place_objects(kept_ann, image_size, downsample, num_classes)
-
-    # one entry per placement, then per false positive:
-    # row, col, class, sigma, peak, w, h, offset x, offset y, dx, dy
-    entries = []
-    for p in placements:
-        prev = prev_tops.get(p.annotation.track_id)
-        disp = (p.top.x - prev.x, p.top.y - prev.y) if prev else (0.0, 0.0)
-        box = p.annotation.bbox
-        entries.append(
-            (p.cell.row, p.cell.col, p.annotation.class_id, p.sigma, 1.0, box.w, box.h)
-            + p.offset
-            + disp
+    tops, placed = _anchors(boxes, image_size, downsample)
+    if not placed.all():
+        logger.warning(
+            "frame %d: skipped %d object(s) with top point beyond the clamp margin",
+            ann_t.frame_index,
+            (~placed).sum(),
         )
+    boxes, class_ids, ids, tops = (a[placed] for a in (boxes, class_ids, ids, tops))
+    disp = np.zeros_like(tops)
+    if prev_objects:
+        prev_boxes, _, prev_ids = _columns(prev_objects)
+        prev_tops, prev_placed = _anchors(prev_boxes, image_size, downsample)
+        order = np.argsort(prev_ids)
+        at = order[np.minimum(np.searchsorted(prev_ids[order], ids), order.size - 1)]
+        found = (prev_ids[at] == ids) & prev_placed[at]
+        disp[found] = tops[found] - prev_tops[at[found]]
 
-    size_pool = [(o.bbox.w, o.bbox.h) for o in ann_t.objects]
+    # false positives: x, y, w, h, class, peak
+    size_pool = all_boxes[:, 2:].tolist()
+    fps = []
     for _ in range(int(rng.poisson(corruption.fp_rate))):
         # keep strictly inside the frame so the cell index stays in range
         x = min(float(rng.uniform(0.0, w_px)), w_px - 1e-6)
@@ -305,18 +351,23 @@ def corrupt(
         else:
             fp_w = float(rng.uniform(w_px / 16.0, w_px / 4.0))
             fp_h = float(rng.uniform(h_px / 16.0, h_px / 4.0))
-        cell, offset = quantize_point(TopPoint(x, y), downsample)
         class_id = int(rng.integers(num_classes))
-        peak = float(rng.uniform(0.5, 1.0))
-        sigma = gaussian_sigma((fp_w, fp_h), downsample)
-        entries.append(
-            (cell.row, cell.col, class_id, sigma, peak, fp_w, fp_h) + offset + (0.0, 0.0)
-        )
+        fps.append((x, y, fp_w, fp_h, class_id, float(rng.uniform(0.5, 1.0))))
+    fp = np.array(fps, dtype=np.float64).reshape(-1, 6)
 
-    table = np.array(entries, dtype=np.float64).reshape(-1, 11)
-    cell_row, cell_col, channel = table[:, :3].astype(np.int64).T
+    point = np.concatenate([tops, fp[:, :2]]) / downsample
+    cell = np.floor(point)
+    offset = point - cell
+    cell_col, cell_row = cell.astype(np.int64).T
+    size = np.concatenate([boxes[:, 2:], fp[:, 2:4]])
+    disp = np.concatenate([disp, np.zeros((len(fp), 2))])
     heatmap = draw_bumps(
-        (rows, cols, num_classes), cell_row, cell_col, channel, table[:, 3], table[:, 4]
+        (rows, cols, num_classes),
+        cell_row,
+        cell_col,
+        np.concatenate([class_ids, fp[:, 4].astype(np.int64)]),
+        gaussian_sigma((size[:, 0], size[:, 1]), downsample),
+        np.concatenate([np.ones(len(tops)), fp[:, 5]]),
     )
     if corruption.hm_noise_sigma > 0:
         dense = heatmap.dense()
@@ -328,8 +379,8 @@ def corrupt(
     # np.unique keeps the first occurrence, so it reads them backwards
     cells, last = np.unique((cell_row * cols + cell_col)[::-1], return_index=True)
     index = (2 * cells[:, None] + (0, 1)).reshape(-1)
-    winners = table[::-1][last]
+    winners = len(cell) - 1 - last
     size_map, offset_map, disp_map = (
-        _stored((rows, cols, 2), index, winners[:, k : k + 2].reshape(-1)) for k in (5, 7, 9)
+        _stored((rows, cols, 2), index, a[winners].reshape(-1)) for a in (size, offset, disp)
     )
     return HeadOutput(heatmap, size_map, offset_map, disp_map, downsample)

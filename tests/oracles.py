@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 
 def iou_radius_oracle(w: float, h: float, min_overlap: float = 0.7) -> float:
@@ -34,6 +35,64 @@ def iou_radius_oracle(w: float, h: float, min_overlap: float = 0.7) -> float:
     c = (o - 1) * w * h
     r3 = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
     return min(r1, r2, r3)
+
+
+def gaussian_sigma_oracle(size: tuple[float, float], downsample: int) -> float:
+    """Bump sigma in cells for a (w, h) box: (2r + 1) / 6 of the IoU-0.7 radius
+    of the box in cells, at least 2/3."""
+    w, h = size
+    r = iou_radius_oracle(w / downsample, h / downsample)
+    return max((2.0 * r + 1.0) / 6.0, 2.0 / 3.0)
+
+
+class Point(NamedTuple):
+    x: float
+    y: float
+
+
+class Cell(NamedTuple):
+    col: int
+    row: int
+
+
+class Placement(NamedTuple):
+    annotation: object
+    top: Point
+    cell: Cell
+    offset: tuple[float, float]
+    sigma: float
+
+
+def clamped_top_oracle(bbox, image_size: tuple[int, int], downsample: int) -> Point | None:
+    """A box's top point (x1 + w/2, y1 + h/10) clamped just inside the frame,
+    or None when it lies more than one cell (R pixels) outside it.
+
+    h/10 is written h * 0.1, the product the documented anchor uses, so the
+    bits agree with a grid built from it.
+    """
+    h_px, w_px = image_size
+    x, y = bbox.x1 + bbox.w / 2.0, bbox.y1 + bbox.h * 0.1
+    if not (-downsample <= x < w_px + downsample and -downsample <= y < h_px + downsample):
+        return None
+    return Point(min(max(x, 0.0), w_px - 1e-6), min(max(y, 0.0), h_px - 1e-6))
+
+
+def place_objects_oracle(ann, image_size: tuple[int, int], downsample: int, num_classes=1):
+    """One `Placement` per object of a frame that has a clamped top, in order:
+    cell floor(top / R), offset top / R - cell, and `gaussian_sigma_oracle`.
+
+    `num_classes` is accepted and ignored: class ids do not move a placement.
+    """
+    placements = []
+    for obj in ann.objects:
+        top = clamped_top_oracle(obj.bbox, image_size, downsample)
+        if top is None:
+            continue
+        cx, cy = top.x / downsample, top.y / downsample
+        cell = Cell(math.floor(cx), math.floor(cy))
+        sigma = gaussian_sigma_oracle((obj.bbox.w, obj.bbox.h), downsample)
+        placements.append(Placement(obj, top, cell, (cx - cell.col, cy - cell.row), sigma))
+    return placements
 
 
 def euclid(p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -23,14 +23,17 @@ from peaktrack import (
     write_head_outputs,
 )
 from peaktrack.fileio import SparseGrid
-from peaktrack.heatmap import draw_bumps, place_objects
+from peaktrack.heatmap import draw_bumps
 from peaktrack.simulator import synthesize_head_outputs
 
 from .conftest import separated_annotations
-from .oracles import iou_radius_oracle, peaks_oracle
+from .oracles import gaussian_sigma_oracle, iou_radius_oracle, peaks_oracle
+from .oracles import place_objects_oracle as place_objects
 
 # frozen output of iou_radius_oracle(24, 24) recorded before the main build
 RADIUS_24 = 1.9600796815910932
+# tiny sizes reach the 2/3 sigma floor, large ones leave it
+SIGMA_SIZES = st.floats(1e-6, 8.0) | st.floats(8.0, 4096.0)
 
 
 class TestGaussianSigma:
@@ -60,6 +63,23 @@ class TestGaussianSigma:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             gaussian_sigma((0.0, 4.0), 4)
+
+    def test_first_nonpositive_array_size_is_named(self):
+        w, h = np.array([4.0, 0.0, -1.0]), np.array([4.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^object size must be positive, got \(0\.0, 2\.0\)$"):
+            gaussian_sigma((w, h), 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.tuples(SIGMA_SIZES, SIGMA_SIZES), min_size=1, max_size=30),
+        downsample=st.sampled_from([1, 2, 4]),
+    )
+    @example(sizes=[(1.0, 1.0), (0.25, 3.0)], downsample=4)
+    def test_arrays_are_the_scalar_oracle_bit_for_bit(self, sizes, downsample):
+        w, h = np.array(sizes).T
+        got = gaussian_sigma((w, h), downsample)
+        want = np.array([gaussian_sigma_oracle(size, downsample) for size in sizes])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRender:

@@ -17,7 +17,6 @@ from peaktrack import (
     TopPoint,
     corrupt,
     decode_detections,
-    gaussian_sigma,
     gen_scene,
     pick_reference_frame,
     quantize_point,
@@ -25,7 +24,10 @@ from peaktrack import (
     synthesize_head_outputs,
     top_point_from_bbox,
 )
-from peaktrack.heatmap import clamped_top, place_objects
+
+from .oracles import clamped_top_oracle as clamped_top
+from .oracles import gaussian_sigma_oracle as gaussian_sigma
+from .oracles import place_objects_oracle as place_objects
 
 
 def scene_cfg(**overrides):
@@ -265,6 +267,13 @@ class TestCorrupt:
         assert np.asarray(heads[1].heatmap)[int(top.y) // 4, int(top.x) // 4, 0] == 1.0
         np.testing.assert_array_equal(heads[1].disp_map, 0.0)
 
+    def test_jitter_beyond_float64_fails_loudly(self):
+        # seed 3 draws a shift that takes the box's left edge to -inf
+        ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(10, 10, 8, 8)),))
+        cfg = CorruptionConfig(jitter_sigma=1e308)
+        with pytest.raises(ValueError, match=r"^BBox must be finite, got -inf$"):
+            corrupt(ann, None, (64, 64), 4, cfg, rng=np.random.default_rng(3))
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             CorruptionConfig(fn_rate=1.2)
@@ -441,6 +450,36 @@ class TestCorruptAgainstDenseReference:
             pytest.fail(f"no seed below 200 rewrites a cell with an entry of kind {kind}")
         head = corrupt(ann, None, (16, 16), 4, cfg, 1, rng=np.random.default_rng(seed))
         assert_head_stores(head, dense)
+
+    @pytest.mark.parametrize("jitter_k", [1, 2, 3])
+    def test_whole_sequences_with_jittered_references(self, jitter_k):
+        # one rng per side runs through pick_reference_frame and corrupt, as
+        # `simulate` threads it; ids spawn and despawn, so a reference frame
+        # can lack an id of frame t
+        cfg = CorruptionConfig(
+            fn_rate=0.2, fp_rate=2.0, jitter_sigma=1.5, temporal_jitter_k=jitter_k
+        )
+        seen = set()
+        for seed in range(4):
+            scene = scene_cfg(
+                frames=12, min_objects=3, max_objects=8, spawn_prob=0.4, despawn_prob=0.15, seed=seed
+            )
+            frames = gen_scene(scene)
+            rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for ann in frames:
+                t = ann.frame_index
+                ref, ref_again = (pick_reference_frame(t, len(frames), jitter_k, r) for r in rngs)
+                assert ref == ref_again
+                prev = frames[ref - 1]
+                seen.add("after" if ref > t else "same" if ref == t else "before")
+                ids = {o.track_id for o in prev.objects}
+                if any(o.track_id not in ids for o in ann.objects):
+                    seen.add("missing id")
+                args = (ann, prev, scene.image_size, scene.downsample, cfg, 2)
+                head = corrupt(*args, rng=rngs[0])
+                dense, _ = corrupt_reference(*args, rngs[1])
+                assert_head_stores(head, dense)
+        assert seen == {"after", "same", "before", "missing id"}
 
 
 class TestReferenceFrame:
