@@ -138,12 +138,8 @@ def hungarian_match(
     # A forbidden pair costing more than every allowed cost combined makes
     # the solver maximize allowed cardinality first, then minimize distance.
     big = float(dist[allowed].sum()) + 1.0
-    rows, cols = linear_sum_assignment(np.where(allowed, dist, big))
-    matches = [
-        (tracks[ti].id, di)
-        for ti, di in zip(rows.tolist(), cols.tolist())
-        if allowed[ti, di]
-    ]
+    rows, cols = linear_sum_assignment(np.where(allowed, dist, big).tolist())
+    matches = [(tracks[ti].id, di) for ti, di in zip(rows, cols) if allowed[ti, di]]
     matches.sort(key=lambda pair: pair[1])
     return _result(tracks, len(dets), matches)
 

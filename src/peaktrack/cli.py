@@ -11,34 +11,21 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .association import MATCHERS, TrackerState, step
-from .config import ConfigError, ConfigFile
+# Only numpy-free modules at module level, so `evaluate` never imports numpy;
+# every other command imports what it needs in its body.
 from .evaluation import IOU_THRESHOLD, MetricsReport, compute_clear
-from .fileio import (
-    FileFormatError,
-    MotRow,
-    head_grid_path,
-    list_head_frames,
-    read_head_outputs,
-    read_mot_table,
-    write_grid,
-    write_head_outputs,
-    write_mot_file,
-)
 from .geometry import BBox, PipelineConfig
-from .heatmap import FrameAnnotations, ObjectAnnotation, decode_detections
-from .losses import (
-    FrameTargets,
-    finite_difference_check,
-    focal_loss,
-    masked_l1_loss,
-    targets_from_head,
-    total_loss,
-)
-from .simulator import corrupt, gen_scene, pick_reference_frame, render_gt_heatmap
+from .motfile import FileFormatError, MotRow, read_mot_frames, write_mot_file
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .losses import FrameTargets
+
+# the names of `association.MATCHERS`, known here without importing numpy
+MATCHER_NAMES = ("greedy", "hungarian")
 
 GT_FILE_NAME = "gt.txt"
 HEADS_DIR_NAME = "heads"
@@ -64,7 +51,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="decode head grids and associate into tracks")
     p.add_argument("--heads", required=True, help="directory of per-frame head grids")
     p.add_argument("--config", help="config file with a [pipeline] section")
-    p.add_argument("--matcher", choices=list(MATCHERS), default="greedy")
+    p.add_argument("--matcher", choices=MATCHER_NAMES, default="greedy")
     p.add_argument("--out", required=True, help="output MOT result file")
     p.set_defaults(func=cmd_track)
 
@@ -104,6 +91,12 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .config import ConfigError, ConfigFile
+    from .fileio import list_head_frames, write_head_outputs
+    from .simulator import corrupt, gen_scene, pick_reference_frame
+
     cfg_file = ConfigFile(args.config)
     scene = cfg_file.scene()
     corruption = cfg_file.corruption()
@@ -159,6 +152,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
+    from .association import TrackerState, step
+    from .config import ConfigFile
+    from .fileio import head_grid_path, list_head_frames, read_head_outputs
+    from .heatmap import decode_detections
+
     cfg = ConfigFile(args.config).pipeline() if args.config else PipelineConfig()
     frame_indices = list_head_frames(args.heads)
     if not frame_indices:
@@ -216,8 +214,8 @@ def _report_lines(report: MetricsReport, csv: bool) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gt = read_mot_table(args.gt).frames()
-    pred = read_mot_table(args.pred).frames()
+    gt = read_mot_frames(args.gt)
+    pred = read_mot_frames(args.pred)
     report = compute_clear(gt, pred, args.iou_threshold)
     for line in _report_lines(report, args.csv):
         print(line)
@@ -225,6 +223,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_render_heatmap(args: argparse.Namespace) -> int:
+    from .fileio import read_mot_table, write_grid
+    from .heatmap import FrameAnnotations, ObjectAnnotation
+    from .simulator import render_gt_heatmap
+
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
     table = read_mot_table(args.gt)
@@ -246,6 +248,10 @@ def _gradient_checks(
     targets: FrameTargets, cfg: PipelineConfig, tolerance: float
 ) -> tuple[list[str], bool]:
     """Verify analytic gradients at seeded random kink-free points."""
+    import numpy as np
+
+    from .losses import finite_difference_check, focal_loss, masked_l1_loss
+
     step_size = 1e-4
     rng = np.random.default_rng(12345)
     n = max(targets.n_objects, 1)
@@ -288,6 +294,10 @@ def _gradient_checks(
 
 
 def cmd_losscheck(args: argparse.Namespace) -> int:
+    from .config import ConfigFile
+    from .fileio import list_head_frames, read_head_outputs
+    from .losses import targets_from_head, total_loss
+
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = ConfigFile(args.config).pipeline() if args.config else PipelineConfig()
@@ -337,6 +347,10 @@ def _draw_box(img: np.ndarray, box: BBox, color: tuple[int, int, int]) -> None:
 
 
 def cmd_overlay(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .fileio import read_mot_table
+
     if args.width < 0 or args.height < 0:
         raise ValueError(
             f"--width and --height must be >= 0 (0 = auto), got {args.width} and {args.height}"

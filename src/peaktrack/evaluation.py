@@ -1,9 +1,9 @@
 """CLEAR-MOT metrics and IDF1 over frame-aligned box sequences.
 
 Sequences are mappings from 1-based frame index to a list of
-(id, BBox) pairs, or to `FrameColumns`: a list of ids plus their (n, 4)
-array of x1, y1, w, h rows, as `MotTable.frames` gives them.  An id
-appears at most once per frame.  Correspondence between ground truth and
+(id, BBox) pairs, or to `FrameColumns`: a list of ids plus their list of
+(x1, y1, w, h) boxes, as `read_mot_frames` gives them.  An id appears at
+most once per frame.  Correspondence between ground truth and
 predictions is kept frame to frame: each frame is one assignment over the
 pairs at IoU >= threshold that keeps the most remembered pairs, then
 maximizes the total IoU (so a prediction two ids remember goes to the
@@ -12,35 +12,28 @@ prediction id changes counts one identity switch.  IDF1 instead scores a
 single global pairing of whole trajectories.
 
 Scoring turns each frame's pairs into columns once, at entry (columns
-pass through as they are), then walks the frames once.  Each frame gets
-one (gt × pred) IoU matrix, computed by numpy broadcasting with the same
-arithmetic as `bbox_iou`, so every entry is the exact float the scalar
-gives.  That matrix drives the frame's CLEAR matching and adds the frame's
-`IoU >= threshold` hits into a (gt id × pred id) count matrix; one
-assignment on the counts at the end gives IDF1.
+pass through as they are), then walks the frames once.  In each frame one
+sort-and-sweep, `overlapping_pairs`, finds the (gt, pred) pairs whose
+boxes overlap and their IoUs; every other pair has IoU 0, so it can be
+neither a CLEAR match nor an IDF1 hit.  The pairs at IoU >= threshold
+drive the frame's CLEAR matching and add one hit each to a
+(gt id, pred id) -> hits count; one assignment on the counts at the end
+gives IDF1.  Both assignments are solved per connected component of their
+pairs (`_assign`), since no row or column of one component has a pair in
+another.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import Mapping, Sequence, Union
 
 from .assignment import linear_sum_assignment
 from .geometry import BBox
+from .motfile import Box, FrameColumns
 
 FrameBoxes = Sequence[tuple[int, BBox]]
-
-
-class FrameColumns(NamedTuple):
-    """One frame as columns: ids in order and their (n, 4) x1, y1, w, h boxes."""
-
-    ids: list[int]
-    boxes: np.ndarray
-
-
 Sequence_ = Mapping[int, Union[FrameBoxes, FrameColumns]]
 
 IOU_THRESHOLD = 0.5
@@ -73,70 +66,133 @@ class MetricsReport:
     gt_total: int
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of `a` with every row of `b`, both (n, 4) (x1, y1, w, h)."""
-    ax1, ay1, aw, ah = (a[:, k, None] for k in range(4))
-    bx1, by1, bw, bh = (b[None, :, k] for k in range(4))
-    iw = np.maximum(np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1), 0.0)
-    ih = np.maximum(np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    union = aw * ah + bw * bh - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int, float]]:
+    """(i, j, IoU of a[i] and b[j]) for every pair of boxes that overlap, sorted.
 
-
-def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    Boxes are (x1, y1, w, h); two overlap when the intersection has positive
+    width and height.  One sweep over both sides' left edges, ascending,
+    keeps each side's open boxes, those whose right edge lies beyond the
+    current left edge, and pairs each box with the open boxes of the other
+    side only.  The IoU is `inter / (aw*ah + bw*bh - inter)`, 0 where that
+    union is not positive, with inter the product of the intersection's
+    width `min(ax1 + aw, bx1 + bw) - max(ax1, bx1)` and height, `a` first.
+    """
+    # each box as x1, y1, x2, y2 and area, the terms of its every IoU
+    edges = [[(x1, y1, x1 + w, y1 + h, w * h) for x1, y1, w, h in side] for side in (a, b)]
+    lefts = sorted(
+        [(box[0], 0, i) for i, box in enumerate(a)] + [(box[0], 1, j) for j, box in enumerate(b)]
+    )
+    open_boxes: list[list[int]] = [[], []]
+    pairs = []
+    for left, side, k in lefts:
+        other = 1 - side
+        # a box that ends at or before this left edge overlaps no later box
+        right = edges[other]
+        alive = open_boxes[other] = [m for m in open_boxes[other] if right[m][2] > left]
+        open_boxes[side].append(k)
+        for m in alive:
+            i, j = (m, k) if side else (k, m)
+            ax1, ay1, ax2, ay2, a_area = edges[0][i]
+            bx1, by1, bx2, by2, b_area = edges[1][j]
+            # min and max by comparison; a tie yields an equal value
+            ih = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+            if ih > 0:
+                iw = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+                if iw > 0:
+                    inter = iw * ih
+                    union = a_area + b_area - inter
+                    pairs.append((i, j, inter / union if union > 0 else 0.0))
+    pairs.sort()
+    return pairs
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
-    return float(_iou_matrix(_box_array([a]), _box_array([b]))[0, 0])
+    pairs = overlapping_pairs([(a.x1, a.y1, a.w, a.h)], [(b.x1, b.y1, b.w, b.h)])
+    return pairs[0][2] if pairs else 0.0
 
 
 def _frame_columns(boxes: FrameBoxes | FrameColumns) -> FrameColumns:
     if isinstance(boxes, FrameColumns):
         return boxes
-    return FrameColumns([i for i, _ in boxes], _box_array([b for _, b in boxes]))
+    return FrameColumns([i for i, _ in boxes], [(b.x1, b.y1, b.w, b.h) for _, b in boxes])
 
 
 def _columns(seq: Sequence_) -> dict[int, FrameColumns]:
     return {frame: _frame_columns(boxes) for frame, boxes in seq.items()}
 
 
-_NO_BOXES = FrameColumns([], np.zeros((0, 4)))
+_NO_BOXES = FrameColumns([], [])
+
+
+def _assign(weights: Mapping[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """The (row, col) pairs of a maximum-weight assignment, sorted.
+
+    `weights` holds the pairs of positive weight; every other pair weighs 0
+    and is never returned.  Each connected component of the pairs is solved
+    on its own, rows and columns ascending: a single pair is matched as it
+    is, a larger component by one `linear_sum_assignment`.
+    """
+    cols_of: dict[int, list[int]] = {}
+    rows_of: dict[int, list[int]] = {}
+    for r, c in weights:
+        cols_of.setdefault(r, []).append(c)
+        rows_of.setdefault(c, []).append(r)
+    matched = []
+    done: set[int] = set()
+    for start, start_cols in cols_of.items():
+        if start in done:
+            continue
+        if len(start_cols) == 1 and len(rows_of[start_cols[0]]) == 1:
+            matched.append((start, start_cols[0]))  # a component of one pair
+            continue
+        rows, cols, stack = {start}, set(), [start]
+        while stack:
+            for c in cols_of[stack.pop()]:
+                if c not in cols:
+                    cols.add(c)
+                    fresh = [r for r in rows_of[c] if r not in rows]
+                    rows.update(fresh)
+                    stack.extend(fresh)
+        done |= rows
+        rs, cs = sorted(rows), sorted(cols)
+        matrix = [[weights.get((r, c), 0.0) for c in cs] for r in rs]
+        for i, j in zip(*linear_sum_assignment(matrix, maximize=True)):
+            if matrix[i][j] > 0:
+                matched.append((rs[i], cs[j]))
+    matched.sort()
+    return matched
 
 
 def _match(
-    iou: np.ndarray,
+    pairs: Sequence[tuple[int, int, float]],
     gt_ids: Sequence[int],
     pred_ids: Sequence[int],
     prev_correspondence: Mapping[int, int],
     iou_threshold: float,
 ) -> tuple[FrameTally, dict[int, int]]:
-    """`match_frame` on a precomputed (gt × pred) IoU matrix."""
+    """`match_frame` on a frame's `overlapping_pairs`."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    iou = {(i, j): value for i, j, value in pairs if value >= iou_threshold}
+    score = dict(iou)
     pred_index = {pid: j for j, pid in enumerate(pred_ids)}
-    score = np.where(iou >= iou_threshold, iou, 0.0)
     bonus = min(len(gt_ids), len(pred_ids)) + 1  # above any sum of IoUs
     for i, gid in enumerate(gt_ids):
-        j = pred_index.get(prev_correspondence.get(gid))
-        if j is not None and score[i, j] > 0:
-            score[i, j] += bonus
-    rows, cols = linear_sum_assignment(score, maximize=True)
+        key = (i, pred_index.get(prev_correspondence.get(gid)))
+        if key in score:
+            score[key] += bonus
 
     corr = dict(prev_correspondence)
     idsw = 0
     iou_sum = 0.0
     matches = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if score[i, j] == 0:
-            continue
+    for i, j in _assign(score):  # ascending gt row, so the IoUs add in row order
         gid, pid = gt_ids[i], pred_ids[j]
         before = prev_correspondence.get(gid)
         if before is not None and before != pid:
             idsw += 1
         corr[gid] = pid
-        iou_sum += float(iou[i, j])
+        iou_sum += iou[i, j]
         matches.append((gid, pid))
 
     tp = len(matches)
@@ -166,12 +222,8 @@ def match_frame(
     its remembered one contributes one identity switch.
     """
     gt, pred = _frame_columns(gt_boxes), _frame_columns(pred_boxes)
-    iou = _iou_matrix(gt.boxes, pred.boxes)
-    return _match(iou, gt.ids, pred.ids, prev_correspondence, iou_threshold)
-
-
-def _sorted_ids(seq: Mapping[int, FrameColumns]) -> np.ndarray:
-    return np.array(sorted(set().union(*(cols.ids for cols in seq.values()))))
+    pairs = overlapping_pairs(gt.boxes, pred.boxes)
+    return _match(pairs, gt.ids, pred.ids, prev_correspondence, iou_threshold)
 
 
 def _check_sequences(
@@ -203,10 +255,8 @@ def compute_clear(
     gt, pred = _columns(gt), _columns(pred)
     lo, hi = _check_sequences(gt, pred)
 
-    # IDF1 input: on how many frames each (gt id, pred id) pair overlaps, rows
-    # and columns in ascending id order
-    all_gt_ids, all_pred_ids = _sorted_ids(gt), _sorted_ids(pred)
-    hits = np.zeros((len(all_gt_ids), len(all_pred_ids)))
+    # IDF1 input: on how many frames each (gt id, pred id) pair has IoU >= threshold
+    hits: Counter[tuple[int, int]] = Counter()
     corr: dict[int, int] = {}
     fp = fn = idsw = tp = 0
     iou_sum = 0.0
@@ -215,13 +265,9 @@ def compute_clear(
     for frame in range(lo, hi + 1):
         gt_ids, gt_boxes = gt.get(frame, _NO_BOXES)
         pred_ids, pred_boxes = pred.get(frame, _NO_BOXES)
-        iou = _iou_matrix(gt_boxes, pred_boxes)
-        tally, corr = _match(iou, gt_ids, pred_ids, corr, iou_threshold)
-        r, c = np.nonzero(iou >= iou_threshold)
-        if r.size:
-            rows = np.searchsorted(all_gt_ids, gt_ids)
-            cols = np.searchsorted(all_pred_ids, pred_ids)
-            np.add.at(hits, (rows[r], cols[c]), 1.0)
+        pairs = overlapping_pairs(gt_boxes, pred_boxes)
+        tally, corr = _match(pairs, gt_ids, pred_ids, corr, iou_threshold)
+        hits.update((gt_ids[i], pred_ids[j]) for i, j, iou in pairs if iou >= iou_threshold)
         fp += tally.fp
         fn += tally.fn
         idsw += tally.idsw
@@ -231,7 +277,7 @@ def compute_clear(
         covered.update(gid for gid, _ in tally.matches)
 
     gt_total = tp + fn
-    rows, cols = linear_sum_assignment(-hits)  # the best trajectory pairing
+    id_tp = sum(hits[pair] for pair in _assign(hits))  # the best trajectory pairing
     coverages = [covered[gid] / n for gid, n in present.items()]
     mt = sum(c >= MOSTLY_TRACKED_COVERAGE for c in coverages) / len(coverages)
     ml = sum(c <= MOSTLY_LOST_COVERAGE for c in coverages) / len(coverages)
@@ -240,7 +286,7 @@ def compute_clear(
         motp=iou_sum / tp if tp else 0.0,
         # IDF1 = 2*IDTP / (gt boxes + pred boxes); every gt box is a TP or an
         # FN, every prediction a TP or an FP
-        idf1=2.0 * float(hits[rows, cols].sum()) / (gt_total + tp + fp),
+        idf1=2.0 * id_tp / (gt_total + tp + fp),
         mt=mt,
         ml=ml,
         fp=fp,

@@ -27,27 +27,9 @@ payload), reports any broken rule as `path: reason`, and refuses a header
 whose dense float64 grid numpy cannot allocate, so `.dense()` works;
 `read_grid` is its `.dense()`.  `track` decodes the stored cells.
 
-MOT rows are the 9-column comma-separated MOTChallenge layout
-(frame, id, x, y, w, h, conf, class, visibility); `class` and `visibility`
-are written as -1 where this pipeline has nothing meaningful to put there.
-`read_mot_table` is the one reader: masks accept, one walk explains.  It
-decodes the file as UTF-8 with universal newlines (a byte that is not UTF-8
-is kept as a lone surrogate, which no number holds), splits on "\n" alone,
-skips lines that are blank after `str.strip`, and converts every field of
-the file in one `np.array(fields, dtype=np.float64)` call, which parses
-each string with Python's `float`.  Boolean masks over the rows then test
-the other rules (frame, id and class integral and within int64, a valid
-box, frame >= 1, no repeated (frame, id)).  A file that passes becomes a
-`MotTable` of columns, the form every command reads; `MotTable.frames`
-gives the per-frame ids and boxes that scoring reads.  A file that fails
-anywhere, in the field count, the conversion or a mask, is
-walked again line by line in file order, and the first rule its first bad
-line breaks is reported as `path:line: reason`; text that is not UTF-8 is
-the first rule of each line.
-
-`MotRow` and `write_mot_file` are the one writer.  `read_mot_file`,
-`MotTable.rows` and `rows_to_frames` are a row view that no command reads;
-they stay only for `benchmarks/traced.py`, which times evaluate through them.
+MOT text rows live in `peaktrack.motfile`, which needs no numpy;
+`read_mot_table` here gives the same walk's columns as numpy arrays, for
+the commands that draw or render boxes.
 
 A head-output directory holds four grid files per frame, named
 <frame>.heatmap.grid / .size.grid / .offset.grid / .disp.grid with <frame>
@@ -63,13 +45,12 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .evaluation import FrameColumns
-from .geometry import BBox, require_downsample
+from .geometry import require_downsample
 from .heatmap import HeadOutput, SparseGrid, require_grid_dims, stored_bits
+from .motfile import FileFormatError, read_mot_columns
 
 GRID_MAGIC = b"TTGRID1"
 SPARSE_GRID_MAGIC = b"TTGRID2"
@@ -84,10 +65,6 @@ _HEAD_FILES = {
     "offset": "offset_map",
     "disp": "disp_map",
 }
-
-
-class FileFormatError(Exception):
-    """A file does not follow one of the formats above."""
 
 
 def write_grid(path: str | Path, grid: np.ndarray | SparseGrid) -> None:
@@ -171,24 +148,6 @@ def read_grid(path: str | Path) -> np.ndarray:
     return read_sparse_grid(path).dense()
 
 
-@dataclass(frozen=True)
-class MotRow:
-    frame: int
-    track_id: int
-    x: float
-    y: float
-    w: float
-    h: float
-    conf: float = 1.0
-    class_id: int = -1
-    visibility: float = -1.0
-
-
-_INT_FIELDS = ((0, "frame"), (1, "id"), (7, "class"))
-_INT64_END = 2.0**63  # integral float64 values in [-2**63, 2**63) fit int64
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that "surrogateescape" kept
-
-
 @dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
 class MotTable:
     """A MOT file as numpy columns, one entry per row in file order."""
@@ -200,147 +159,22 @@ class MotTable:
     conf: np.ndarray  # (n,) float64
     visibility: np.ndarray  # (n,) float64
 
-    def rows(self) -> list[MotRow]:
-        return [
-            MotRow(*fields)
-            for fields in zip(
-                self.frame.tolist(),
-                self.track_id.tolist(),
-                *self.box.T.tolist(),
-                self.conf.tolist(),
-                self.class_id.tolist(),
-                self.visibility.tolist(),
-            )
-        ]
-
-    def frames(self) -> dict[int, FrameColumns]:
-        """Ids and boxes per frame, ascending, each frame in file order."""
-        order = np.argsort(self.frame, kind="stable")
-        frame = self.frame[order]
-        starts = np.flatnonzero(np.diff(frame, prepend=0)).tolist()  # frames are >= 1
-        ids = self.track_id[order].tolist()
-        box = self.box[order]
-        ends = [*starts[1:], len(ids)]
-        return {
-            int(frame[lo]): FrameColumns(ids[lo:hi], box[lo:hi]) for lo, hi in zip(starts, ends)
-        }
-
 
 def read_mot_table(path: str | Path) -> MotTable:
-    """Parse a MOT result or ground-truth file into columns.
+    """Parse a MOT result or ground-truth file into numpy columns.
 
-    A file that breaks a rule raises `FileFormatError` for its first bad
-    line, as `path:line: reason`.
+    The columns of `motfile.read_mot_columns`, so a file that breaks a rule
+    raises `FileFormatError` for its first bad line, as `path:line: reason`.
     """
-    # universal newlines; a byte that is not UTF-8 becomes a lone surrogate,
-    # which no number holds, so the walk finds its line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    # split on "\n" alone: str.splitlines would also split on \f, \x1c or
-    # \u2028 inside a line and shift the line numbers
-    numbered = [
-        (no, line) for no, line in enumerate(map(str.strip, text.split("\n")), start=1) if line
-    ]
-    lines = [line for _, line in numbered]
-    try:
-        if any(line.count(",") != 8 for line in lines):
-            raise ValueError("a line without 9 fields")
-        fields = ",".join(lines).split(",") if lines else []
-        values = np.array(fields, dtype=np.float64).reshape(len(lines), 9)
-    except ValueError:  # the walk finds the line and words the reason
-        raise _first_error(path, numbered) from None
-
-    ints = values[:, [i for i, _ in _INT_FIELDS]]
-    box = values[:, 2:6]
-    with np.errstate(over="ignore"):  # an edge past float64's range is inf, and bad
-        edges = box[:, :2] + box[:, 2:]
-    good = (
-        ((ints == np.trunc(ints)) & (ints >= -_INT64_END) & (ints < _INT64_END)).all(axis=1)
-        & np.isfinite(box).all(axis=1)
-        & (box[:, 2] > 0)
-        & (box[:, 3] > 0)
-        & np.isfinite(edges).all(axis=1)
-        & (ints[:, 0] >= 1)
-    )
-    # a (frame, id) repeats when two neighbours in sorted key order are equal;
-    # the integral float64 values compare as their int64 ones do
-    keys = ints[np.lexsort((ints[:, 1], ints[:, 0])), :2]
-    if not good.all() or (keys[1:] == keys[:-1]).all(axis=1).any():
-        raise _first_error(path, numbered)
-    frame, track_id, class_id = ints.astype(np.int64).T
+    cols = read_mot_columns(path)
     return MotTable(
-        frame=frame,
-        track_id=track_id,
-        class_id=class_id,
-        box=np.ascontiguousarray(box),
-        conf=values[:, 6].copy(),
-        visibility=values[:, 8].copy(),
+        frame=np.array(cols.frame, dtype=np.int64),
+        track_id=np.array(cols.track_id, dtype=np.int64),
+        class_id=np.array(cols.class_id, dtype=np.int64),
+        box=np.array(cols.box, dtype=np.float64).reshape(-1, 4),
+        conf=np.array(cols.conf, dtype=np.float64),
+        visibility=np.array(cols.visibility, dtype=np.float64),
     )
-
-
-def _first_error(path: str | Path, numbered: Sequence[tuple[int, str]]) -> FileFormatError:
-    """The first rule that the first bad line of a MOT file breaks.
-
-    Lines are walked in file order, and each line's rules are checked in
-    this order: UTF-8 text; field count; frame, id and class (a number,
-    integral, within int64); the six float fields parse; a valid `BBox`;
-    frame >= 1; and a (frame, id) no earlier line holds.
-    """
-    seen: dict[tuple[int, int], int] = {}
-    for line_no, line in numbered:
-        try:
-            escaped = _ESCAPED_BYTE.search(line)
-            if escaped:
-                raise ValueError(f"not UTF-8 text (byte 0x{ord(escaped[0]) - 0xDC00:02x})")
-            fields = line.split(",")
-            if len(fields) != 9:
-                raise ValueError(f"expected 9 comma-separated fields, got {len(fields)}")
-            ints = []
-            for i, what in _INT_FIELDS:
-                try:
-                    value = float(fields[i])
-                except ValueError:
-                    raise ValueError(f"{what} {fields[i]!r} is not a number") from None
-                if not (math.isfinite(value) and value == math.trunc(value)):
-                    raise ValueError(f"{what} {fields[i]!r} is not integral")
-                if not -_INT64_END <= value < _INT64_END:
-                    raise ValueError(f"{what} {fields[i]!r} is out of range")
-                ints.append(int(value))
-            frame, track_id, _ = ints
-            x, y, w, h, _, _ = (float(fields[i]) for i in (2, 3, 4, 5, 6, 8))
-            BBox(x, y, w, h)
-            if frame < 1:
-                raise ValueError("frame must be >= 1")
-            earlier = seen.setdefault((frame, track_id), line_no)
-            if earlier != line_no:
-                raise ValueError(
-                    f"id {track_id} already appears in frame {frame} at line {earlier}"
-                )
-        except ValueError as exc:
-            return FileFormatError(f"{path}:{line_no}: {exc}")
-    raise AssertionError(f"{path}: rejected, but no line breaks a rule")
-
-
-def read_mot_file(path: str | Path) -> list[MotRow]:
-    """Parse a MOT result or ground-truth file, preserving row order."""
-    return read_mot_table(path).rows()
-
-
-def write_mot_file(path: str | Path, rows: Iterable[MotRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(
-                f"{r.frame},{r.track_id},{r.x:.6f},{r.y:.6f},{r.w:.6f},{r.h:.6f},"
-                f"{r.conf:.6f},{r.class_id},{r.visibility:g}\n"
-            )
-
-
-def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:
-    """Group rows by frame for the evaluation module."""
-    frames: dict[int, list[tuple[int, BBox]]] = {}
-    for r in rows:
-        frames.setdefault(r.frame, []).append((r.track_id, BBox(r.x, r.y, r.w, r.h)))
-    return frames
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:

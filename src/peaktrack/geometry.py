@@ -40,6 +40,22 @@ def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
         raise ValueError("score_threshold must be in [0, 1]")
 
 
+def require_box(x1: float, y1: float, w: float, h: float) -> None:
+    """The one rule for a box: finite x1, y1, w, h, with w, h > 0, and far
+    edges x1 + w and y1 + h that are finite too.
+
+    A broken rule raises ValueError for the first of these three checks that
+    fails.
+    """
+    x2, y2 = x1 + w, y1 + h
+    if w > 0 and h > 0 and math.isfinite(x2) and math.isfinite(y2):
+        return  # a sum is finite only when both its terms are
+    _require_finite("BBox", x1, y1, w, h)
+    if w <= 0 or h <= 0:
+        raise ValueError(f"BBox extent must be positive, got w={w}, h={h}")
+    raise ValueError(f"BBox edges must be finite, got x2={x2}, y2={y2}")
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
@@ -53,11 +69,7 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        _require_finite("BBox", self.x1, self.y1, self.w, self.h)
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"BBox extent must be positive, got w={self.w}, h={self.h}")
-        if not (math.isfinite(self.x2) and math.isfinite(self.y2)):
-            raise ValueError(f"BBox edges must be finite, got x2={self.x2}, y2={self.y2}")
+        require_box(self.x1, self.y1, self.w, self.h)
 
     @property
     def x2(self) -> float:

@@ -36,14 +36,14 @@ def crowd_matrices(draw):
     neighbouring rows can share their cheapest column, and 1 elsewhere."""
     rows = draw(st.integers(1, 40))
     cols = rows + draw(st.integers(0, 10))
-    cost = np.ones((rows, cols))
+    cost = [[1.0] * cols for _ in range(rows)]
     near = st.sampled_from([0.0, 0.1, 0.2, 0.5])
     for i in range(rows):
         j = min(max(i + draw(st.integers(-2, 2)), 0), cols - 1)
-        cost[i, j] = draw(near)
+        cost[i][j] = draw(near)
         if draw(st.integers(0, 3)) == 0:
-            cost[i, min(j + 1, cols - 1)] = draw(near)
-    return cost.T if draw(st.booleans()) else cost
+            cost[i][min(j + 1, cols - 1)] = draw(near)
+    return [list(col) for col in zip(*cost)] if draw(st.booleans()) else cost
 
 
 class TestLinearSumAssignment:
@@ -51,34 +51,33 @@ class TestLinearSumAssignment:
     @given(cost_matrices(), st.booleans())
     def test_total_matches_exhaustive_oracle(self, shaped, maximize):
         n_rows, n_cols, cost = shaped
-        matrix = np.array(cost, dtype=float).reshape(n_rows, n_cols)
-        rows, cols = linear_sum_assignment(matrix, maximize=maximize)
-        assert len(rows) == len(cols) == min(matrix.shape)
-        assert len(set(rows.tolist())) == len(rows)
-        assert len(set(cols.tolist())) == len(cols)
-        assert rows.tolist() == sorted(rows.tolist())
-        total = float(matrix[rows, cols].sum())
+        rows, cols = linear_sum_assignment(cost, maximize=maximize)
+        assert len(rows) == len(cols) == min(n_rows, n_cols)
+        assert len(set(rows)) == len(rows)
+        assert len(set(cols)) == len(cols)
+        assert rows == sorted(rows)
+        total = sum(cost[r][c] for r, c in zip(rows, cols))
         want = assignment_total_oracle(cost, maximize)
         assert math.isclose(total, want, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_constant_matrix_gives_identity(self):
         # all columns tie, so each row takes the free column the scan meets
         # last: the one with the lowest index
-        rows, cols = linear_sum_assignment(np.zeros((3, 4)))
-        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 1, 2]
+        rows, cols = linear_sum_assignment([[0.0] * 4 for _ in range(3)])
+        assert rows == [0, 1, 2] and cols == [0, 1, 2]
 
     def test_ties_follow_the_documented_scan_order(self):
         # Every assignment with column 2 on row 0 or 1 is optimal; the scan
         # order picks this one, as scipy.optimize.linear_sum_assignment does.
         rows, cols = linear_sum_assignment([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
-        assert cols.tolist() == [2, 1, 0]
+        assert cols == [2, 1, 0]
 
     def test_row_whose_cheapest_column_was_labelled_searches(self):
         # Row 0 takes column 0 in the seed pass.  Row 1's search labels
         # column 0, row 2's cheapest, so row 2 searches too and finds the
         # free column 1.  scipy gives the same pairs.
         cost = [[0.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
-        assert linear_sum_assignment(cost)[1].tolist() == [0, 2, 1]
+        assert linear_sum_assignment(cost)[1] == [0, 2, 1]
         scipy_optimize = pytest.importorskip("scipy.optimize")
         assert scipy_optimize.linear_sum_assignment(cost)[1].tolist() == [0, 2, 1]
 
@@ -94,8 +93,8 @@ class TestLinearSumAssignment:
             drawn = np.array(cost, dtype=float).reshape(n_rows, n_cols)
         rows, cols = linear_sum_assignment(drawn, maximize=maximize)
         want_rows, want_cols = scipy_optimize.linear_sum_assignment(drawn, maximize=maximize)
-        assert rows.tolist() == want_rows.tolist()
-        assert cols.tolist() == want_cols.tolist()
+        assert rows == want_rows.tolist()
+        assert cols == want_cols.tolist()
 
     def test_whole_solve_differs_from_peeling_an_isolated_pair(self):
         # Row 2's only non-zero entry, column 0, is also column 0's only one,
@@ -103,10 +102,17 @@ class TestLinearSumAssignment:
         # [[0, 0], [2, 2]] on columns 1 and 2, gives row 1 -> column 2.  The
         # whole solve, like scipy's, gives row 1 -> column 1.
         rows, cols = linear_sum_assignment([[0, 0, 0], [0, 2, 2], [2, 0, 0]], maximize=True)
-        assert cols.tolist() == [2, 1, 0]
+        assert cols == [2, 1, 0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("maximize", [False, True])
     def test_non_finite_entry_rejected(self, bad, maximize):
         with pytest.raises(ValueError, match="finite"):
             linear_sum_assignment([[1.0, bad], [2.0, 3.0]], maximize=maximize)
+
+    @pytest.mark.parametrize(
+        "cost", [[1.0, 2.0], [[1.0], [1.0, 2.0]], [[[1.0]]], [["x"]]], ids=str
+    )
+    def test_not_a_matrix_rejected(self, cost):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            linear_sum_assignment(cost)

@@ -1,14 +1,19 @@
+import argparse
+import importlib
 import shutil
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peaktrack
 from peaktrack import read_grid, read_head_outputs, read_mot_file, write_grid
-from peaktrack.cli import main
+from peaktrack.association import MATCHERS
+from peaktrack.cli import build_parser, main
 from peaktrack.config import ConfigFile
 from peaktrack.simulator import gen_scene, synthesize_head_outputs
 
@@ -681,11 +686,61 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "MOTA" in proc.stdout
 
-    def test_cli_import_loads_no_scipy(self):
-        code = (
-            "import sys, peaktrack.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        # nor numpy: not for `import peaktrack`, the CLI module or a whole
+        # `evaluate`, each in a fresh interpreter
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1\n")
+        evaluate = ["evaluate", "--gt", str(gt), "--pred", str(gt)]
+        loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+        for run in (
+            "import sys, peaktrack",
+            "import sys, peaktrack.cli",
+            f"import sys; from peaktrack import cli; assert cli.main({evaluate!r}) == 0",
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"{run}; {loaded}"], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().splitlines()[-1] == "[]", run
+
+    def test_lazy_exports_are_the_frozen_names(self):
+        # `peaktrack.__all__` before the package became lazy, plus the names
+        # of the numpy-free MOT module
+        names = (
+            "BBox ConfigError ConfigFile CorruptionConfig Detection FileFormatError "
+            "FrameAnnotations FrameTargets GridPoint HeadOutput LossBreakdown MetricsReport "
+            "MotRow MotTable ObjectAnnotation PipelineConfig SceneConfig SparseGrid "
+            "SupervisedPoint TopPoint Track TrackOutput TrackerState assignment association "
+            "bbox_iou compute_clear compute_idf1 config corners_from_top corrupt "
+            "decode_detections draw_bumps evaluation extract_peaks fileio "
+            "finite_difference_check focal_loss gaussian_sigma gen_scene geometry "
+            "greedy_match heatmap hungarian_match list_head_frames losses masked_l1_loss "
+            "match_frame pick_reference_frame predict_prev_positions quantize_point read_grid "
+            "read_head_outputs read_mot_file read_mot_table read_sparse_grid "
+            "render_gt_heatmap rows_to_frames simulator step synthesize_head_outputs "
+            "targets_from_head top_point_from_bbox total_loss write_grid write_head_outputs "
+            "write_mot_file"
+        ).split()
+        assert sorted(peaktrack.__all__) == sorted([*names, "motfile", "read_mot_frames"])
+        for name in peaktrack.__all__:
+            value = getattr(peaktrack, name)
+            if isinstance(value, types.ModuleType):
+                assert value.__name__ == f"peaktrack.{name}"
+            else:
+                home = importlib.import_module(f"peaktrack.{peaktrack._EXPORTS[name]}")
+                assert getattr(home, name) is value
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            peaktrack.nope  # noqa: B018
+
+
+class TestMatcherChoices:
+    def test_cli_choices_are_the_matchers(self):
+        # the parser names the matchers without importing `association`
+        (track,) = [
+            action.choices["track"]
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (matcher,) = [a for a in track._actions if a.dest == "matcher"]
+        assert list(matcher.choices) == list(MATCHERS)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +9,11 @@ from peaktrack import (
     compute_idf1,
     match_frame,
     read_mot_file,
-    read_mot_table,
+    read_mot_frames,
     rows_to_frames,
 )
 from peaktrack.cli import main
-from peaktrack.evaluation import _iou_matrix
+from peaktrack.evaluation import overlapping_pairs
 
 from .oracles import clear_match_oracle, idf1_oracle, iou_oracle
 
@@ -66,21 +65,47 @@ def sequences(draw):
 
 
 def corners(bs):
-    return np.array([(b.x1, b.y1, b.w, b.h) for b in bs]).reshape(-1, 4)
+    return [(b.x1, b.y1, b.w, b.h) for b in bs]
+
+
+def brute_force_pairs(a, b):
+    """Every (i, j) with a non-zero `iou_oracle`, by a double loop."""
+    pairs = ((i, j, iou_oracle(p, q)) for i, p in enumerate(a) for j, q in enumerate(b))
+    return [pair for pair in pairs if pair[2] != 0.0]
+
+
+# Left edges and widths on a small integer grid make equal x1 and touching
+# edges (one box's x1 + w is another's x1) common; a very wide box stays
+# open across the whole sweep.
+edge = st.one_of(st.integers(-10, 10).map(float), st.floats(-1e4, 1e4))
+width = st.one_of(st.integers(1, 10).map(float), st.floats(1e-3, 1e4), st.floats(1e6, 1e9))
+sweep_boxes = st.builds(BBox, edge, edge, width, st.one_of(st.integers(1, 10).map(float), extents))
 
 
 class TestBBoxIoU:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(boxes, min_size=1, max_size=5), st.lists(boxes, max_size=5))
     def test_matrix_is_exactly_the_scalar(self, gt, pred):
-        # iou_oracle does the same float operations in the same order, so
-        # equality is exact, not approximate
-        iou = _iou_matrix(corners(gt), corners(pred))
-        assert iou.shape == (len(gt), len(pred))
+        # the kernel's pairs are the non-zero entries of the (gt x pred) IoU
+        # matrix; iou_oracle does the same float operations in the same
+        # order, so equality is exact, not approximate
+        found = {(i, j): iou for i, j, iou in overlapping_pairs(corners(gt), corners(pred))}
         for i, a in enumerate(gt):
             for j, b in enumerate(pred):
-                assert iou[i, j] == bbox_iou(a, b)
-                assert iou[i, j] == iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h))
+                want = iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h))
+                assert found.get((i, j), 0.0) == bbox_iou(a, b) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(sweep_boxes, max_size=12),
+        st.lists(sweep_boxes, max_size=12),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_sweep_pairs_equal_the_double_loop(self, gt, pred, threshold):
+        pairs = overlapping_pairs(corners(gt), corners(pred))
+        want = brute_force_pairs(corners(gt), corners(pred))
+        assert pairs == want
+        assert [p for p in pairs if p[2] >= threshold] == [p for p in want if p[2] >= threshold]
 
     def test_identical(self):
         assert bbox_iou(box(), box()) == 1.0
@@ -342,7 +367,7 @@ class TestColumnScoring:
         heads = str(tmp_path / "heads")
         assert main(["track", "--heads", heads, "--matcher", matcher, "--out", str(pred)]) == 0
 
-        columns = (read_mot_table(gt).frames(), read_mot_table(pred).frames())
+        columns = (read_mot_frames(gt), read_mot_frames(pred))
         pairs = (rows_to_frames(read_mot_file(gt)), rows_to_frames(read_mot_file(pred)))
         for threshold in (0.3, 0.5, 0.8):
             report = compute_clear(*columns, threshold)

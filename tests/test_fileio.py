@@ -17,6 +17,7 @@ from peaktrack import (
     read_grid,
     read_head_outputs,
     read_mot_file,
+    read_mot_frames,
     read_mot_table,
     read_sparse_grid,
     rows_to_frames,
@@ -468,7 +469,9 @@ class TestMotTable:
         np.testing.assert_array_equal(table.box, [[1.5, 2.25, 10, 20], [5, 6, 7, 8]])
         np.testing.assert_array_equal(table.conf, [0.875, 1.0])
         np.testing.assert_array_equal(table.visibility, [0.5, -1.0])
-        assert table.rows() == read_mot_file(p)
+        columns = (table.frame, table.track_id, *table.box.T, table.conf)
+        rows = zip(*(c.tolist() for c in (*columns, table.class_id, table.visibility)))
+        assert [MotRow(*row) for row in rows] == read_mot_file(p)
 
     def test_frames_ascend_and_keep_file_order_within_a_frame(self, tmp_path):
         p = tmp_path / "rows.txt"
@@ -476,21 +479,21 @@ class TestMotTable:
             "3,9,0,0,1,1,1,-1,-1\n1,5,1,0,1,1,1,-1,-1\n3,2,2,0,1,1,1,-1,-1\n"
             "1,4,3,0,1,1,1,-1,-1\n2,1,4,0,1,1,1,-1,-1\n"
         )
-        frames = read_mot_table(p).frames()
+        frames = read_mot_frames(p)
         assert list(frames) == [1, 2, 3]
         assert [frames[f].ids for f in frames] == [[5, 4], [1], [9, 2]]
-        np.testing.assert_array_equal(frames[3].boxes[:, 0], [0.0, 2.0])
+        assert [box[0] for box in frames[3].boxes] == [0.0, 2.0]
         by_rows = rows_to_frames(read_mot_file(p))
         for f, cols in frames.items():
             assert cols.ids == [i for i, _ in by_rows[f]]
-            assert cols.boxes.tolist() == [[b.x1, b.y1, b.w, b.h] for _, b in by_rows[f]]
+            assert cols.boxes == [(b.x1, b.y1, b.w, b.h) for _, b in by_rows[f]]
 
     def test_empty_and_blank_files(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text(" \n\n\x0c\r\n")
         table = read_mot_table(p)
         assert table.box.shape == (0, 4) and table.frame.shape == (0,)
-        assert table.rows() == [] and table.frames() == {}
+        assert read_mot_file(p) == [] and read_mot_frames(p) == {}
 
     def test_form_feed_inside_a_line_does_not_split_it(self, tmp_path):
         p = tmp_path / "rows.txt"
@@ -538,6 +541,33 @@ class TestMotIntegerFields:
         first, second = read_mot_file(p)
         assert dataclasses.astuple(first)[INT_FIELDS[field]] == big
         assert second.track_id == -(2**63)
+
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    def test_integer_literals_are_read_exactly(self, tmp_path, field):
+        # through float64, 2**63 - 1 would be 2**63 (out of range) and
+        # -2**63 - 1 would be -2**63 (kept, as another number)
+        p = tmp_path / "rows.txt"
+        p.write_text(f"{mot_line(**{field: str(2**63 - 1)})}\n")
+        assert dataclasses.astuple(read_mot_file(p)[0])[INT_FIELDS[field]] == 2**63 - 1
+        text = str(-(2**63) - 1)
+        p.write_text(f"{mot_line(**{field: text})}\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value) == f"{p}:1: {field} {text!r} is out of range"
+
+    def test_ids_above_2_to_the_53_stay_distinct(self, tmp_path):
+        # through float64 both ids read 9007199254740992, and line 2 was
+        # reported as a repeat of line 1 under that wrong id
+        p = tmp_path / "dup.txt"
+        p.write_text("1,9007199254740993,0,0,10,10,1,-1,-1\n1,9007199254740992,0,0,10,10,1,-1,-1\n")
+        ids = [9007199254740993, 9007199254740992]
+        assert [row.track_id for row in read_mot_file(p)] == ids
+        assert read_mot_table(p).track_id.tolist() == ids
+        assert read_mot_frames(p)[1].ids == ids
+        p.write_text("1,9007199254740993,0,0,10,10,1,-1,-1\n1,9007199254740993,5,0,10,10,1,-1,-1\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_mot_file(p)
+        assert str(exc.value) == f"{p}:2: id 9007199254740993 already appears in frame 1 at line 1"
 
 
 # Field padding the reader accepts (float() strips it), line padding that
