@@ -1,12 +1,17 @@
-"""Rectangular linear sum assignment by shortest augmenting paths, in pure Python.
+"""Assignment on weighted pairs, by shortest augmenting paths, in pure Python.
 
-Jonker and Volgenant's scheme as Crouse gives it ("On implementing 2D
-rectangular assignment algorithms", IEEE TAES 2016), which scipy also ships.
+`max_weight_pairs` is the entry every caller uses: Hungarian association,
+CLEAR matching and IDF1 each pose their problem as the weights of the pairs
+allowed to match, and it solves each connected component of those pairs on
+its own.  `linear_sum_assignment` is the dense solver underneath: Jonker and
+Volgenant's scheme as Crouse gives it ("On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016), which scipy also ships.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 _NOT_A_MATRIX = "cost must be a 2-D matrix of finite entries"
 
@@ -18,23 +23,15 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
     `scipy.optimize.linear_sum_assignment` does; a taller-than-wide matrix
     is solved transposed.  Raises ValueError unless `cost` (nested lists,
     or any sequence of equally long rows of numbers) is a 2-D matrix of
-    finite entries; a row of ints is solved as the same floats.  Each row is added by one Dijkstra search on reduced
-    costs, one pass over the unlabelled columns per labelled column.
+    finite entries; a row of ints is solved as the same floats.  Each row
+    is added by one Dijkstra search on reduced costs, one pass over the
+    unlabelled columns per labelled column.
 
     Tie rule: among the columns at the lowest path cost the search labels a
     free one if there is one.  Scanning scipy's list of unlabelled columns
     (it starts at the last column, and a labelled column's place goes to
     the list's last entry), it takes the last free column, else the first
     one, so both solvers return the same pairs.
-
-    Seed pass: one argmin per row gives each row its cheapest column, the
-    lowest index among ties.  A row whose cheapest column is still free
-    takes it without a search, as the search would in its first step: the
-    scan meets the lowest tied free column last, and no dual moves.  A
-    search lowers v only on the columns it labels, and those stay matched,
-    so a free column still has v = 0 and the argmin stays exact for it; a
-    row whose cheapest column was taken runs a search.  The tie rule and
-    the pairs are unchanged.
     """
     try:
         c = [list(row) for row in cost]
@@ -54,12 +51,6 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
     u, v = [0.0] * nr, [0.0] * nc
     col4row, row4col = [-1] * nr, [-1] * nc
     for cur in range(nr):
-        row = c[cur]
-        j = row.index(min(row))  # the row's cheapest column; u[cur] is still 0
-        if row4col[j] < 0:  # the search would label j first and stop there
-            u[cur] += row[j]
-            row4col[j], col4row[cur] = cur, j
-            continue
         spc = [math.inf] * nc  # shortest path cost to each column
         path = [cur] * nc  # each column's predecessor row
         remaining = list(range(nc - 1, -1, -1))  # the unlabelled columns, in scan order
@@ -99,3 +90,42 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
         order = sorted(range(nr), key=col4row.__getitem__)
         return [col4row[k] for k in order], order
     return list(range(nr)), col4row
+
+
+def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """The (row, col) pairs of a maximum-weight assignment, sorted.
+
+    `weights` holds the pairs of positive weight; every other pair weighs 0
+    and is never returned.  Each connected component of the pairs is solved
+    on its own, rows and columns ascending: a single pair is matched as it
+    is, a larger component by one `linear_sum_assignment`.
+    """
+    cols_of: dict[int, list[int]] = {}
+    rows_of: dict[int, list[int]] = {}
+    for r, c in weights:
+        cols_of.setdefault(r, []).append(c)
+        rows_of.setdefault(c, []).append(r)
+    matched = []
+    done: set[int] = set()
+    for start, start_cols in cols_of.items():
+        if start in done:
+            continue
+        if len(start_cols) == 1 and len(rows_of[start_cols[0]]) == 1:
+            matched.append((start, start_cols[0]))  # a component of one pair
+            continue
+        rows, cols, stack = {start}, set(), [start]
+        while stack:
+            for c in cols_of[stack.pop()]:
+                if c not in cols:
+                    cols.add(c)
+                    fresh = [r for r in rows_of[c] if r not in rows]
+                    rows.update(fresh)
+                    stack.extend(fresh)
+        done |= rows
+        rs, cs = sorted(rows), sorted(cols)
+        matrix = [[weights.get((r, c), 0.0) for c in cs] for r in rs]
+        for i, j in zip(*linear_sum_assignment(matrix, maximize=True)):
+            if matrix[i][j] > 0:
+                matched.append((rs[i], cs[j]))
+    matched.sort()
+    return matched

@@ -5,7 +5,11 @@ subtracting it yields where the object was one frame ago.  Matching
 compares those predicted previous positions against the last known
 positions of live tracks.  The default matcher is greedy (confident
 detections claim the nearest track first); a Hungarian matcher solving the
-same gated problem optimally is provided for comparisons.
+same gated problem optimally is provided for comparisons.  Both see only
+the pairs allowed to match (same class, within the gate), as a map from
+(track index, detection index) to distance: greedy walks each detection's
+pairs, and Hungarian solves them with `assignment.max_weight_pairs`, one
+connected component at a time.
 
 Lifecycle is deliberately local and owned by `step` alone: unmatched tracks
 are dropped immediately, unmatched detections always start new tracks, and
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import linear_sum_assignment
+from .assignment import max_weight_pairs
 from .geometry import BBox, Detection, PipelineConfig, TopPoint
 
 @dataclass
@@ -56,10 +60,10 @@ def predict_prev_positions(dets: Sequence[Detection]) -> list[TopPoint]:
     ]
 
 
-def _gated_distances(
+def _gated_pairs(
     tracks: Sequence[Track], dets: Sequence[Detection], gate_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tracks x detections) distances and the mask of pairs allowed to match.
+) -> dict[tuple[int, int], float]:
+    """{(track index, detection index): distance} for the pairs allowed to match.
 
     The distance runs from a track's last position to a detection's
     predicted previous position; a pair is allowed when both have the same
@@ -73,7 +77,8 @@ def _gated_distances(
     same_class = np.array([t.class_id for t in tracks])[:, None] == np.array(
         [d.class_id for d in dets]
     )
-    return dist, same_class & (dist <= gate)
+    ti, di = np.nonzero(same_class & (dist <= gate))
+    return dict(zip(zip(ti.tolist(), di.tolist()), dist[ti, di].tolist()))
 
 
 def _result(
@@ -104,18 +109,16 @@ def greedy_match(
     Returns (matches as (track_id, det_index) pairs in processing order,
     unmatched track ids, unmatched detection indices).
     """
-    dist, allowed = _gated_distances(tracks, dets, gate_scale)
-    if not allowed.any():
-        return _result(tracks, len(dets), [])
-    # Forbidden and already-taken pairs cost inf; argmin returns the first
-    # (earliest-created) of equally near tracks.
-    cost = np.where(allowed, dist, np.inf)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    near: dict[int, list[tuple[float, int]]] = {}  # each detection's (distance, track index)
+    for (ti, di), d in _gated_pairs(tracks, dets, gate_scale).items():
+        near.setdefault(di, []).append((d, ti))
+    taken: set[int] = set()
     matches: list[tuple[int, int]] = []
-    for di in order:
-        ti = int(np.argmin(cost[:, di]))
-        if np.isfinite(cost[ti, di]):
-            cost[ti, :] = np.inf
+    for di in sorted(near, key=lambda i: (-dets[i].score, i)):
+        free = [pair for pair in near[di] if pair[1] not in taken]
+        if free:
+            ti = min(free)[1]
+            taken.add(ti)
             matches.append((tracks[ti].id, di))
     return _result(tracks, len(dets), matches)
 
@@ -132,15 +135,13 @@ def hungarian_match(
     total Euclidean distance.  Matches are returned sorted by detection
     index.
     """
-    dist, allowed = _gated_distances(tracks, dets, gate_scale)
-    if not allowed.any():
-        return _result(tracks, len(dets), [])
-    # A forbidden pair costing more than every allowed cost combined makes
-    # the solver maximize allowed cardinality first, then minimize distance.
-    big = float(dist[allowed].sum()) + 1.0
-    rows, cols = linear_sum_assignment(np.where(allowed, dist, big).tolist())
-    matches = [(tracks[ti].id, di) for ti, di in zip(rows, cols) if allowed[ti, di]]
-    matches.sort(key=lambda pair: pair[1])
+    pairs = _gated_pairs(tracks, dets, gate_scale)
+    # Each pair weighs big - d, with big above the sum of all allowed
+    # distances, so a larger matching always weighs more, and among equal
+    # sizes the smaller total distance does.
+    big = sum(pairs.values()) + 1.0
+    matched = max_weight_pairs({pair: big - d for pair, d in pairs.items()})
+    matches = sorted(((tracks[ti].id, di) for ti, di in matched), key=lambda pair: pair[1])
     return _result(tracks, len(dets), matches)
 
 

@@ -18,9 +18,8 @@ boxes overlap and their IoUs; every other pair has IoU 0, so it can be
 neither a CLEAR match nor an IDF1 hit.  The pairs at IoU >= threshold
 drive the frame's CLEAR matching and add one hit each to a
 (gt id, pred id) -> hits count; one assignment on the counts at the end
-gives IDF1.  Both assignments are solved per connected component of their
-pairs (`_assign`), since no row or column of one component has a pair in
-another.
+gives IDF1.  Both assignments go to `assignment.max_weight_pairs`, which
+solves each connected component of their pairs on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .assignment import linear_sum_assignment
+from .assignment import max_weight_pairs
 from .geometry import BBox
 from .motfile import Box, FrameColumns
 
@@ -124,45 +123,6 @@ def _columns(seq: Sequence_) -> dict[int, FrameColumns]:
 _NO_BOXES = FrameColumns([], [])
 
 
-def _assign(weights: Mapping[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """The (row, col) pairs of a maximum-weight assignment, sorted.
-
-    `weights` holds the pairs of positive weight; every other pair weighs 0
-    and is never returned.  Each connected component of the pairs is solved
-    on its own, rows and columns ascending: a single pair is matched as it
-    is, a larger component by one `linear_sum_assignment`.
-    """
-    cols_of: dict[int, list[int]] = {}
-    rows_of: dict[int, list[int]] = {}
-    for r, c in weights:
-        cols_of.setdefault(r, []).append(c)
-        rows_of.setdefault(c, []).append(r)
-    matched = []
-    done: set[int] = set()
-    for start, start_cols in cols_of.items():
-        if start in done:
-            continue
-        if len(start_cols) == 1 and len(rows_of[start_cols[0]]) == 1:
-            matched.append((start, start_cols[0]))  # a component of one pair
-            continue
-        rows, cols, stack = {start}, set(), [start]
-        while stack:
-            for c in cols_of[stack.pop()]:
-                if c not in cols:
-                    cols.add(c)
-                    fresh = [r for r in rows_of[c] if r not in rows]
-                    rows.update(fresh)
-                    stack.extend(fresh)
-        done |= rows
-        rs, cs = sorted(rows), sorted(cols)
-        matrix = [[weights.get((r, c), 0.0) for c in cs] for r in rs]
-        for i, j in zip(*linear_sum_assignment(matrix, maximize=True)):
-            if matrix[i][j] > 0:
-                matched.append((rs[i], cs[j]))
-    matched.sort()
-    return matched
-
-
 def _match(
     pairs: Sequence[tuple[int, int, float]],
     gt_ids: Sequence[int],
@@ -186,7 +146,7 @@ def _match(
     idsw = 0
     iou_sum = 0.0
     matches = []
-    for i, j in _assign(score):  # ascending gt row, so the IoUs add in row order
+    for i, j in max_weight_pairs(score):  # ascending gt row, so the IoUs add in row order
         gid, pid = gt_ids[i], pred_ids[j]
         before = prev_correspondence.get(gid)
         if before is not None and before != pid:
@@ -277,7 +237,7 @@ def compute_clear(
         covered.update(gid for gid, _ in tally.matches)
 
     gt_total = tp + fn
-    id_tp = sum(hits[pair] for pair in _assign(hits))  # the best trajectory pairing
+    id_tp = sum(hits[pair] for pair in max_weight_pairs(hits))  # the best trajectory pairing
     coverages = [covered[gid] / n for gid, n in present.items()]
     mt = sum(c >= MOSTLY_TRACKED_COVERAGE for c in coverages) / len(coverages)
     ml = sum(c <= MOSTLY_LOST_COVERAGE for c in coverages) / len(coverages)

@@ -153,9 +153,9 @@ class PipelineConfig:
         require_peak_limits(self.max_peaks, self.score_threshold)
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if self.gate_scale <= 0:
+        if not self.gate_scale > 0:
             raise ValueError("gate_scale must be positive")
-        if self.size_loss_weight <= 0:
+        if not self.size_loss_weight > 0:
             raise ValueError("size_loss_weight must be positive")
 
 

@@ -98,7 +98,7 @@ class CorruptionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fn_rate <= 1.0:
             raise ValueError("fn_rate must be in [0, 1]")
-        if self.fp_rate < 0 or self.jitter_sigma < 0 or self.hm_noise_sigma < 0:
+        if not (self.fp_rate >= 0 and self.jitter_sigma >= 0 and self.hm_noise_sigma >= 0):
             raise ValueError("corruption rates must be non-negative")
         if not 0 <= self.temporal_jitter_k <= 3:
             raise ValueError("temporal_jitter_k must be in 0..3")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peaktrack.assignment import linear_sum_assignment
+from peaktrack.assignment import linear_sum_assignment, max_weight_pairs
 
 from .oracles import assignment_total_oracle
 
@@ -46,6 +46,46 @@ def crowd_matrices(draw):
     return [list(col) for col in zip(*cost)] if draw(st.booleans()) else cost
 
 
+@st.composite
+def sparse_weights(draw):
+    """Positive weights on the pairs of two or three blocks plus a single
+    pair, at most 7 rows and 7 columns in all.  Row and column labels are
+    shuffled, so the components interleave."""
+    row_labels = draw(st.permutations(range(7)))
+    col_labels = draw(st.permutations(range(7)))
+    value = draw(st.sampled_from([st.integers(1, 3).map(float), st.floats(0.01, 50.0)]))
+    weights = {}
+    rows_used = cols_used = 0
+    for _ in range(draw(st.integers(2, 3))):
+        n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        block = [(r, c) for r in range(n) for c in range(m)]
+        kept = draw(st.lists(st.sampled_from(block), min_size=1, unique=True))
+        for r, c in kept:
+            weights[row_labels[rows_used + r], col_labels[cols_used + c]] = draw(value)
+        rows_used, cols_used = rows_used + n, cols_used + m
+    weights[row_labels[rows_used], col_labels[cols_used]] = draw(value)
+    return weights
+
+
+class TestMaxWeightPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_weights())
+    def test_total_matches_exhaustive_oracle(self, weights):
+        pairs = max_weight_pairs(weights)
+        assert pairs == sorted(pairs)
+        assert all(pair in weights for pair in pairs)
+        assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+        rows = sorted({r for r, _ in weights})
+        cols = sorted({c for _, c in weights})
+        dense = [[weights.get((r, c), 0.0) for c in cols] for r in rows]
+        want = assignment_total_oracle(dense, maximize=True)
+        total = sum(weights[pair] for pair in pairs)
+        assert math.isclose(total, want, rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_no_pairs(self):
+        assert max_weight_pairs({}) == []
+
+
 class TestLinearSumAssignment:
     @settings(max_examples=400, deadline=None)
     @given(cost_matrices(), st.booleans())
@@ -73,9 +113,9 @@ class TestLinearSumAssignment:
         assert cols == [2, 1, 0]
 
     def test_row_whose_cheapest_column_was_labelled_searches(self):
-        # Row 0 takes column 0 in the seed pass.  Row 1's search labels
-        # column 0, row 2's cheapest, so row 2 searches too and finds the
-        # free column 1.  scipy gives the same pairs.
+        # Rows 0 and 1 share their cheapest column 0.  Row 0 takes it, and
+        # row 1's search labels column 0, row 2's cheapest too, so row 2's
+        # search goes on to the free column 1.  scipy gives the same pairs.
         cost = [[0.0, 2.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
         assert linear_sum_assignment(cost)[1] == [0, 2, 1]
         scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -86,7 +126,7 @@ class TestLinearSumAssignment:
     def test_pairs_match_scipy(self, drawn, maximize):
         # Not only the total: among tied optima both solvers pick the same
         # pairs.  In crowd matrices neighbouring rows share their cheapest
-        # column, so both the seed pass and the searches run.
+        # column, so searches run into matched columns.
         scipy_optimize = pytest.importorskip("scipy.optimize")
         if isinstance(drawn, tuple):
             n_rows, n_cols, cost = drawn

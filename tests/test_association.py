@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from peaktrack import (
@@ -9,9 +10,36 @@ from peaktrack import (
     predict_prev_positions,
     step,
 )
+from peaktrack.assignment import linear_sum_assignment
 
 from .conftest import make_detection, make_track, match_cost, random_instance
 from .oracles import assignment_oracle, euclid, greedy_oracle
+
+
+def dense_big_m_matches(tracks, dets, gate_scale):
+    """Hungarian matches by one dense solve, the reference for the pair-based matcher.
+
+    Every (track, detection) distance is computed; a pair across classes or
+    beyond the gate costs more than all allowed pairs together, so the
+    solver first keeps the most allowed pairs, then the least distance.
+    Matches are sorted by detection index.
+    """
+    predicted = predict_prev_positions(dets)
+    last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
+    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
+    dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
+    gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
+    same_class = np.array([t.class_id for t in tracks])[:, None] == np.array(
+        [d.class_id for d in dets]
+    )
+    allowed = same_class & (dist <= gate)
+    if not allowed.any():
+        return []
+    big = float(dist[allowed].sum()) + 1.0
+    rows, cols = linear_sum_assignment(np.where(allowed, dist, big).tolist())
+    matches = [(tracks[ti].id, di) for ti, di in zip(rows, cols) if allowed[ti, di]]
+    matches.sort(key=lambda pair: pair[1])
+    return matches
 
 
 class TestPredictPrev:
@@ -93,7 +121,9 @@ class TestHungarianMatch:
     def test_matches_exhaustive_oracle(self, rng):
         for trial in range(300):
             n, m = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-            tracks, dets = random_instance(rng, n, m)
+            # with more classes than one the pairs split into per-class components
+            classes = int(rng.integers(1, 4))
+            tracks, dets = random_instance(rng, n, m, classes=classes)
             gate_scale = float(rng.choice([0.8, 1.5, 1e9]))
             matches, _, _ = hungarian_match(tracks, dets, gate_scale)
             dist = [
@@ -116,6 +146,18 @@ class TestHungarianMatch:
             best_card, best_cost = assignment_oracle(dist, feasible)
             assert len(matches) == best_card
             assert match_cost(tracks, dets, matches) == pytest.approx(best_cost, abs=1e-9)
+
+    def test_matches_dense_big_m_reference(self, rng):
+        # Solving each component of the gated pairs gives the very pairs of
+        # one dense solve where a forbidden pair costs more than all allowed
+        # pairs together, not only the same total.
+        for trial in range(150):
+            n, m = int(rng.integers(0, 41)), int(rng.integers(0, 41))
+            classes = int(rng.integers(1, 4))
+            tracks, dets = random_instance(rng, n, m, classes=classes)
+            gate_scale = float(rng.choice([0.8, 1.5, 1e9]))
+            matches, _, _ = hungarian_match(tracks, dets, gate_scale)
+            assert matches == dense_big_m_matches(tracks, dets, gate_scale)
 
     def test_cost_never_above_greedy_when_ungated(self, rng):
         for trial in range(200):

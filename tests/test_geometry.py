@@ -139,6 +139,10 @@ class TestDetectionAndConfig:
             {"num_classes": 0},
             {"gate_scale": 0.0},
             {"size_loss_weight": 0.0},
+            # NaN fails every comparison, so a check written as `x <= 0` lets it
+            # through and a NaN gate then matches nothing
+            {"gate_scale": math.nan},
+            {"size_loss_weight": math.nan},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -279,6 +279,11 @@ class TestCorrupt:
             CorruptionConfig(fn_rate=1.2)
         with pytest.raises(ValueError):
             CorruptionConfig(temporal_jitter_k=4)
+        # NaN would otherwise switch jitter and noise off, or fail in numpy
+        # with a message that names no field
+        for rate in ("fp_rate", "jitter_sigma", "hm_noise_sigma"):
+            with pytest.raises(ValueError, match="^corruption rates must be non-negative$"):
+                CorruptionConfig(**{rate: math.nan})
 
 
 def draw_gaussian_reference(channel, cell, sigma, peak=1.0):
