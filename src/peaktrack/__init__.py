@@ -14,16 +14,16 @@ _MODULE_EXPORTS = {
     "predict_prev_positions step",
     "config": "ConfigError ConfigFile",
     "evaluation": "MetricsReport bbox_iou compute_clear compute_idf1 match_frame",
-    "fileio": "MotTable list_head_frames read_grid read_head_outputs read_mot_table "
-    "read_sparse_grid write_grid write_head_outputs",
+    "fileio": "list_head_frames read_grid read_head_outputs read_sparse_grid write_grid "
+    "write_head_outputs",
     "geometry": "BBox Detection GridPoint PipelineConfig TopPoint corners_from_top "
     "quantize_point top_point_from_bbox",
     "heatmap": "FrameAnnotations HeadOutput ObjectAnnotation SparseGrid decode_detections "
     "draw_bumps extract_peaks gaussian_sigma",
     "losses": "FrameTargets LossBreakdown SupervisedPoint finite_difference_check focal_loss "
     "masked_l1_loss targets_from_head total_loss",
-    "motfile": "FileFormatError MotRow read_mot_file read_mot_frames rows_to_frames "
-    "write_mot_file",
+    "motfile": "FileFormatError MotColumns MotRow read_mot_columns read_mot_file "
+    "read_mot_frames rows_to_frames write_mot_file",
     "simulator": "CorruptionConfig SceneConfig corrupt gen_scene pick_reference_frame "
     "render_gt_heatmap synthesize_head_outputs",
 }

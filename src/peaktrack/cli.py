@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # every other command imports what it needs in its body.
 from .evaluation import IOU_THRESHOLD, MetricsReport, compute_clear
 from .geometry import BBox, PipelineConfig
-from .motfile import FileFormatError, MotRow, read_mot_frames, write_mot_file
+from .motfile import FileFormatError, MotRow, read_mot_columns, read_mot_frames, write_mot_file
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,22 +223,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_render_heatmap(args: argparse.Namespace) -> int:
-    from .fileio import read_mot_table, write_grid
+    from .fileio import write_grid
     from .heatmap import FrameAnnotations, ObjectAnnotation
-    from .simulator import render_gt_heatmap
+    from .simulator import synthesize_head_outputs
 
     if args.classes < 1:
         raise ValueError(f"--classes must be >= 1, got {args.classes}")
-    table = read_mot_table(args.gt)
-    at = table.frame == args.frame
-    if not at.any():
-        raise ValueError(f"frame {args.frame} not present in {args.gt}")
+    gt = read_mot_columns(args.gt)
     # class -1 (a row without a class), like any negative class, renders on channel 0
-    rows = zip(table.track_id[at].tolist(), table.class_id[at].tolist(), table.box[at].tolist())
-    ann = FrameAnnotations(
-        args.frame, [ObjectAnnotation(i, max(c, 0), BBox(*box)) for i, c, box in rows]
-    )
-    heatmap = render_gt_heatmap(ann, (args.height, args.width), args.downsample, args.classes)
+    objects = [
+        ObjectAnnotation(i, max(c, 0), BBox(*box))
+        for frame, i, c, box in zip(gt.frame, gt.track_id, gt.class_id, gt.box)
+        if frame == args.frame
+    ]
+    if not objects:
+        raise ValueError(f"frame {args.frame} not present in {args.gt}")
+    ann = FrameAnnotations(args.frame, objects)
+    size = (args.height, args.width)
+    heatmap = synthesize_head_outputs(ann, None, size, args.downsample, args.classes).heatmap
     write_grid(args.out, heatmap)
     print(f"wrote {heatmap.shape[0]}x{heatmap.shape[1]}x{heatmap.shape[2]} heatmap to {args.out}")
     return 0
@@ -349,28 +351,28 @@ def _draw_box(img: np.ndarray, box: BBox, color: tuple[int, int, int]) -> None:
 def cmd_overlay(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .fileio import read_mot_table
-
     if args.width < 0 or args.height < 0:
         raise ValueError(
             f"--width and --height must be >= 0 (0 = auto), got {args.width} and {args.height}"
         )
-    gt = read_mot_table(args.gt)
-    pred = read_mot_table(args.pred)
-    if not ((gt.frame == args.frame).any() or (pred.frame == args.frame).any()):
+    gt = read_mot_columns(args.gt)
+    pred = read_mot_columns(args.pred)
+    if args.frame not in gt.frame and args.frame not in pred.frame:
         raise ValueError(f"frame {args.frame} not present in {args.gt} or {args.pred}")
     width, height = args.width, args.height
     if width == 0 or height == 0:
         # rows of every frame count; boxes left of or above the canvas keep the margin
-        boxes = np.concatenate([gt.box, pred.box])
-        right, bottom = (boxes[:, :2] + boxes[:, 2:]).max(axis=0).tolist()
+        boxes = gt.box + pred.box
+        right = max(x + w for x, _, w, _ in boxes)
+        bottom = max(y + h for _, y, _, h in boxes)
         width = width or max(math.ceil(right), 0) + 10
         height = height or max(math.ceil(bottom), 0) + 10
 
     img = np.zeros((height, width, 3), dtype=np.uint8)
-    for table, color in ((gt, (0, 200, 0)), (pred, (230, 60, 60))):
-        for box in table.box[table.frame == args.frame].tolist():
-            _draw_box(img, BBox(*box), color)
+    for cols, color in ((gt, (0, 200, 0)), (pred, (230, 60, 60))):
+        for frame, box in zip(cols.frame, cols.box):
+            if frame == args.frame:
+                _draw_box(img, BBox(*box), color)
     with open(args.out, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (width, height))
         fh.write(img.tobytes())

@@ -6,7 +6,8 @@ are exactly the fields of its dataclass (`PipelineConfig`, `SceneConfig`,
 or keys are hard errors, so a typo can never silently fall back to a
 default, and so are float values that are not finite.  Omitted keys take
 the dataclass default; a field without one (the scene geometry) is a
-required key.
+required key.  `scene()` and `corruption()` import their dataclasses from
+`simulator` when called, so reading [pipeline] alone never loads it.
 """
 
 from __future__ import annotations
@@ -16,20 +17,19 @@ import dataclasses
 import math
 import typing
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .geometry import PipelineConfig
-from .simulator import CorruptionConfig, SceneConfig
+
+if TYPE_CHECKING:
+    from .simulator import CorruptionConfig, SceneConfig
 
 
 class ConfigError(ValueError):
     """A config file failed validation."""
 
 
-_SECTIONS: dict[str, type] = {
-    "pipeline": PipelineConfig,
-    "scene": SceneConfig,
-    "corruption": CorruptionConfig,
-}
+_SECTIONS = ("pipeline", "scene", "corruption")
 
 
 class ConfigFile:
@@ -46,7 +46,7 @@ class ConfigFile:
                 parser.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}")
-        unknown = set(parser.sections()) - _SECTIONS.keys()
+        unknown = set(parser.sections()) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
         if parser.defaults():
@@ -56,9 +56,8 @@ class ConfigFile:
     def has_section(self, name: str) -> bool:
         return self._parser.has_section(name)
 
-    def _build(self, section: str):
-        """The section's dataclass from its keys; an absent section gives defaults."""
-        cls = _SECTIONS[section]
+    def _build(self, section: str, cls: type):
+        """`cls` from the section's keys; an absent section gives defaults."""
         types = typing.get_type_hints(cls)
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
@@ -86,12 +85,16 @@ class ConfigFile:
             raise ConfigError(f"{self.path}: [{section}] {exc}")
 
     def pipeline(self) -> PipelineConfig:
-        return self._build("pipeline")
+        return self._build("pipeline", PipelineConfig)
 
     def scene(self) -> SceneConfig:
+        from .simulator import SceneConfig
+
         if not self.has_section("scene"):
             raise ConfigError(f"{self.path}: missing required section [scene]")
-        return self._build("scene")
+        return self._build("scene", SceneConfig)
 
     def corruption(self) -> CorruptionConfig:
-        return self._build("corruption")
+        from .simulator import CorruptionConfig
+
+        return self._build("corruption", CorruptionConfig)

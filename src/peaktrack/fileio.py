@@ -1,4 +1,4 @@
-"""On-disk formats: binary grids, MOTChallenge text rows, head directories.
+"""On-disk formats: binary grids and head directories.
 
 Grid files are deliberately minimal so any language can read them.  Both
 kinds share the magic length and the header; all numbers are little endian:
@@ -27,9 +27,7 @@ payload), reports any broken rule as `path: reason`, and refuses a header
 whose dense float64 grid numpy cannot allocate, so `.dense()` works;
 `read_grid` is its `.dense()`.  `track` decodes the stored cells.
 
-MOT text rows live in `peaktrack.motfile`, which needs no numpy;
-`read_mot_table` here gives the same walk's columns as numpy arrays, for
-the commands that draw or render boxes.
+MOT text rows live in `peaktrack.motfile`, which needs no numpy.
 
 A head-output directory holds four grid files per frame, named
 <frame>.heatmap.grid / .size.grid / .offset.grid / .disp.grid with <frame>
@@ -43,14 +41,13 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import require_downsample
 from .heatmap import HeadOutput, SparseGrid, require_grid_dims, stored_bits
-from .motfile import FileFormatError, read_mot_columns
+from .motfile import FileFormatError
 
 GRID_MAGIC = b"TTGRID1"
 SPARSE_GRID_MAGIC = b"TTGRID2"
@@ -146,35 +143,6 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
 def read_grid(path: str | Path) -> np.ndarray:
     """Load a dense or sparse grid file back as a dense float64 array."""
     return read_sparse_grid(path).dense()
-
-
-@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
-class MotTable:
-    """A MOT file as numpy columns, one entry per row in file order."""
-
-    frame: np.ndarray  # (n,) int64
-    track_id: np.ndarray  # (n,) int64
-    class_id: np.ndarray  # (n,) int64
-    box: np.ndarray  # (n, 4) float64: x1, y1, w, h
-    conf: np.ndarray  # (n,) float64
-    visibility: np.ndarray  # (n,) float64
-
-
-def read_mot_table(path: str | Path) -> MotTable:
-    """Parse a MOT result or ground-truth file into numpy columns.
-
-    The columns of `motfile.read_mot_columns`, so a file that breaks a rule
-    raises `FileFormatError` for its first bad line, as `path:line: reason`.
-    """
-    cols = read_mot_columns(path)
-    return MotTable(
-        frame=np.array(cols.frame, dtype=np.int64),
-        track_id=np.array(cols.track_id, dtype=np.int64),
-        class_id=np.array(cols.class_id, dtype=np.int64),
-        box=np.array(cols.box, dtype=np.float64).reshape(-1, 4),
-        conf=np.array(cols.conf, dtype=np.float64),
-        visibility=np.array(cols.visibility, dtype=np.float64),
-    )
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:

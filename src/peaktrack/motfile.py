@@ -20,10 +20,11 @@ is read exactly, so ids above 2**53 stay distinct; any other integral form,
 such as `3.0` or `1e3`, is read through `float`.  Either way a value
 outside int64 is out of range.
 
-The walk gives the file's columns, `MotColumns`, and each reader is a view
-of them: `read_mot_frames` groups them per frame for scoring,
-`read_mot_file` gives `MotRow`s, and `fileio.read_mot_table` numpy columns.
-`rows_to_frames` groups `MotRow`s as (id, `BBox`) pairs per frame.
+The walk gives the file's columns, `MotColumns`, the one in-memory table of
+a MOT file: `render-heatmap` and `overlay` read them as they are,
+`read_mot_frames` groups them per frame for scoring, and `read_mot_file`
+gives `MotRow`s.  `rows_to_frames` groups `MotRow`s as (id, `BBox`) pairs
+per frame.
 """
 
 from __future__ import annotations

@@ -288,13 +288,14 @@ def corrupt(
     warning per frame reports the count), and one of the reference frame
     gives no displacement and logs nothing.  Every class id of both frames
     is checked before the first random draw, so an out-of-range class fails
-    whatever `fn_rate` drops.  A Poisson(fp_rate)-distributed number of
-    spurious peaks is injected at uniform positions with sizes resampled
-    from the frame's objects, each carrying believable size/offset entries
-    and a score in [0.5, 1].  Finally Gaussian noise of scale
-    `hm_noise_sigma` is added to the heatmap and clamped back to [0, 1].
-    Pass `rng` to thread one stream through a whole sequence; otherwise a
-    fresh one is seeded from the config.
+    whatever `fn_rate` drops, and so is the grid size: every flat index must
+    fit int64.  A Poisson(fp_rate)-distributed number of spurious peaks is
+    injected at uniform positions with sizes resampled from the frame's
+    objects, each carrying believable size/offset entries and a score in
+    [0.5, 1].  Finally Gaussian noise of scale `hm_noise_sigma` is added to
+    the heatmap and clamped back to [0, 1].  Pass `rng` to thread one stream
+    through a whole sequence; otherwise a fresh one is seeded from the
+    config.
 
     Objects and false positives are placed together, as columns of one
     entry each, objects first: cell floor(p / R), offset p / R - cell and
@@ -306,6 +307,12 @@ def corrupt(
     rows, cols = _grid_dims(image_size, downsample)
     prev_objects = ann_prev.objects if ann_prev is not None else ()
     check_class_ids((*ann_t.objects, *prev_objects), num_classes)
+    # flat indices are int64, on the heatmap's channels and the regression grids' two
+    if rows * cols * max(num_classes, 2) > 2**63:
+        raise ValueError(
+            f"a {rows}x{cols} grid with num_classes {num_classes} has more cells than "
+            "an int64 index reaches"
+        )
     if rng is None:
         rng = np.random.default_rng(corruption.seed)
     h_px, w_px = image_size

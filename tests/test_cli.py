@@ -342,6 +342,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: Unable to allocate ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, edit, dims",
+        [
+            ("simulate", ("width = 256", "width = 4" + "0" * 20), "64x1" + "0" * 20),
+            ("simulate", ("seed = 14", "seed = 14\n[pipeline]\nnum_classes = " + "9" * 20), "64x64"),
+            ("render-heatmap", ["--width", "4" + "0" * 20, "--height", "64"], "16x1" + "0" * 20),
+            ("render-heatmap", ["--width", "64", "--height", "64", "--classes", "9" * 20], "16x16"),
+        ],
+    )
+    def test_grid_beyond_int64_index_is_validation_error(self, tmp_path, command, edit, dims):
+        # past int64 the flat cell indices of draw_bumps cannot be computed
+        if command == "simulate":
+            cfg = write_cfg(tmp_path, SCENE_CFG.replace(*edit))
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        else:
+            gt = tmp_path / "gt.txt"
+            gt.write_text("1,1,1.0,0.0,2.0,2.0,1,-1,-1\n")
+            argv = ["render-heatmap", "--gt", str(gt), "--frame", "1", "--out", "hm.grid", *edit]
+        proc = subprocess.run(
+            [sys.executable, "-m", "peaktrack", *argv], capture_output=True, text=True, cwd=tmp_path
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: a {dims}")
+        assert line.endswith("has more cells than an int64 index reaches")
+
     def test_unordered_sparse_grid_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
@@ -704,25 +731,39 @@ class TestModuleEntryPoint:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip().splitlines()[-1] == "[]", run
 
+    def test_track_loads_no_simulator(self, tmp_path, sim_heads):
+        # the config holds a [scene] section too; `track` reads only [pipeline]
+        cfg = write_cfg(tmp_path, SCENE_CFG + "[pipeline]\nmax_peaks = 50\n")
+        track = ["track", "--heads", sim_heads, "--config", cfg, "--out", str(tmp_path / "r.txt")]
+        run = f"import sys; from peaktrack import cli; assert cli.main({track!r}) == 0"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{run}; print('peaktrack.simulator' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
     def test_lazy_exports_are_the_frozen_names(self):
-        # `peaktrack.__all__` before the package became lazy, plus the names
-        # of the numpy-free MOT module
+        # `peaktrack.__all__` before the package became lazy, less the numpy
+        # MOT table, plus the names of the numpy-free MOT module
         names = (
             "BBox ConfigError ConfigFile CorruptionConfig Detection FileFormatError "
             "FrameAnnotations FrameTargets GridPoint HeadOutput LossBreakdown MetricsReport "
-            "MotRow MotTable ObjectAnnotation PipelineConfig SceneConfig SparseGrid "
+            "MotRow ObjectAnnotation PipelineConfig SceneConfig SparseGrid "
             "SupervisedPoint TopPoint Track TrackOutput TrackerState assignment association "
             "bbox_iou compute_clear compute_idf1 config corners_from_top corrupt "
             "decode_detections draw_bumps evaluation extract_peaks fileio "
             "finite_difference_check focal_loss gaussian_sigma gen_scene geometry "
             "greedy_match heatmap hungarian_match list_head_frames losses masked_l1_loss "
             "match_frame pick_reference_frame predict_prev_positions quantize_point read_grid "
-            "read_head_outputs read_mot_file read_mot_table read_sparse_grid "
+            "read_head_outputs read_mot_file read_sparse_grid "
             "render_gt_heatmap rows_to_frames simulator step synthesize_head_outputs "
             "targets_from_head top_point_from_bbox total_loss write_grid write_head_outputs "
             "write_mot_file"
         ).split()
-        assert sorted(peaktrack.__all__) == sorted([*names, "motfile", "read_mot_frames"])
+        mot = ["MotColumns", "motfile", "read_mot_columns", "read_mot_frames"]
+        assert sorted(peaktrack.__all__) == sorted([*names, *mot])
         for name in peaktrack.__all__:
             value = getattr(peaktrack, name)
             if isinstance(value, types.ModuleType):

@@ -11,14 +11,14 @@ from hypothesis.extra.numpy import arrays
 from peaktrack import (
     BBox,
     FileFormatError,
+    MotColumns,
     MotRow,
-    MotTable,
     list_head_frames,
     read_grid,
     read_head_outputs,
+    read_mot_columns,
     read_mot_file,
     read_mot_frames,
-    read_mot_table,
     read_sparse_grid,
     rows_to_frames,
     write_grid,
@@ -455,23 +455,25 @@ def mot_line(**fields):
 
 
 class TestMotTable:
+    """The one in-memory table of a MOT file: `read_mot_columns`'s `MotColumns`."""
+
     def test_columns(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text("2,7,1.5,2.25,10,20,0.875,3,0.5\n1,3,5,6,7,8,1,-1,-1\n")
-        table = read_mot_table(p)
-        assert isinstance(table, MotTable)
+        cols = read_mot_columns(p)
+        assert isinstance(cols, MotColumns)
         for name in ("frame", "track_id", "class_id"):
-            assert getattr(table, name).dtype == np.int64
-        assert table.box.dtype == np.float64 and table.box.shape == (2, 4)
-        np.testing.assert_array_equal(table.frame, [2, 1])
-        np.testing.assert_array_equal(table.track_id, [7, 3])
-        np.testing.assert_array_equal(table.class_id, [3, -1])
-        np.testing.assert_array_equal(table.box, [[1.5, 2.25, 10, 20], [5, 6, 7, 8]])
-        np.testing.assert_array_equal(table.conf, [0.875, 1.0])
-        np.testing.assert_array_equal(table.visibility, [0.5, -1.0])
-        columns = (table.frame, table.track_id, *table.box.T, table.conf)
-        rows = zip(*(c.tolist() for c in (*columns, table.class_id, table.visibility)))
-        assert [MotRow(*row) for row in rows] == read_mot_file(p)
+            assert all(type(v) is int for v in getattr(cols, name))
+        assert all(type(v) is float for box in cols.box for v in box)
+        assert all(type(v) is float for v in cols.conf + cols.visibility)
+        assert cols.frame == [2, 1]
+        assert cols.track_id == [7, 3]
+        assert cols.class_id == [3, -1]
+        assert cols.box == [(1.5, 2.25, 10, 20), (5, 6, 7, 8)]
+        assert cols.conf == [0.875, 1.0]
+        assert cols.visibility == [0.5, -1.0]
+        rows = zip(cols.frame, cols.track_id, cols.box, cols.conf, cols.class_id, cols.visibility)
+        assert [MotRow(f, i, *box, c, k, v) for f, i, box, c, k, v in rows] == read_mot_file(p)
 
     def test_frames_ascend_and_keep_file_order_within_a_frame(self, tmp_path):
         p = tmp_path / "rows.txt"
@@ -491,15 +493,14 @@ class TestMotTable:
     def test_empty_and_blank_files(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text(" \n\n\x0c\r\n")
-        table = read_mot_table(p)
-        assert table.box.shape == (0, 4) and table.frame.shape == (0,)
+        assert read_mot_columns(p) == MotColumns([], [], [], [], [], [])
         assert read_mot_file(p) == [] and read_mot_frames(p) == {}
 
     def test_form_feed_inside_a_line_does_not_split_it(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text("1,3,10,20,40,100,1,-1,-1\n\x0c2,3,10,\x0c20,40,100,1,-1,-1\x0c\n2,x ,0\n")
         with pytest.raises(FileFormatError, match=r"rows\.txt:3: expected 9"):
-            read_mot_table(p)
+            read_mot_columns(p)
 
     def test_first_bad_line_wins_over_a_later_one(self, tmp_path):
         p = tmp_path / "rows.txt"
@@ -510,7 +511,7 @@ class TestMotTable:
         with pytest.raises(
             FileFormatError, match=r"rows\.txt:2: BBox extent must be positive, got w=0\.0"
         ):
-            read_mot_table(p)
+            read_mot_columns(p)
 
 
 class TestMotIntegerFields:
@@ -562,7 +563,7 @@ class TestMotIntegerFields:
         p.write_text("1,9007199254740993,0,0,10,10,1,-1,-1\n1,9007199254740992,0,0,10,10,1,-1,-1\n")
         ids = [9007199254740993, 9007199254740992]
         assert [row.track_id for row in read_mot_file(p)] == ids
-        assert read_mot_table(p).track_id.tolist() == ids
+        assert read_mot_columns(p).track_id == ids
         assert read_mot_frames(p)[1].ids == ids
         p.write_text("1,9007199254740993,0,0,10,10,1,-1,-1\n1,9007199254740993,5,0,10,10,1,-1,-1\n")
         with pytest.raises(FileFormatError) as exc:
