@@ -9,7 +9,10 @@ same gated problem optimally is provided for comparisons.  Both see only
 the pairs allowed to match (same class, within the gate), as a map from
 (track index, detection index) to distance: greedy walks each detection's
 pairs, and Hungarian solves them with `assignment.max_weight_pairs`, one
-connected component at a time.
+connected component at a time.  `_gated_pairs` finds those pairs in
+Python without a tracks x detections array: each detection bisects the
+tracks of its class, sorted by x, for those whose x lies within its gate,
+and measures only those.
 
 Lifecycle is deliberately local and owned by `step` alone: unmatched tracks
 are dropped immediately, unmatched detections always start new tracks, and
@@ -18,10 +21,10 @@ ids are never reused.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .assignment import max_weight_pairs
 from .geometry import BBox, Detection, PipelineConfig, TopPoint
@@ -68,17 +71,40 @@ def _gated_pairs(
     The distance runs from a track's last position to a detection's
     predicted previous position; a pair is allowed when both have the same
     class and the distance is within gate_scale * max(det width, det height).
+    Pairs come in ascending (track, detection) order.
+
+    Each detection measures only the tracks of its class whose x offset
+    dx = x - px from it lies in [-gate, gate], found by bisection among
+    that class's tracks sorted by x.  dx is computed as the distance
+    computes it, it rises with x however it rounds, and |dx| <= hypot(dx,
+    dy), so the window drops no pair the gate would keep.
     """
-    predicted = predict_prev_positions(dets)
-    last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
-    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
-    dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
-    gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
-    same_class = np.array([t.class_id for t in tracks])[:, None] == np.array(
-        [d.class_id for d in dets]
-    )
-    ti, di = np.nonzero(same_class & (dist <= gate))
-    return dict(zip(zip(ti.tolist(), di.tolist()), dist[ti, di].tolist()))
+    columns: dict[int, tuple[list[int], list[float], list[float]]] = {}
+    for ti in sorted(range(len(tracks)), key=lambda ti: tracks[ti].last_top.x):
+        track = tracks[ti]
+        order, xs, ys = columns.setdefault(track.class_id, ([], [], []))
+        order.append(ti)
+        xs.append(track.last_top.x)
+        ys.append(track.last_top.y)
+    pairs = []
+    for di, (det, prev) in enumerate(zip(dets, predict_prev_positions(dets))):
+        if det.class_id not in columns:
+            continue
+        order, xs, ys = columns[det.class_id]
+        gate = gate_scale * max(det.size)
+        px, py = prev.x, prev.y
+
+        def dx(x: float) -> float:
+            return x - px
+
+        lo = bisect_left(xs, -gate, key=dx)
+        hi = bisect_right(xs, gate, lo, key=dx)
+        for ti, x, y in zip(order[lo:hi], xs[lo:hi], ys[lo:hi]):
+            dist = math.hypot(x - px, y - py)
+            if dist <= gate:
+                pairs.append(((ti, di), dist))
+    pairs.sort()
+    return dict(pairs)
 
 
 def _result(

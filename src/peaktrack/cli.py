@@ -13,15 +13,15 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only numpy-free modules at module level, so `evaluate` never imports numpy;
-# every other command imports what it needs in its body.
-from .evaluation import IOU_THRESHOLD, MetricsReport, compute_clear
-from .geometry import BBox, PipelineConfig
+# Only numpy-free modules at module level, so neither `evaluate` nor `track`
+# on sparse heads imports numpy; every command imports the rest in its body.
+from .geometry import IOU_THRESHOLD, BBox, PipelineConfig
 from .motfile import FileFormatError, MotRow, read_mot_columns, read_mot_frames, write_mot_file
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .evaluation import MetricsReport
     from .losses import FrameTargets
 
 # the names of `association.MATCHERS`, known here without importing numpy
@@ -95,7 +95,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     from .config import ConfigError, ConfigFile
     from .fileio import list_head_frames, write_head_outputs
-    from .simulator import corrupt, gen_scene, pick_reference_frame
+    from .simulator import check_grid, corrupt, gen_scene, pick_reference_frame
 
     cfg_file = ConfigFile(args.config)
     scene = cfg_file.scene()
@@ -120,6 +120,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     frames = gen_scene(scene)
+    # `corrupt`'s own checks, run before anything is written
+    objects = [obj for ann in frames for obj in ann.objects]
+    check_grid(scene.image_size, scene.downsample, pipeline.num_classes, objects)
     heads_dir.mkdir(parents=True, exist_ok=True)
 
     gt_rows = [
@@ -214,6 +217,8 @@ def _report_lines(report: MetricsReport, csv: bool) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import compute_clear
+
     gt = read_mot_frames(args.gt)
     pred = read_mot_frames(args.pred)
     report = compute_clear(gt, pred, args.iou_threshold)
@@ -298,6 +303,7 @@ def _gradient_checks(
 def cmd_losscheck(args: argparse.Namespace) -> int:
     from .config import ConfigFile
     from .fileio import list_head_frames, read_head_outputs
+    from .heatmap import require_head_config
     from .losses import targets_from_head, total_loss
 
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
@@ -316,6 +322,8 @@ def cmd_losscheck(args: argparse.Namespace) -> int:
     for frame_index in frame_indices:
         gt_head = read_head_outputs(args.gt, frame_index, cfg.downsample)
         pred_head = read_head_outputs(args.pred, frame_index, cfg.downsample)
+        require_head_config(gt_head, cfg)
+        require_head_config(pred_head, cfg)
         targets = targets_from_head(gt_head)
         if first_targets is None:
             first_targets = targets

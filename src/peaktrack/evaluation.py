@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .assignment import max_weight_pairs
-from .geometry import BBox
+from .geometry import IOU_THRESHOLD, BBox
 from .motfile import Box, FrameColumns
 
 FrameBoxes = Sequence[tuple[int, BBox]]
 Sequence_ = Mapping[int, Union[FrameBoxes, FrameColumns]]
 
-IOU_THRESHOLD = 0.5
 MOSTLY_TRACKED_COVERAGE = 0.8
 MOSTLY_LOST_COVERAGE = 0.2
 
@@ -66,10 +65,11 @@ class MetricsReport:
 
 
 def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int, float]]:
-    """(i, j, IoU of a[i] and b[j]) for every pair of boxes that overlap, sorted.
+    """(i, j, IoU of a[i] and b[j]) for every pair of boxes whose IoU is not 0, sorted.
 
     Boxes are (x1, y1, w, h); two overlap when the intersection has positive
-    width and height.  One sweep over both sides' left edges, ascending,
+    width and height, and an overlap whose IoU underflows to 0 (a sliver
+    5e-324 wide) is no pair, as it could be no match either.  One sweep over both sides' left edges, ascending,
     keeps each side's open boxes, those whose right edge lies beyond the
     current left edge, and pairs each box with the open boxes of the other
     side only.  The IoU is `inter / (aw*ah + bw*bh - inter)`, 0 where that
@@ -100,7 +100,9 @@ def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int
                 if iw > 0:
                     inter = iw * ih
                     union = a_area + b_area - inter
-                    pairs.append((i, j, inter / union if union > 0 else 0.0))
+                    iou = inter / union if union > 0 else 0.0
+                    if iou:
+                        pairs.append((i, j, iou))
     pairs.sort()
     return pairs
 

@@ -19,13 +19,18 @@ values without scanning the grid, and picks whichever payload is smaller:
 sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense when H*W*C
 exceeds 2**32 and an index could overflow u32.  Head grids go sparse; a
 heatmap with noise added is about half non-zero and costs about the dense
-size.
+size.  The writer runs on numpy, which it imports when called.
 
-`read_sparse_grid` is the one parser: it checks the bytes and that every
-value is finite, builds a `SparseGrid` (by `SparseGrid.of` from a dense
-payload), reports any broken rule as `path: reason`, and refuses a header
-whose dense float64 grid numpy cannot allocate, so `.dense()` works;
-`read_grid` is its `.dense()`.  `track` decodes the stored cells.
+`_parse_grid` is the one parser.  It checks the bytes and that every value
+is finite, and reports any broken rule as `path: reason`.  A sparse payload
+is read with `array` into a `SparseGrid`, without numpy; a dense payload
+imports numpy and stays a dense float64 array, which decode searches
+with numpy.
+The parser refuses a header whose dense float64 grid could not be mapped
+into memory, so `.dense()` works.  `read_sparse_grid` gives either payload
+as a `SparseGrid` (by `SparseGrid.of` from a dense one) and `read_grid` as a
+dense array.  `read_head_outputs` keeps each file's own form, except that a
+sparse file storing a quarter of its cells or more is made dense for decode.
 
 MOT text rows live in `peaktrack.motfile`, which needs no numpy.
 
@@ -39,21 +44,29 @@ every frame's grids have the same rows and columns.
 from __future__ import annotations
 
 import math
+import mmap
 import re
 import struct
+import sys
+from array import array
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import require_downsample
-from .heatmap import HeadOutput, SparseGrid, require_grid_dims, stored_bits
+from .heatmap import HeadOutput, SparseGrid, all_finite, require_grid_dims, stored_bits
 from .motfile import FileFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID_MAGIC = b"TTGRID1"
 SPARSE_GRID_MAGIC = b"TTGRID2"
 _HEADER = struct.Struct("<III")
 _COUNT = struct.Struct("<I")
 _HEADER_END = len(GRID_MAGIC) + _HEADER.size
+# A sparse head grid storing at least 1/_DENSE_FILL of its cells is decoded
+# dense: numpy searches it faster than Python walks that many stored cells.
+_DENSE_FILL = 4
 
 # head grid file name -> HeadOutput field
 _HEAD_FILES = {
@@ -71,36 +84,52 @@ def write_grid(path: str | Path, grid: np.ndarray | SparseGrid) -> None:
     scanned: its stored values are cast to float32 and those whose float32
     bits are not zero are kept.
     """
+    import numpy as np
+
     # a finite float64 beyond the float32 range becomes inf in these casts,
     # so the finiteness check runs on the float32 values that are written
     with np.errstate(over="ignore"):
-        if not isinstance(grid, SparseGrid):
+        if isinstance(grid, SparseGrid):
+            shape, index = grid.shape, np.asarray(grid.index)
+            values = np.asarray(grid.values).astype("<f4")
+            kept = stored_bits(values)
+            index, values, flat = index[kept], values[kept], None
+        else:
             arr = np.asarray(grid)
             if arr.ndim != 3:
                 raise ValueError("grid must be a (rows, cols, channels) array")
             if arr.size == 0:
                 raise ValueError("grid must be non-empty")
-            grid = SparseGrid.of(np.ascontiguousarray(arr, dtype="<f4"))
-        values = grid.values.astype("<f4")
-    kept = stored_bits(values)
-    index, values = grid.index[kept], values[kept]
+            shape, flat = arr.shape, np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+            index = np.flatnonzero(stored_bits(flat))
+            values = flat[index]
     if not np.all(np.isfinite(values)):
         raise ValueError("grid contains non-finite values")
-    size, k = math.prod(grid.shape), index.size
+    size, k = math.prod(shape), index.size
     if 4 + 8 * k < 4 * size and size <= 2**32:
         magic = SPARSE_GRID_MAGIC
         payload = _COUNT.pack(k) + index.astype("<u4").tobytes() + values.tobytes()
     else:
-        dense = np.zeros(size, dtype="<f4")
-        dense[index] = values
-        magic, payload = GRID_MAGIC, dense.tobytes()
+        if flat is None:
+            flat = np.zeros(size, dtype="<f4")
+            flat[index] = values
+        # a cell not stored has zero bits, so the float32 grid is the payload
+        magic, payload = GRID_MAGIC, flat.tobytes()
     with open(path, "wb") as fh:
-        fh.write(magic + _HEADER.pack(*grid.shape))
+        fh.write(magic + _HEADER.pack(*shape))
         fh.write(payload)
 
 
-def read_sparse_grid(path: str | Path) -> SparseGrid:
-    """Load a dense or sparse grid file as its cells whose float32 bits are not zero."""
+def _little_endian(typecode: str, data: bytes) -> array:
+    """An `array` of little-endian items, in the machine's byte order."""
+    items = array(typecode, data)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _parse_grid(path: str | Path) -> np.ndarray | SparseGrid:
+    """A dense grid file as a float64 array, a sparse one as a `SparseGrid`."""
     data = Path(path).read_bytes()
     magic = data[: len(GRID_MAGIC)]
     try:
@@ -114,7 +143,11 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
             expected = _HEADER_END + 4 * math.prod(shape)
             if len(data) != expected:
                 raise ValueError(f"payload mismatch, expected {expected} bytes, got {len(data)}")
-            grid = SparseGrid.of(np.frombuffer(data, "<f4", offset=_HEADER_END).reshape(shape))
+            import numpy as np
+
+            grid = np.frombuffer(data, "<f4", offset=_HEADER_END).reshape(shape)
+            grid = grid.astype(np.float64)
+            finite = bool(np.isfinite(grid).all())
         else:
             count_end = _HEADER_END + _COUNT.size
             if len(data) < count_end:
@@ -125,24 +158,37 @@ def read_sparse_grid(path: str | Path) -> SparseGrid:
                 raise ValueError(
                     f"payload mismatch, expected {expected} bytes for {k} values, got {len(data)}"
                 )
-            index = np.frombuffer(data, "<u4", count=k, offset=count_end)
-            values = np.frombuffer(data, "<f4", count=k, offset=count_end + 4 * k)
-            grid = SparseGrid(shape, index.astype(np.int64), values.astype(np.float64))
-        if not np.all(np.isfinite(grid.values)):
+            values_start = count_end + 4 * k
+            grid = SparseGrid(
+                shape,
+                _little_endian("I", data[count_end:values_start]),
+                _little_endian("f", data[values_start:]),
+            )
+            finite = all_finite(grid.values)
+        if not finite:
             raise ValueError("grid contains non-finite values")
     except ValueError as exc:  # the byte checks above and the rules of `SparseGrid`
         raise FileFormatError(f"{path}: {exc}") from None
     try:
-        # `.dense()` must not fail on a grid read here; np.empty touches no memory
-        np.empty(shape)
-    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+        # `.dense()` must not fail on a grid read here; a private anonymous
+        # mapping reserves the float64 grid's bytes without touching them
+        with mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY):
+            pass
+    except (OSError, OverflowError, ValueError, MemoryError):
         raise FileFormatError(f"{path}: cannot allocate a {dims} grid") from None
     return grid
 
 
+def read_sparse_grid(path: str | Path) -> SparseGrid:
+    """Load a dense or sparse grid file as its cells whose float32 bits are not zero."""
+    grid = _parse_grid(path)
+    return grid if isinstance(grid, SparseGrid) else SparseGrid.of(grid)
+
+
 def read_grid(path: str | Path) -> np.ndarray:
     """Load a dense or sparse grid file back as a dense float64 array."""
-    return read_sparse_grid(path).dense()
+    grid = _parse_grid(path)
+    return grid.dense() if isinstance(grid, SparseGrid) else grid
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:
@@ -159,7 +205,9 @@ def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput
 def read_head_outputs(
     directory: str | Path, frame_index: int, downsample: int
 ) -> HeadOutput:
-    """One frame's four grids as a `HeadOutput` of `SparseGrid`s.
+    """One frame's four grids as a `HeadOutput`, each a `SparseGrid` or, from a
+    dense file or a sparse one storing a quarter of its cells or more, a
+    float64 array.
 
     A missing grid file, or a frame that breaks a `HeadOutput` rule, is a
     `FileFormatError` naming the file or the frame's files.
@@ -169,9 +217,12 @@ def read_head_outputs(
     for name, field in _HEAD_FILES.items():
         path = head_grid_path(directory, frame_index, name)
         try:
-            grids[field] = read_sparse_grid(path)
+            grid = _parse_grid(path)
         except FileNotFoundError:
             raise FileFormatError(f"missing head grid {path}") from None
+        if isinstance(grid, SparseGrid) and _DENSE_FILL * len(grid.index) >= math.prod(grid.shape):
+            grid = grid.dense()
+        grids[field] = grid
     try:
         return HeadOutput(**grids, downsample=downsample)
     except ValueError as exc:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 
 TOP_HEIGHT_FRACTION = 0.1
+# a prediction matches a ground-truth box at IoU >= this, unless set otherwise
+IOU_THRESHOLD = 0.5
 
 
 def _require_finite(name: str, *values: float) -> None:

@@ -7,28 +7,36 @@ elementwise maximum so values stay valid probabilities.  `draw_bumps` draws
 all of a frame's bumps at once, into a `SparseGrid` of the cells they
 cover, with the sigma of `gaussian_sigma`; `simulator.corrupt` places the
 objects, and `simulator.render_gt_heatmap` is its heatmap made dense.
-Decoding walks the opposite direction, in arrays: `_peaks` finds the local
-maxima of a predicted heatmap, size, offset and displacement are read at
-those cells together, and one mask drops the peaks of non-positive size
-before a `Detection` is built for each peak kept.  `extract_peaks` is the
-tuple view.
+Rendering runs on numpy, which those functions import when called.
+
+Decoding walks the opposite direction and needs no numpy for a
+`SparseGrid`: `_peaks` finds the local maxima of a predicted heatmap among
+its stored cells in Python, size, offset and displacement are read at those
+cells, and peaks of non-positive size are dropped before a `Detection` is
+built for each peak kept.  A dense heatmap (a TTGRID1 file, or an array
+passed in) is searched with numpy, and so is a `SparseGrid` at
+`score_threshold = 0`, where a cell that is not stored can be a peak.
+`extract_peaks` is the tuple view.
 
 Dimension tuples are (height, width) in input-image pixels; grids are
 numpy arrays of shape (H/R, W/R, channels) with x mapped to columns, or
 `SparseGrid`s of that shape.  A `SparseGrid` holds a grid as its stored
-cells and checks its own index rules when it is built: three dims >= 1, and
-a 1-D integer index, strictly ascending and inside the grid, with one value
-each.  `SparseGrid.of` is the one stored-cell rule: a cell is stored when
-its float bits are not zero, so -0.0 and denormals count.
+cells, in an `array` of integer flat positions and an `array` of float
+values, and checks its own index rules when it is built: three dims >= 1,
+and positions strictly ascending and inside the grid, with one value each.
+`SparseGrid.of` is the one stored-cell rule for a numpy array: a cell is
+stored when its float bits are not zero, so -0.0 and denormals count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from itertools import compress, islice, repeat
+from typing import TYPE_CHECKING, Sequence
 
 from .geometry import (
     BBox,
@@ -40,6 +48,11 @@ from .geometry import (
     require_peak_limits,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    Grid = np.ndarray | SparseGrid
+
 logger = logging.getLogger(__name__)
 
 # Peak value of a Gaussian tail at 3 standard deviations is ~1.1e-2, below
@@ -47,6 +60,8 @@ logger = logging.getLogger(__name__)
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
 MIN_SIGMA_CELLS = 2.0 / 3.0
 GAUSSIAN_IOU = 0.7
+# the `array` typecodes of integers, signed and unsigned
+_INTEGER_TYPECODES = "bBhHiIlLqQ"
 
 
 def require_grid_dims(shape: tuple[int, ...]) -> str:
@@ -62,60 +77,91 @@ def stored_bits(values: np.ndarray) -> np.ndarray:
     return values.view(f"u{values.itemsize}") != 0
 
 
-@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every value is finite; the sum is the fast path, `isfinite` per value the exact one."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+@dataclass(frozen=True)
 class SparseGrid:
     """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
 
-    `index` holds flat positions (row-major, channels minor) as integers,
-    strictly ascending and inside the grid, and `values` the float64 value at
-    each; other input raises `ValueError`.  `np.asarray(grid)` is `grid.dense()`.
+    `index` holds flat positions (row-major, channels minor), strictly
+    ascending and inside the grid, in an `array` of an integer type, and
+    `values` the value at each in an `array` of float32 or float64.  Arrays
+    of those types are kept as they are, so a grid file's payload is read
+    without a copy; any other sequences of integers and reals are copied
+    into `array("q")` and `array("d")`, and other input raises `ValueError`.
+    A numpy caller passes `of` a dense array, or `of_columns` two 1-D
+    arrays.  `np.asarray(grid)` is `grid.dense()`.
     """
 
     shape: tuple[int, int, int]
-    index: np.ndarray
-    values: np.ndarray
+    index: Sequence[int]
+    values: Sequence[float]
 
     def __post_init__(self) -> None:
         dims = require_grid_dims(self.shape)
-        index = self.index
-        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError("index must be a 1-D integer array")
-        if self.values.shape != index.shape:
-            raise ValueError(f"{index.size} indices but {self.values.size} values")
-        if np.any(index[1:] <= index[:-1]):
+        index, values = self.index, self.values
+        if not (isinstance(index, array) and index.typecode in _INTEGER_TYPECODES):
+            try:
+                index = array("q", index)
+            except (TypeError, OverflowError):  # a float, a nested row, or beyond int64
+                raise ValueError("index must be a 1-D integer array") from None
+        if not (isinstance(values, array) and values.typecode in "fd"):
+            try:
+                values = array("d", values)
+            except TypeError:
+                raise ValueError("values must be a 1-D array of reals") from None
+        if len(values) != len(index):
+            raise ValueError(f"{len(index)} indices but {len(values)} values")
+        if not all(map(operator.lt, index, islice(index, 1, None))):
             raise ValueError("indices are not strictly ascending")
-        if index.size and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
+        if index and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
             bad = index[0] if index[0] < 0 else index[-1]
             raise ValueError(f"index {bad} out of range for {dims} grid")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def of(cls, array: np.ndarray) -> SparseGrid:
+    def of(cls, grid: np.ndarray) -> SparseGrid:
         """The cells of a float array whose bits are not zero (`stored_bits`)."""
-        flat = array.reshape(-1)
+        import numpy as np
+
+        flat = grid.reshape(-1)
         # np.flatnonzero on the raw bits is slower than on this comparison
         index = np.flatnonzero(stored_bits(flat))
-        return cls(array.shape, index, flat[index].astype(np.float64))
+        return cls.of_columns(grid.shape, index, flat[index])
+
+    @classmethod
+    def of_columns(
+        cls, shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray
+    ) -> SparseGrid:
+        """A grid of numpy flat positions and values, copied through their bytes.
+
+        The same grid as `SparseGrid(shape, index, values)`, without making
+        a Python object of each element.
+        """
+        import numpy as np
+
+        return cls(
+            shape,
+            array("q", index.astype(np.int64).tobytes()),
+            array("d", values.astype(np.float64).tobytes()),
+        )
 
     def dense(self) -> np.ndarray:
         """The grid as a float64 array of `shape`."""
+        import numpy as np
+
         grid = np.zeros(self.shape)
-        grid.reshape(-1)[self.index] = self.values
+        grid.reshape(-1)[np.asarray(self.index)] = np.asarray(self.values)
         return grid
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a SparseGrid has no dense array to share without a copy")
         return self.dense() if dtype is None else self.dense().astype(dtype)
-
-    def lookup(self, flat: np.ndarray) -> np.ndarray:
-        """The values at flat positions, by binary search; a cell not stored reads 0.0."""
-        if not self.index.size:
-            return np.zeros(np.shape(flat))
-        at = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
-        return np.where(self.index[at] == flat, self.values[at], 0.0)
-
-
-Grid = np.ndarray | SparseGrid
 
 
 @dataclass(frozen=True)
@@ -165,15 +211,13 @@ class HeadOutput:
         for name, g in grids.items():
             if len(g.shape) != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
-            # a cell a sparse grid does not store is 0.0, in range and finite
-            stored = g if isinstance(g, np.ndarray) else g.values
-            if name == "heatmap":
-                # NaN and +-inf fail this form, so it doubles as the finiteness check
-                if not (stored.min(initial=0.0) >= 0.0 and stored.max(initial=0.0) <= 1.0):
-                    raise ValueError("heatmap values must lie in [0, 1]")
-            elif g.shape[2] != 2:
+            if name != "heatmap" and g.shape[2] != 2:
                 raise ValueError(f"{name} must have 2 channels")
-            elif not np.all(np.isfinite(stored)):
+            low, high, finite = _value_range(g)
+            if name == "heatmap":
+                if not (finite and low >= 0.0 and high <= 1.0):
+                    raise ValueError("heatmap values must lie in [0, 1]")
+            elif not finite:
                 raise ValueError(f"{name} contains non-finite values")
         shapes = {g.shape[:2] for g in grids.values()}
         if len(shapes) != 1:
@@ -189,12 +233,39 @@ class HeadOutput:
         return self.heatmap.shape[2]
 
 
+def _value_range(grid: Grid) -> tuple[float, float, bool]:
+    """Least and greatest value of a grid, and whether all are finite.
+
+    A cell a sparse grid does not store is 0.0, so 0.0 is always in the range.
+    """
+    if isinstance(grid, SparseGrid):
+        v = grid.values
+        return min(v, default=0.0), max(v, default=0.0), all_finite(v)
+    import numpy as np
+
+    return grid.min(initial=0.0), grid.max(initial=0.0), bool(np.isfinite(grid).all())
+
+
+def require_head_config(head: HeadOutput, cfg: PipelineConfig) -> None:
+    """The head's classes and downsample factor are the config's; decode needs both."""
+    if head.num_classes != cfg.num_classes:
+        raise ValueError(
+            f"head has {head.num_classes} classes but config expects {cfg.num_classes}"
+        )
+    if head.downsample != cfg.downsample:
+        raise ValueError(
+            f"head downsample {head.downsample} != config downsample {cfg.downsample}"
+        )
+
+
 def _iou_radius(w, h, min_overlap: float = GAUSSIAN_IOU):
     """Largest corner displacement keeping box IoU >= min_overlap, for floats or arrays.
 
     Three cases (shifted, shrunk, grown box), each a quadratic in the
     radius; the binding constraint is the smallest positive root.
     """
+    import numpy as np
+
     o = min_overlap
     b1 = h + w
     c1 = w * h * (1 - o) / (1 + o)
@@ -220,6 +291,8 @@ def gaussian_sigma(size, downsample: int):
     usable support.  `size` is (w, h) as floats or as arrays of one shape,
     and sigma has that shape; the first size that is not positive fails.
     """
+    import numpy as np
+
     w, h = size
     bad = (np.asarray(w) <= 0) | (np.asarray(h) <= 0)
     if bad.any():
@@ -266,6 +339,8 @@ def draw_bumps(
     Where bumps overlap, a cell keeps the maximum.  All windows are laid
     out in one array, and the grid is never made dense.
     """
+    import numpy as np
+
     n_rows, n_cols, n_channels = shape
     reach = np.ceil(GAUSSIAN_TRUNCATION_SIGMAS * sigmas).astype(np.int64)
     r0, c0 = np.maximum(rows - reach, 0), np.maximum(cols - reach, 0)
@@ -291,19 +366,21 @@ def draw_bumps(
     first = np.flatnonzero(np.diff(flat, prepend=-1))
     if first.size:
         flat, values = flat[first], np.maximum.reduceat(values, first)
-    return SparseGrid(shape, flat, values)
+    return SparseGrid.of_columns(shape, flat, values)
 
 
 def extract_peaks(
     heatmap: Grid, max_peaks: int, score_threshold: float
 ) -> list[tuple[GridPoint, int, float]]:
     """The peaks `decode_detections` decodes (see `_peaks`), as (cell, channel, score) tuples."""
-    peaks = zip(*(a.tolist() for a in _peaks(heatmap, max_peaks, score_threshold)))
+    peaks = _peaks(heatmap, max_peaks, score_threshold)
     return [(GridPoint(c, r), ch, s) for r, c, ch, s in peaks]
 
 
-def _peaks(heatmap: Grid, max_peaks: int, score_threshold: float) -> tuple[np.ndarray, ...]:
-    """Rows, columns, channels and scores of the cells that are >= all 8 neighbors.
+def _peaks(
+    heatmap: Grid, max_peaks: int, score_threshold: float
+) -> list[tuple[int, int, int, float]]:
+    """(row, column, channel, score) of the cells that are >= all 8 neighbors.
 
     Border cells compare only against existing neighbors.  A plateau is not
     thinned: equal adjacent cells are all peaks, as with CenterNet's
@@ -312,71 +389,101 @@ def _peaks(heatmap: Grid, max_peaks: int, score_threshold: float) -> tuple[np.nd
     ties broken by lower row, then lower column, then lower channel, and
     truncated to `max_peaks` (a warning reports the count found and kept).
 
-    A dense heatmap is scanned whole.  A `SparseGrid` takes only its stored
-    cells at or above the threshold as candidates and looks up their
-    neighbors, unless the threshold is 0: then a cell that is not stored
-    can be a peak, and the heatmap is scanned dense.
+    A `SparseGrid` takes only its stored cells at or above the threshold as
+    candidates and looks up their neighbors, in Python, unless the
+    threshold is 0: then a cell that is not stored can be a peak, and the
+    heatmap is made dense.  A dense heatmap is searched with numpy.
+    Both find the same peaks in a heatmap of finite values, which every
+    `HeadOutput` and grid file holds.
     """
     require_peak_limits(max_peaks, score_threshold)
-    if not isinstance(heatmap, np.ndarray) and score_threshold <= 0:
+    if isinstance(heatmap, SparseGrid) and score_threshold <= 0:
         heatmap = heatmap.dense()
     if len(heatmap.shape) != 3:
         raise ValueError("heatmap must be a (rows, cols, channels) array")
-    if isinstance(heatmap, np.ndarray):
-        flat, scores = _scanned_peaks(heatmap, score_threshold)
+    if isinstance(heatmap, SparseGrid):
+        found = _stored_peaks(heatmap, score_threshold)
     else:
-        flat, scores = _stored_peaks(heatmap, score_threshold)
-    # flat positions ascend in (row, col, channel) order
-    order = np.lexsort((flat, -scores))
-    if order.size > max_peaks:
+        found = _scanned_peaks(heatmap, score_threshold)
+    # found is in flat order, which is (row, col, channel) order, and the sort is stable
+    found.sort(key=operator.itemgetter(1), reverse=True)
+    if len(found) > max_peaks:
         message = "kept %d of %d peaks at or above score threshold %g (max_peaks)"
-        logger.warning(message, max_peaks, order.size, score_threshold)
-    order = order[:max_peaks]
-    return (*np.unravel_index(flat[order], heatmap.shape), scores[order])
+        logger.warning(message, max_peaks, len(found), score_threshold)
+    _, cols, channels = heatmap.shape
+    peaks = []
+    for flat, score in found[:max_peaks]:
+        row, rest = divmod(flat, cols * channels)
+        peaks.append((row, *divmod(rest, channels), score))
+    return peaks
 
 
-def _scanned_peaks(heatmap: np.ndarray, score_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions and scores of a dense heatmap's peaks, by a scan of every cell."""
+def _scanned_peaks(heatmap: np.ndarray, score_threshold: float) -> list[tuple[int, float]]:
+    """(flat position, score) of a dense heatmap's peaks in flat order, by a numpy scan.
+
+    The cells at or above the threshold are the candidates; each is compared
+    with its 8 neighbors in a copy of the grid padded with -inf, so a border
+    cell compares only against the neighbors that exist.
+    """
+    import numpy as np
+
     rows, cols, channels = heatmap.shape
     padded = np.full((rows + 2, cols + 2, channels), -np.inf)
     padded[1:-1, 1:-1] = heatmap
-    is_peak = heatmap >= score_threshold
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            if dr != 1 or dc != 1:
-                is_peak &= heatmap >= padded[dr : dr + rows, dc : dc + cols]
     # np.nonzero on a 3-d mask is ~20x slower than this on a 256x256x1 grid
-    flat = np.flatnonzero(is_peak)
-    return flat, np.take(heatmap, flat).astype(np.float64, copy=False)
+    flat = np.flatnonzero(heatmap >= score_threshold)
+    scores = np.take(heatmap, flat).astype(np.float64, copy=False)
+    row, col = np.divmod(flat // channels, cols)
+    at = ((row + 1) * (cols + 2) + col + 1) * channels + flat % channels
+    is_peak = np.ones(flat.size, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                is_peak &= scores >= padded.take(at + (dr * (cols + 2) + dc) * channels)
+    return list(zip(flat[is_peak].tolist(), scores[is_peak].tolist()))
 
 
-_NEIGHBORS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc])
+def _stored_peaks(heatmap: SparseGrid, score_threshold: float) -> list[tuple[int, float]]:
+    """(flat position, score) of a sparse heatmap's peaks in flat order, for a threshold > 0.
 
-
-def _stored_peaks(heatmap: SparseGrid, score_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions and scores of a sparse heatmap's peaks, for a threshold > 0.
-
-    Only a stored cell reaches the threshold; each is compared with its
-    neighbors, looked up among the stored cells.  A neighbor row off the
-    grid is a flat position no cell has, so it reads 0.0, below every
-    candidate; a neighbor column off the grid would wrap into the next or
+    Only a stored cell reaches the threshold; each such candidate is
+    compared with its neighbors, looked up among the candidates: a cell
+    below the threshold, stored or not, is below every candidate, so it
+    reads 0.0.  So does a neighbor row off the grid, a flat position no
+    cell has; a neighbor column off the grid would wrap into the next or
     previous row, so it is skipped.
     """
     _, cols, channels = heatmap.shape
-    reached = heatmap.values >= score_threshold
-    flat, scores = heatmap.index[reached], heatmap.values[reached]
-    n_col = (flat // channels % cols)[:, None] + _NEIGHBORS[:, 1]
-    neighbors = heatmap.lookup(flat[:, None] + (_NEIGHBORS @ (cols, 1)) * channels)
-    is_peak = ((n_col < 0) | (n_col >= cols) | (scores[:, None] >= neighbors)).all(axis=1)
-    return flat[is_peak], scores[is_peak]
+    reached = map(operator.ge, heatmap.values, repeat(score_threshold))
+    candidates = dict(compress(zip(heatmap.index, heatmap.values), reached))
+    value_at = candidates.get
+    # the neighbors' flat offsets: above and below, then the columns to each side
+    row = cols * channels
+    middle = (-row, row)
+    left = (-row - channels, -channels, row - channels)
+    right = (-row + channels, channels, row + channels)
+    peaks = []
+    for flat, score in candidates.items():
+        col = flat // channels % cols
+        for step in middle + left * (col > 0) + right * (col < cols - 1):
+            if value_at(flat + step, 0.0) > score:
+                break
+        else:
+            peaks.append((flat, score))
+    return peaks
 
 
-def _at_cells(grid: Grid, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (n, channels) float64 values of (row, col) cells of a dense or sparse grid."""
-    if isinstance(grid, np.ndarray):
-        return grid[rows, cols].astype(np.float64, copy=False)
-    _, width, channels = grid.shape
-    return grid.lookup((rows * width + cols)[:, None] * channels + np.arange(channels))
+def _at_cells(grid: Grid, cells: list[tuple[int, int]]) -> list[tuple[float, float]]:
+    """The two channel values of a dense or sparse 2-channel grid at (row, col) cells."""
+    if isinstance(grid, SparseGrid):
+        _, width, _ = grid.shape
+        value_at = dict(zip(grid.index, grid.values)).get
+        flats = [2 * (r * width + c) for r, c in cells]
+        return [(value_at(f, 0.0), value_at(f + 1, 0.0)) for f in flats]
+    import numpy as np
+
+    values = grid[[r for r, _ in cells], [c for _, c in cells]]
+    return list(map(tuple, values.astype(np.float64, copy=False).tolist()))
 
 
 def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
@@ -386,27 +493,22 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
     displacement read from the same cell.  Peaks whose regressed size is not
     positive are dropped (a warning reports the count).
     """
-    if head.num_classes != cfg.num_classes:
-        raise ValueError(
-            f"head has {head.num_classes} classes but config expects {cfg.num_classes}"
-        )
-    if head.downsample != cfg.downsample:
-        raise ValueError(
-            f"head downsample {head.downsample} != config downsample {cfg.downsample}"
-        )
-    rows, cols, channels, scores = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
-    size = _at_cells(head.size_map, rows, cols)
-    kept = (size > 0).all(axis=1)
-    if not kept.all():
+    require_head_config(head, cfg)
+    peaks = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
+    cells = [(r, c) for r, c, _, _ in peaks]
+    sizes = _at_cells(head.size_map, cells)
+    kept = [w > 0 and h > 0 for w, h in sizes]
+    if not all(kept):
         logger.warning(
-            "dropped %d of %d peaks whose regressed size is not positive", (~kept).sum(), kept.size
+            "dropped %d of %d peaks whose regressed size is not positive",
+            kept.count(False),
+            len(kept),
         )
-    rows, cols, channels, scores, size = (a[kept] for a in (rows, cols, channels, scores, size))
-    cells = np.stack([cols, rows], axis=1)
-    tops = (cells + _at_cells(head.offset_map, rows, cols)) * cfg.downsample
-    disp = _at_cells(head.disp_map, rows, cols)
-    columns = (cells, channels, scores, tops, size, disp)
+    peaks, cells, sizes = (list(compress(a, kept)) for a in (peaks, cells, sizes))
+    offsets = _at_cells(head.offset_map, cells)
+    disps = _at_cells(head.disp_map, cells)
+    r_px = cfg.downsample
     return [
-        Detection(TopPoint(x, y), GridPoint(c, r), (w, h), s, ch, (dx, dy))
-        for (c, r), ch, s, (x, y), (w, h), (dx, dy) in zip(*(a.tolist() for a in columns))
+        Detection(TopPoint((c + ox) * r_px, (r + oy) * r_px), GridPoint(c, r), size, s, ch, disp)
+        for (r, c, ch, s), size, (ox, oy), disp in zip(peaks, sizes, offsets, disps)
     ]

@@ -5,9 +5,9 @@ flip at the borders, and a step of any length is folded back in, so boxes
 never leave it) and hands out persistent ids, which gives the rest of the
 pipeline a deterministic desk-scale test bed.  `corrupt` converts
 annotations into the grids a perfect network would emit, as `SparseGrid`s of
-their stored cells, degraded with the usual failure modes: dropped objects,
-spurious peaks, position jitter, heatmap noise and a temporally jittered
-reference frame.  Objects, reference-frame anchors and false positives
+their stored cells (a heatmap with noise added stays a dense array),
+degraded with the usual failure modes: dropped objects, spurious peaks,
+position jitter, heatmap noise and a temporally jittered reference frame.  Objects, reference-frame anchors and false positives
 are placed as columns through one array path.
 `synthesize_head_outputs` is `corrupt` with every rate 0, and
 `render_gt_heatmap` is its heatmap made dense.  Seeds must be >= 0.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -234,7 +235,29 @@ def render_gt_heatmap(
 def _stored(shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray) -> SparseGrid:
     """The entries whose float bits are not zero, as a grid: `SparseGrid.of`'s rule."""
     kept = stored_bits(values)
-    return SparseGrid(shape, index[kept], values[kept])
+    return SparseGrid.of_columns(shape, index[kept], values[kept])
+
+
+def check_grid(
+    image_size: tuple[int, int],
+    downsample: int,
+    num_classes: int,
+    objects: Sequence[ObjectAnnotation],
+) -> tuple[int, int]:
+    """(rows, cols) of the head grids, after every check `corrupt` makes before drawing.
+
+    The image dims are positive multiples of R, every object's class is one
+    of `num_classes`, and every flat cell index fits int64.
+    """
+    rows, cols = _grid_dims(image_size, downsample)
+    check_class_ids(objects, num_classes)
+    # flat indices are int64, on the heatmap's channels and the regression grids' two
+    if rows * cols * max(num_classes, 2) > 2**63:
+        raise ValueError(
+            f"a {rows}x{cols} grid with num_classes {num_classes} has more cells than "
+            "an int64 index reaches"
+        )
+    return rows, cols
 
 
 def _columns(objects: tuple[ObjectAnnotation, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,20 +322,14 @@ def corrupt(
 
     Objects and false positives are placed together, as columns of one
     entry each, objects first: cell floor(p / R), offset p / R - cell and
-    the sigma of `gaussian_sigma`.  The four grids are `SparseGrid`s built
-    from those columns: the heatmap is `heatmap.draw_bumps` of all bumps,
-    made dense only to add noise, and each regression grid keeps the last
-    entry written to a cell.  No dense regression grid is allocated.
+    the sigma of `gaussian_sigma`.  The grids are built from those columns:
+    the heatmap is the `SparseGrid` of `heatmap.draw_bumps` of all bumps, or
+    a dense array once noise is added, and each regression grid is a
+    `SparseGrid` that keeps the last entry written to a cell.  No dense
+    regression grid is allocated.
     """
-    rows, cols = _grid_dims(image_size, downsample)
     prev_objects = ann_prev.objects if ann_prev is not None else ()
-    check_class_ids((*ann_t.objects, *prev_objects), num_classes)
-    # flat indices are int64, on the heatmap's channels and the regression grids' two
-    if rows * cols * max(num_classes, 2) > 2**63:
-        raise ValueError(
-            f"a {rows}x{cols} grid with num_classes {num_classes} has more cells than "
-            "an int64 index reaches"
-        )
+    rows, cols = check_grid(image_size, downsample, num_classes, (*ann_t.objects, *prev_objects))
     if rng is None:
         rng = np.random.default_rng(corruption.seed)
     h_px, w_px = image_size
@@ -377,10 +394,10 @@ def corrupt(
         np.concatenate([np.ones(len(tops)), fp[:, 5]]),
     )
     if corruption.hm_noise_sigma > 0:
-        dense = heatmap.dense()
-        dense += rng.normal(0.0, corruption.hm_noise_sigma, size=dense.shape)
-        np.clip(dense, 0.0, 1.0, out=dense)
-        heatmap = SparseGrid.of(dense)
+        # about half the cells are not zero now, so the heatmap stays dense
+        heatmap = heatmap.dense()
+        heatmap += rng.normal(0.0, corruption.hm_noise_sigma, size=heatmap.shape)
+        np.clip(heatmap, 0.0, 1.0, out=heatmap)
 
     # a cell keeps its last entry, as assigning the entries in order would;
     # np.unique keeps the first occurrence, so it reads them backwards

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peaktrack import (
+    Detection,
+    GridPoint,
     PipelineConfig,
     TopPoint,
     TrackerState,
@@ -11,6 +15,7 @@ from peaktrack import (
     step,
 )
 from peaktrack.assignment import linear_sum_assignment
+from peaktrack.association import Track, _gated_pairs
 
 from .conftest import make_detection, make_track, match_cost, random_instance
 from .oracles import assignment_oracle, euclid, greedy_oracle
@@ -40,6 +45,93 @@ def dense_big_m_matches(tracks, dets, gate_scale):
     matches = [(tracks[ti].id, di) for ti, di in zip(rows, cols) if allowed[ti, di]]
     matches.sort(key=lambda pair: pair[1])
     return matches
+
+
+def dense_gated_pairs(tracks, dets, gate_scale):
+    """(track index, detection index) of the pairs allowed to match, by one
+    numpy kernel over every pair: the reference for `_gated_pairs`, which
+    measures only the tracks within a detection's x window.  Pairs come in
+    np.nonzero's order, ascending (track, detection)."""
+    predicted = predict_prev_positions(dets)
+    last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
+    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf, as in Python
+        dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
+        gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
+    same_class = np.array([t.class_id for t in tracks], dtype=int)[:, None] == np.array(
+        [d.class_id for d in dets], dtype=int
+    )
+    ti, di = np.nonzero(same_class & (dist <= gate))
+    return list(zip(ti.tolist(), di.tolist())), dist[ti, di].tolist()
+
+
+# small integers make ties and points exactly on the gate; the extremes make
+# differences that overflow to inf
+COORDS = st.one_of(
+    st.integers(-40, 40).map(float),
+    st.sampled_from([-1e308, 1e308, -0.0, 5e-324]),
+    st.floats(-1e308, 1e308),
+)
+SIDES = st.one_of(st.integers(1, 40).map(float), st.floats(5e-324, 1e308))
+GATE_SCALES = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 0.5, 1.0, 1e300, 1e308]), st.floats(5e-324, 1e308)
+)
+
+
+@st.composite
+def gating_instances(draw):
+    classes = draw(st.integers(1, 3))
+    tracks = [
+        Track(i + 1, draw(st.integers(0, classes - 1)), TopPoint(draw(COORDS), draw(COORDS)))
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    dets = []
+    for _ in range(draw(st.integers(0, 6))):
+        disp = draw(st.one_of(st.just((0.0, 0.0)), st.tuples(*[st.integers(-9, 9).map(float)] * 2)))
+        if tracks and draw(st.booleans()):
+            # on the gate of gate_scale 1 exactly: (3, 4) * k from a track, 5k the larger side
+            track = draw(st.sampled_from(tracks))
+            k = draw(st.sampled_from([1.0, 2.0, 0.5]))
+            sx, sy = draw(st.sampled_from([(3, 4), (-4, 3), (5, 0), (0, -5)]))
+            x, y = track.last_top.x + sx * k + disp[0], track.last_top.y + sy * k + disp[1]
+            size = (5 * k, draw(st.sampled_from([1.0, 5 * k])))
+        else:
+            x, y, size = draw(COORDS), draw(COORDS), (draw(SIDES), draw(SIDES))
+        top = TopPoint(x, y)
+        cls = draw(st.integers(0, classes - 1))
+        dets.append(Detection(top, GridPoint(0, 0), size, draw(st.floats(0, 1)), cls, disp))
+    return tracks, dets, draw(st.one_of(st.just(1.0), GATE_SCALES))
+
+
+class TestGatedPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(instance=gating_instances())
+    @example(instance=([], [], 1.0))
+    @example(
+        instance=(
+            [Track(1, 0, TopPoint(0.0, 0.0)), Track(2, 0, TopPoint(-1e308, 1e308))],
+            [Detection(TopPoint(1e308, -1e308), GridPoint(0, 0), (1e308, 1.0), 1.0, 0, (0.0, 0.0))],
+            1e308,
+        )
+    )
+    def test_same_pairs_in_the_same_order_as_the_dense_kernel(self, instance):
+        tracks, dets, gate_scale = instance
+        got = _gated_pairs(tracks, dets, gate_scale)
+        want, dist = dense_gated_pairs(tracks, dets, gate_scale)
+        assert list(got) == want
+        # math.hypot and np.hypot may differ in the last bit
+        np.testing.assert_allclose(list(got.values()), dist, rtol=1e-15, atol=1e-300)
+
+    def test_points_on_the_gate_are_kept(self):
+        tracks = [make_track(1, 10.0, 10.0), make_track(2, 20.0, 30.0), make_track(3, 60.0, 9.0)]
+        # 5 from one track each, the detections' larger side; the last on the x edge
+        dets = [
+            make_detection(13.0, 14.0, w=5.0, h=5.0),
+            make_detection(20.0, 25.0, w=5.0, h=2.0),
+            make_detection(55.0, 9.0, w=1.0, h=5.0),
+        ]
+        assert list(_gated_pairs(tracks, dets, 1.0)) == [(0, 0), (1, 1), (2, 2)]
+        assert list(_gated_pairs(tracks, dets, 0.999)) == []
 
 
 class TestPredictPrev:

@@ -369,6 +369,22 @@ class TestExitCodes:
         assert line.startswith(f"error: a {dims}")
         assert line.endswith("has more cells than an int64 index reaches")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("width = 256", "width = 4" + "0" * 20),
+            ("seed = 14", "seed = 14\n[pipeline]\nnum_classes = " + "9" * 20),
+        ],
+        ids=["width", "classes"],
+    )
+    def test_refused_grid_writes_nothing(self, tmp_path, capsys, edit):
+        # the grid checks run before gt.txt and heads/ are written
+        cfg = write_cfg(tmp_path, SCENE_CFG.replace(*edit))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("has more cells than an int64 index reaches\n")
+        assert not out.exists()
+
     def test_unordered_sparse_grid_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
@@ -629,6 +645,22 @@ class TestLosscheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("command", ["track", "losscheck"])
+    def test_class_count_other_than_the_config_is_validation_error(
+        self, tmp_path, sim_heads, capsys, command
+    ):
+        # one check and one message for both commands, before losscheck prints a frame
+        cfg = write_cfg(tmp_path, "[pipeline]\nnum_classes = " + "9" * 20 + "\n")
+        if command == "track":
+            argv = ["track", "--heads", sim_heads, "--out", str(tmp_path / "r.txt")]
+        else:
+            argv = ["losscheck", "--pred", sim_heads, "--gt", sim_heads]
+        assert main([*argv, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: head has 1 classes but config expects {'9' * 20}\n"
+
+
 class TestOverlay:
     def test_writes_ppm(self, tmp_path):
         gt = tmp_path / "gt.txt"
@@ -732,17 +764,34 @@ class TestModuleEntryPoint:
             assert proc.stdout.strip().splitlines()[-1] == "[]", run
 
     def test_track_loads_no_simulator(self, tmp_path, sim_heads):
-        # the config holds a [scene] section too; `track` reads only [pipeline]
+        # nor numpy on sparse heads, nor the scoring module, with either matcher;
+        # the config holds a [scene] section too, and `track` reads only [pipeline]
+        assert all(g.read_bytes()[:7] == b"TTGRID2" for g in Path(sim_heads).glob("*.grid"))
         cfg = write_cfg(tmp_path, SCENE_CFG + "[pipeline]\nmax_peaks = 50\n")
-        track = ["track", "--heads", sim_heads, "--config", cfg, "--out", str(tmp_path / "r.txt")]
-        run = f"import sys; from peaktrack import cli; assert cli.main({track!r}) == 0"
-        proc = subprocess.run(
-            [sys.executable, "-c", f"{run}; print('peaktrack.simulator' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "False"
+        unwanted = ["numpy", "peaktrack.evaluation", "peaktrack.simulator"]
+        for matcher in MATCHERS:
+            out = tmp_path / f"{matcher}.txt"
+            track = ["track", "--heads", sim_heads, "--config", cfg, "--matcher", matcher]
+            track += ["--out", str(out)]
+            run = f"import sys; from peaktrack import cli; assert cli.main({track!r}) == 0"
+            loaded = f"print([m for m in {unwanted!r} if m in sys.modules])"
+            proc = subprocess.run(
+                [sys.executable, "-c", f"{run}; {loaded}"], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().splitlines()[-1] == "[]"
+            # the same heads as dense TTGRID1 files, which load numpy, track the same
+            dense = tmp_path / "dense"
+            dense.mkdir(exist_ok=True)
+            for grid in Path(sim_heads).glob("*.grid"):
+                values = read_grid(grid)
+                (dense / grid.name).write_bytes(
+                    b"TTGRID1" + struct.pack("<III", *values.shape) + values.astype("<f4").tobytes()
+                )
+            again = tmp_path / f"{matcher}-dense.txt"
+            argv = ["track", "--heads", str(dense), "--config", cfg, "--matcher", matcher]
+            assert main([*argv, "--out", str(again)]) == 0
+            assert again.read_bytes() == out.read_bytes()
 
     def test_lazy_exports_are_the_frozen_names(self):
         # `peaktrack.__all__` before the package became lazy, less the numpy

@@ -235,7 +235,9 @@ class TestSparseGrid:
         grid = np.zeros((2, 3, 2), dtype=dtype)
         grid[0, 1, 1], grid[1, 0, 0], grid[1, 2, 1] = -0.0, tiny, 0.5
         cells = SparseGrid.of(grid)
-        assert cells.shape == (2, 3, 2) and cells.values.dtype == np.float64
+        # int64 positions and float64 values, as `array("q")` and `array("d")`
+        assert cells.shape == (2, 3, 2) and cells.values.typecode == "d"
+        assert cells.index.typecode == "q"
         np.testing.assert_array_equal(cells.index, [3, 6, 11])
         assert [repr(v) for v in cells.values.tolist()] == [repr(-0.0), repr(float(tiny)), "0.5"]
 
@@ -314,7 +316,9 @@ class TestGridRoundTrip:
             else:
                 path.write_bytes(data)
             cells = read_sparse_grid(path)
-            assert cells.shape == grid.shape and cells.index.dtype == np.int64
+            # a sparse payload's u32 positions as stored, a dense one's from `SparseGrid.of`
+            sparse = path.read_bytes()[:7] == SPARSE_GRID_MAGIC
+            assert cells.shape == grid.shape and cells.index.typecode == ("I" if sparse else "q")
             np.testing.assert_array_equal(cells.index, nonzero)
             np.testing.assert_array_equal(bits(cells.values), bits(grid).reshape(-1)[nonzero])
             dense = cells.dense()
@@ -764,6 +768,21 @@ class TestHeadDirectory:
         write_grid(tmp_path / "000001.heatmap.grid", np.zeros((4, 4, 1)))
         with pytest.raises(FileFormatError, match="missing"):
             read_head_outputs(tmp_path, 1, 4)
+
+    @pytest.mark.parametrize("stored, dense", [(3, False), (4, True)])
+    def test_sparse_grid_storing_a_quarter_of_its_cells_is_read_dense(
+        self, tmp_path, stored, dense
+    ):
+        # 4x4x1: 3 stored cells stay stored cells, 4 are a quarter of the grid
+        heatmap = np.zeros((4, 4, 1))
+        heatmap.reshape(-1)[:stored] = 0.5
+        head = HeadOutput(heatmap, *[np.zeros((4, 4, 2))] * 3, downsample=4)
+        write_head_outputs(tmp_path, 1, head)
+        assert (tmp_path / "000001.heatmap.grid").read_bytes()[:7] == SPARSE_GRID_MAGIC
+        back = read_head_outputs(tmp_path, 1, 4)
+        assert isinstance(back.heatmap, np.ndarray) == dense
+        assert isinstance(back.size_map, SparseGrid)
+        np.testing.assert_array_equal(np.asarray(back.heatmap), heatmap)
 
 
 VALID_CONFIG = """
