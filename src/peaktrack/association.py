@@ -12,22 +12,33 @@ pairs, and Hungarian solves them with `assignment.max_weight_pairs`, one
 connected component at a time.  `_gated_pairs` finds those pairs in
 Python without a tracks x detections array: each detection bisects the
 tracks of its class, sorted by x, for those whose x lies within its gate,
-and measures only those.
+and measures only those whose y lies within it too.
 
-Lifecycle is deliberately local and owned by `step` alone: unmatched tracks
-are dropped immediately, unmatched detections always start new tracks, and
-ids are never reused.
+Association runs on columns: a frame's detections are a
+`geometry.Detections` table, the live tracks are a `TrackColumns` table
+inside `TrackerState`, and `advance` returns each result row as a plain
+tuple, so a frame makes no Python object per detection, track or row.
+`greedy_match`, `hungarian_match`, `step` and `TrackerState.active` are
+views of this path for callers holding `Track`s and `Detection`s.
+
+Lifecycle is deliberately local and owned by `advance` alone: unmatched
+tracks are dropped immediately, unmatched detections always start new
+tracks, and ids are never reused.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import compress
+from typing import Callable, NamedTuple, Sequence
 
 from .assignment import max_weight_pairs
-from .geometry import BBox, Detection, PipelineConfig, TopPoint
+from .geometry import BBox, Detection, Detections, PipelineConfig, TopPoint, require_box, top_boxes
+from .heatmap import all_finite
+
 
 @dataclass
 class Track:
@@ -36,12 +47,35 @@ class Track:
     last_top: TopPoint
 
 
+class TrackColumns(NamedTuple):
+    """Live tracks as columns, oldest first: ids, classes and last positions."""
+
+    ids: list[int]
+    class_id: list[int]
+    x: list[float]
+    y: list[float]
+
+    @classmethod
+    def of(cls, tracks: Sequence[Track]) -> TrackColumns:
+        return cls(
+            [t.id for t in tracks],
+            [t.class_id for t in tracks],
+            [t.last_top.x for t in tracks],
+            [t.last_top.y for t in tracks],
+        )
+
+
 @dataclass
 class TrackerState:
-    """Per-sequence mutable state: live tracks plus the next unused id."""
+    """Per-sequence mutable state: live tracks as columns plus the next unused id."""
 
-    active: list[Track] = field(default_factory=list)
+    live: TrackColumns = field(default_factory=lambda: TrackColumns([], [], [], []))
     next_id: int = 1
+
+    @property
+    def active(self) -> list[Track]:
+        """The live tracks as `Track`s, oldest first (a copy: editing one changes no state)."""
+        return [Track(i, c, TopPoint(x, y)) for i, c, x, y in zip(*self.live)]
 
 
 @dataclass(frozen=True)
@@ -54,17 +88,31 @@ class TrackOutput:
 
 
 MatchResult = tuple[list[tuple[int, int]], list[int], list[int]]
+# (track id, x1, y1, w, h, score): one result row of `advance`
+Row = tuple[int, float, float, float, float, float]
 
 
 def predict_prev_positions(dets: Sequence[Detection]) -> list[TopPoint]:
     """Where each detection says its object was in the previous frame."""
-    return [
-        TopPoint(d.top.x - d.displacement[0], d.top.y - d.displacement[1]) for d in dets
-    ]
+    return [TopPoint(x, y) for x, y in zip(*_predicted(Detections.of(dets)))]
+
+
+def _predicted(dets: Detections) -> tuple[list[float], list[float]]:
+    """Each detection's predicted previous position, x - dx and y - dy, as columns.
+
+    Each position is finite, by `TopPoint`'s rule: the first that is not
+    raises as a `TopPoint` would.
+    """
+    xs = list(map(operator.sub, dets.x, dets.dx))
+    ys = list(map(operator.sub, dets.y, dets.dy))
+    if not (all_finite(xs) and all_finite(ys)):
+        for x, y in zip(xs, ys):
+            TopPoint(x, y)
+    return xs, ys
 
 
 def _gated_pairs(
-    tracks: Sequence[Track], dets: Sequence[Detection], gate_scale: float
+    tracks: TrackColumns, dets: Detections, gate_scale: float
 ) -> dict[tuple[int, int], float]:
     """{(track index, detection index): distance} for the pairs allowed to match.
 
@@ -73,48 +121,89 @@ def _gated_pairs(
     class and the distance is within gate_scale * max(det width, det height).
     Pairs come in ascending (track, detection) order.
 
-    Each detection measures only the tracks of its class whose x offset
-    dx = x - px from it lies in [-gate, gate], found by bisection among
-    that class's tracks sorted by x.  dx is computed as the distance
-    computes it, it rises with x however it rounds, and |dx| <= hypot(dx,
-    dy), so the window drops no pair the gate would keep.
+    Each detection measures only the tracks of its class whose offsets
+    dx = x - px and dy = y - py from it both lie in [-gate, gate]; |dx|
+    and |dy| are each at most hypot(dx, dy), so no pair the gate would keep
+    is skipped.  The x window is found by bisection among that class's
+    tracks sorted by x, then moved to where dx, computed as the distance
+    computes it, crosses -gate and gate: dx rises with x however it rounds.
     """
     columns: dict[int, tuple[list[int], list[float], list[float]]] = {}
-    for ti in sorted(range(len(tracks)), key=lambda ti: tracks[ti].last_top.x):
-        track = tracks[ti]
-        order, xs, ys = columns.setdefault(track.class_id, ([], [], []))
+    for ti in sorted(range(len(tracks.x)), key=tracks.x.__getitem__):
+        order, xs, ys = columns.setdefault(tracks.class_id[ti], ([], [], []))
         order.append(ti)
-        xs.append(track.last_top.x)
-        ys.append(track.last_top.y)
+        xs.append(tracks.x[ti])
+        ys.append(tracks.y[ti])
     pairs = []
-    for di, (det, prev) in enumerate(zip(dets, predict_prev_positions(dets))):
-        if det.class_id not in columns:
+    predicted = zip(dets.class_id, *_predicted(dets), dets.w, dets.h)
+    for di, (class_id, px, py, w, h) in enumerate(predicted):
+        if class_id not in columns:
             continue
-        order, xs, ys = columns[det.class_id]
-        gate = gate_scale * max(det.size)
-        px, py = prev.x, prev.y
-
-        def dx(x: float) -> float:
-            return x - px
-
-        lo = bisect_left(xs, -gate, key=dx)
-        hi = bisect_right(xs, gate, lo, key=dx)
+        order, xs, ys = columns[class_id]
+        gate = gate_scale * max(w, h)
+        lo = bisect_left(xs, px - gate)
+        while lo > 0 and xs[lo - 1] - px >= -gate:
+            lo -= 1
+        while lo < len(xs) and xs[lo] - px < -gate:
+            lo += 1
+        hi = bisect_right(xs, px + gate, lo)
+        while hi > lo and xs[hi - 1] - px > gate:
+            hi -= 1
+        while hi < len(xs) and xs[hi] - px <= gate:
+            hi += 1
         for ti, x, y in zip(order[lo:hi], xs[lo:hi], ys[lo:hi]):
-            dist = math.hypot(x - px, y - py)
-            if dist <= gate:
-                pairs.append(((ti, di), dist))
+            dy = y - py
+            if -gate <= dy <= gate:
+                dist = math.hypot(x - px, dy)
+                if dist <= gate:
+                    pairs.append(((ti, di), dist))
     pairs.sort()
     return dict(pairs)
 
 
+def _greedy_pairs(
+    tracks: TrackColumns, dets: Detections, gate_scale: float
+) -> list[tuple[int, int]]:
+    """`greedy_match`'s matches as (track index, detection index), in processing order."""
+    near: dict[int, list[tuple[float, int]]] = {}  # each detection's (distance, track index)
+    for (ti, di), d in _gated_pairs(tracks, dets, gate_scale).items():
+        near.setdefault(di, []).append((d, ti))
+    scores = dets.score
+    taken: set[int] = set()
+    matches: list[tuple[int, int]] = []
+    for di in sorted(near, key=lambda i: (-scores[i], i)):
+        free = [pair for pair in near[di] if pair[1] not in taken]
+        if free:
+            ti = min(free)[1]
+            taken.add(ti)
+            matches.append((ti, di))
+    return matches
+
+
+def _hungarian_pairs(
+    tracks: TrackColumns, dets: Detections, gate_scale: float
+) -> list[tuple[int, int]]:
+    """`hungarian_match`'s matches as (track index, detection index), by detection index."""
+    pairs = _gated_pairs(tracks, dets, gate_scale)
+    # Each pair weighs big - d, with big above the sum of all allowed
+    # distances, so a larger matching always weighs more, and among equal
+    # sizes the smaller total distance does.
+    big = sum(pairs.values()) + 1.0
+    matched = max_weight_pairs({pair: big - d for pair, d in pairs.items()})
+    return sorted(matched, key=operator.itemgetter(1))
+
+
 def _result(
-    tracks: Sequence[Track], n_dets: int, matches: list[tuple[int, int]]
+    tracks: Sequence[Track], dets: Sequence[Detection], gate_scale: float, solve: Callable
 ) -> MatchResult:
-    """Attach the unmatched track ids and detection indices to `matches`."""
+    """A column matcher's matches by track id, with the unmatched track ids and
+    detection indices."""
+    pairs = solve(TrackColumns.of(tracks), Detections.of(dets), gate_scale)
+    matches = [(tracks[ti].id, di) for ti, di in pairs]
     matched_tracks = {tid for tid, _ in matches}
     matched_dets = {di for _, di in matches}
     unmatched_tracks = [t.id for t in tracks if t.id not in matched_tracks]
-    unmatched_dets = [i for i in range(n_dets) if i not in matched_dets]
+    unmatched_dets = [i for i in range(len(dets)) if i not in matched_dets]
     return matches, unmatched_tracks, unmatched_dets
 
 
@@ -135,18 +224,7 @@ def greedy_match(
     Returns (matches as (track_id, det_index) pairs in processing order,
     unmatched track ids, unmatched detection indices).
     """
-    near: dict[int, list[tuple[float, int]]] = {}  # each detection's (distance, track index)
-    for (ti, di), d in _gated_pairs(tracks, dets, gate_scale).items():
-        near.setdefault(di, []).append((d, ti))
-    taken: set[int] = set()
-    matches: list[tuple[int, int]] = []
-    for di in sorted(near, key=lambda i: (-dets[i].score, i)):
-        free = [pair for pair in near[di] if pair[1] not in taken]
-        if free:
-            ti = min(free)[1]
-            taken.add(ti)
-            matches.append((tracks[ti].id, di))
-    return _result(tracks, len(dets), matches)
+    return _result(tracks, dets, gate_scale, _greedy_pairs)
 
 
 def hungarian_match(
@@ -161,17 +239,54 @@ def hungarian_match(
     total Euclidean distance.  Matches are returned sorted by detection
     index.
     """
-    pairs = _gated_pairs(tracks, dets, gate_scale)
-    # Each pair weighs big - d, with big above the sum of all allowed
-    # distances, so a larger matching always weighs more, and among equal
-    # sizes the smaller total distance does.
-    big = sum(pairs.values()) + 1.0
-    matched = max_weight_pairs({pair: big - d for pair, d in pairs.items()})
-    matches = sorted(((tracks[ti].id, di) for ti, di in matched), key=lambda pair: pair[1])
-    return _result(tracks, len(dets), matches)
+    return _result(tracks, dets, gate_scale, _hungarian_pairs)
 
 
-MATCHERS = {"greedy": greedy_match, "hungarian": hungarian_match}
+# each matcher's name and its solver on columns
+MATCHERS = {"greedy": _greedy_pairs, "hungarian": _hungarian_pairs}
+
+
+def advance(
+    state: TrackerState,
+    dets: Detections,
+    cfg: PipelineConfig,
+    matcher: str = "greedy",
+) -> list[Row]:
+    """Advance the tracker by one frame and return its result rows.
+
+    Matched tracks adopt their detection's position; unmatched detections
+    spawn new tracks with fresh ids (ascending detection index); unmatched
+    tracks are dropped on the spot.  Each detection gives one row, (track
+    id, x1, y1, w, h, score) with the box of its anchor and size
+    (`geometry.top_boxes`), checked by `geometry.require_box`.  Rows come
+    back sorted by track id.
+    """
+    if matcher not in MATCHERS:
+        raise ValueError(f"unknown matcher {matcher!r}, expected one of {list(MATCHERS)}")
+    live = state.live
+    pairs = MATCHERS[matcher](live, dets, cfg.gate_scale)
+    xs, ys = dets.x, dets.y
+    track_of = [0] * len(xs)  # each detection's track id
+    alive = [False] * len(live.ids)
+    born = [True] * len(xs)
+    for ti, di in pairs:
+        alive[ti], born[di] = True, False
+        live.x[ti], live.y[ti] = xs[di], ys[di]
+        track_of[di] = live.ids[ti]
+    live = state.live = TrackColumns(*(list(compress(column, alive)) for column in live))
+    births = list(compress(range(len(xs)), born))
+    for di in births:
+        track_of[di] = state.next_id
+        state.next_id += 1
+        for column, value in zip(live, (track_of[di], dets.class_id[di], xs[di], ys[di])):
+            column.append(value)
+    boxes = top_boxes(xs, ys, dets.w, dets.h)
+    # matched rows first, then born ones: the first box that breaks the rule is reported
+    for di in [di for _, di in pairs] + births:
+        require_box(*boxes[di])
+    rows = [(tid, *box, score) for tid, box, score in zip(track_of, boxes, dets.score)]
+    rows.sort(key=operator.itemgetter(0))
+    return rows
 
 
 def step(
@@ -180,31 +295,6 @@ def step(
     cfg: PipelineConfig,
     matcher: str = "greedy",
 ) -> list[TrackOutput]:
-    """Advance the tracker by one frame and return its result rows.
-
-    Matched tracks adopt their detection's position; unmatched detections
-    spawn new tracks with fresh ids (ascending detection index); unmatched
-    tracks are dropped on the spot.  Rows come back sorted by track id.
-    """
-    if matcher not in MATCHERS:
-        raise ValueError(f"unknown matcher {matcher!r}, expected one of {list(MATCHERS)}")
-    matches, unmatched_tracks, unmatched_dets = MATCHERS[matcher](
-        state.active, dets, cfg.gate_scale
-    )
-
-    by_id = {t.id: t for t in state.active}
-    outputs: list[TrackOutput] = []
-    for track_id, di in matches:
-        det = dets[di]
-        by_id[track_id].last_top = det.top
-        outputs.append(TrackOutput(track_id, det.bbox(), det.score))
-    dead = set(unmatched_tracks)
-    state.active = [t for t in state.active if t.id not in dead]
-    for di in sorted(unmatched_dets):
-        det = dets[di]
-        track = Track(id=state.next_id, class_id=det.class_id, last_top=det.top)
-        state.next_id += 1
-        state.active.append(track)
-        outputs.append(TrackOutput(track.id, det.bbox(), det.score))
-    outputs.sort(key=lambda row: row.track_id)
-    return outputs
+    """`advance` on `Detection`s, its rows as `TrackOutput`s."""
+    rows = advance(state, Detections.of(dets), cfg, matcher)
+    return [TrackOutput(tid, BBox(x1, y1, w, h), score) for tid, x1, y1, w, h, score in rows]

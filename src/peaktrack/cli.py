@@ -7,6 +7,7 @@ inputs), 2 file/format problem, 3 a numeric check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -94,7 +95,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .config import ConfigError, ConfigFile
-    from .fileio import list_head_frames, write_head_outputs
+    from .fileio import list_head_frames, remove_head_outputs, write_head_outputs
     from .simulator import check_grid, corrupt, gen_scene, pick_reference_frame
 
     cfg_file = ConfigFile(args.config)
@@ -109,10 +110,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     out_dir = Path(args.out)
     heads_dir = out_dir / HEADS_DIR_NAME
+    gt_path = out_dir / GT_FILE_NAME
     # `track` would track the frames that a longer scene left in heads/ as this one's
-    stale = []
-    if heads_dir.is_dir():
-        stale = [f for f in list_head_frames(heads_dir) if not 1 <= f <= scene.frames]
+    existing = list_head_frames(heads_dir) if heads_dir.is_dir() else []
+    stale = [f for f in existing if not 1 <= f <= scene.frames]
     if stale:
         raise ValueError(
             f"{heads_dir}: head frames {stale} lie outside this scene's frames "
@@ -123,42 +124,59 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # `corrupt`'s own checks, run before anything is written
     objects = [obj for ann in frames for obj in ann.objects]
     check_grid(scene.image_size, scene.downsample, pipeline.num_classes, objects)
-    heads_dir.mkdir(parents=True, exist_ok=True)
-
     gt_rows = [
         MotRow(ann.frame_index, obj.track_id, obj.bbox.x1, obj.bbox.y1, obj.bbox.w, obj.bbox.h)
         for ann in frames
         for obj in ann.objects
     ]
-    write_mot_file(out_dir / GT_FILE_NAME, gt_rows)
 
-    rng = np.random.default_rng(corruption.seed)
-    for ann in frames:
-        ref = pick_reference_frame(
-            ann.frame_index, scene.frames, corruption.temporal_jitter_k, rng
-        )
-        ann_prev = frames[ref - 1] if ref is not None else None
-        head = corrupt(
-            ann,
-            ann_prev,
-            scene.image_size,
-            scene.downsample,
-            corruption,
-            pipeline.num_classes,
-            rng=rng,
-        )
-        write_head_outputs(heads_dir, ann.frame_index, head)
+    # what this run creates, for a failure below to remove: the directories
+    # (innermost first), gt.txt and the frames heads/ did not hold
+    made_dirs = [d for d in (heads_dir, *heads_dir.parents) if not d.exists()]
+    made_gt = not gt_path.exists()
+    try:
+        heads_dir.mkdir(parents=True, exist_ok=True)
+        rng = np.random.default_rng(corruption.seed)
+        for ann in frames:
+            ref = pick_reference_frame(
+                ann.frame_index, scene.frames, corruption.temporal_jitter_k, rng
+            )
+            ann_prev = frames[ref - 1] if ref is not None else None
+            head = corrupt(
+                ann,
+                ann_prev,
+                scene.image_size,
+                scene.downsample,
+                corruption,
+                pipeline.num_classes,
+                rng=rng,
+            )
+            write_head_outputs(heads_dir, ann.frame_index, head)
+        # last, so a failure above leaves no ground truth for heads that are not there
+        write_mot_file(gt_path, gt_rows)
+    except BaseException:
+        # the files of frames heads/ held before were overwritten and stay; a
+        # removal that fails leaves the error above to be reported
+        with contextlib.suppress(OSError):
+            for frame_index in sorted(set(range(1, scene.frames + 1)) - set(existing)):
+                remove_head_outputs(heads_dir, frame_index)
+            if made_gt:
+                gt_path.unlink(missing_ok=True)
+        for directory in made_dirs:
+            with contextlib.suppress(OSError):  # not empty: something else wrote there
+                directory.rmdir()
+        raise
 
-    print(f"wrote {len(gt_rows)} GT rows to {out_dir / GT_FILE_NAME}")
+    print(f"wrote {len(gt_rows)} GT rows to {gt_path}")
     print(f"wrote head grids for {len(frames)} frames to {heads_dir}")
     return 0
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    from .association import TrackerState, step
+    from .association import TrackerState, advance
     from .config import ConfigFile
     from .fileio import head_grid_path, list_head_frames, read_head_outputs
-    from .heatmap import decode_detections
+    from .heatmap import decode_columns
 
     cfg = ConfigFile(args.config).pipeline() if args.config else PipelineConfig()
     frame_indices = list_head_frames(args.heads)
@@ -176,7 +194,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.heads}: head grids missing for frames {missing}")
 
     state = TrackerState()
-    rows: list[MotRow] = []
+    rows: list[tuple] = []  # MotRow's nine fields, as plain tuples
     first_shape = None
     for frame_index in frame_indices:
         head = read_head_outputs(args.heads, frame_index, cfg.downsample)
@@ -187,12 +205,8 @@ def cmd_track(args: argparse.Namespace) -> int:
                 f"{head_grid_path(args.heads, frame_index, 'heatmap')}: grid shape "
                 f"{head.grid_shape} differs from frame {frame_indices[0]}'s {first_shape}"
             )
-        dets = decode_detections(head, cfg)
-        for out in step(state, dets, cfg, matcher=args.matcher):
-            box = out.bbox
-            rows.append(
-                MotRow(frame_index, out.track_id, box.x1, box.y1, box.w, box.h, out.score)
-            )
+        dets = decode_columns(head, cfg)
+        rows += [(frame_index, *row, -1, -1.0) for row in advance(state, dets, cfg, args.matcher)]
     write_mot_file(args.out, rows)
     print(
         f"tracked {len(frame_indices)} frames with {args.matcher} matching, "

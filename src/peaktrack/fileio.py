@@ -53,7 +53,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .geometry import require_downsample
-from .heatmap import HeadOutput, SparseGrid, all_finite, require_grid_dims, stored_bits
+from .heatmap import (
+    HeadOutput,
+    SparseGrid,
+    all_finite,
+    format_dims,
+    require_grid_dims,
+    stored_bits,
+)
 from .motfile import FileFormatError
 
 if TYPE_CHECKING:
@@ -130,7 +137,8 @@ def _little_endian(typecode: str, data: bytes) -> array:
 
 def _parse_grid(path: str | Path) -> np.ndarray | SparseGrid:
     """A dense grid file as a float64 array, a sparse one as a `SparseGrid`."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     magic = data[: len(GRID_MAGIC)]
     try:
         if magic not in (GRID_MAGIC, SPARSE_GRID_MAGIC):
@@ -138,7 +146,7 @@ def _parse_grid(path: str | Path) -> np.ndarray | SparseGrid:
         if len(data) < _HEADER_END:
             raise ValueError(f"truncated header, expected {_HEADER_END} bytes, got {len(data)}")
         shape = _HEADER.unpack(data[len(GRID_MAGIC) : _HEADER_END])
-        dims = require_grid_dims(shape)  # before the payload, whose length the dims give
+        require_grid_dims(shape)  # before the payload, whose length the dims give
         if magic == GRID_MAGIC:
             expected = _HEADER_END + 4 * math.prod(shape)
             if len(data) != expected:
@@ -175,7 +183,7 @@ def _parse_grid(path: str | Path) -> np.ndarray | SparseGrid:
         with mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY):
             pass
     except (OSError, OverflowError, ValueError, MemoryError):
-        raise FileFormatError(f"{path}: cannot allocate a {dims} grid") from None
+        raise FileFormatError(f"{path}: cannot allocate a {format_dims(shape)} grid") from None
     return grid
 
 
@@ -191,8 +199,13 @@ def read_grid(path: str | Path) -> np.ndarray:
     return grid.dense() if isinstance(grid, SparseGrid) else grid
 
 
+def _head_stem(directory: str | Path, frame_index: int) -> str:
+    """A frame's grid paths up to the map name: <directory>/<frame>."""
+    return str(Path(directory) / f"{frame_index:06d}.")
+
+
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:
-    return Path(directory) / f"{frame_index:06d}.{map_name}.grid"
+    return Path(f"{_head_stem(directory, frame_index)}{map_name}.grid")
 
 
 def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput) -> None:
@@ -200,6 +213,12 @@ def write_head_outputs(directory: str | Path, frame_index: int, head: HeadOutput
     directory.mkdir(parents=True, exist_ok=True)
     for name, field in _HEAD_FILES.items():
         write_grid(head_grid_path(directory, frame_index, name), getattr(head, field))
+
+
+def remove_head_outputs(directory: str | Path, frame_index: int) -> None:
+    """Delete a frame's grid files from a head directory, those that exist."""
+    for name in _HEAD_FILES:
+        head_grid_path(directory, frame_index, name).unlink(missing_ok=True)
 
 
 def read_head_outputs(
@@ -213,9 +232,10 @@ def read_head_outputs(
     `FileFormatError` naming the file or the frame's files.
     """
     require_downsample(downsample)  # a bad argument, not a bad file
+    stem = _head_stem(directory, frame_index)
     grids = {}
     for name, field in _HEAD_FILES.items():
-        path = head_grid_path(directory, frame_index, name)
+        path = f"{stem}{name}.grid"
         try:
             grid = _parse_grid(path)
         except FileNotFoundError:
@@ -226,7 +246,7 @@ def read_head_outputs(
     try:
         return HeadOutput(**grids, downsample=downsample)
     except ValueError as exc:
-        raise FileFormatError(f"{head_grid_path(directory, frame_index, '*')}: {exc}") from exc
+        raise FileFormatError(f"{stem}*.grid: {exc}") from exc
 
 
 def list_head_frames(directory: str | Path) -> list[int]:

@@ -8,16 +8,19 @@ Coordinate conventions:
   * Grids are downsampled by an integer factor R; a continuous pixel point p
     maps to the cell floor(p / R) with a fractional offset in [0, 1).
 
-All types here are immutable values.
+All types here are immutable values, except `Detections`, a frame's
+detections as columns of plain lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 
 TOP_HEIGHT_FRACTION = 0.1
+_BELOW_TOP = 1.0 - TOP_HEIGHT_FRACTION
 # a prediction matches a ground-truth box at IoU >= this, unless set otherwise
 IOU_THRESHOLD = 0.5
 
@@ -128,8 +131,45 @@ class Detection:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score}")
 
     def bbox(self) -> BBox:
-        x1, y1, x2, y2 = corners_from_top(self.top, self.size)
-        return BBox(x1, y1, x2 - x1, y2 - y1)
+        (box,) = top_boxes([self.top.x], [self.top.y], [self.size[0]], [self.size[1]])
+        return BBox(*box)
+
+
+class Detections(NamedTuple):
+    """A frame's detections as columns, one entry per detection, in decode order.
+
+    Each column holds one field of `Detection` as plain Python values: the
+    anchor (x, y), the size (w, h), score and class, the displacement (dx,
+    dy) and the source cell (col, row).  `of` and `rows` convert from and
+    to `Detection`s; `rows` checks each detection by `TopPoint`'s and
+    `Detection`'s rules, in order, so the first broken rule is raised.
+    """
+
+    x: list[float]
+    y: list[float]
+    w: list[float]
+    h: list[float]
+    score: list[float]
+    class_id: list[int]
+    dx: list[float]
+    dy: list[float]
+    col: list[int]
+    row: list[int]
+
+    @classmethod
+    def of(cls, dets: Iterable[Detection]) -> Detections:
+        columns = cls(*([] for _ in cls._fields))
+        for d in dets:
+            values = (d.top.x, d.top.y, *d.size, d.score, d.class_id, *d.displacement)
+            for column, value in zip(columns, (*values, d.cell.col, d.cell.row)):
+                column.append(value)
+        return columns
+
+    def rows(self) -> list[Detection]:
+        return [
+            Detection(TopPoint(x, y), GridPoint(col, row), (w, h), score, class_id, (dx, dy))
+            for x, y, w, h, score, class_id, dx, dy, col, row in zip(*self)
+        ]
 
 
 @dataclass(frozen=True)
@@ -197,6 +237,24 @@ def corners_from_top(top: TopPoint, size: tuple[float, float]) -> tuple[float, f
         top.x - w / 2.0,
         top.y - h * TOP_HEIGHT_FRACTION,
         top.x + w / 2.0,
-        top.y + h * (1.0 - TOP_HEIGHT_FRACTION),
+        top.y + h * _BELOW_TOP,
     )
 
+
+def top_boxes(
+    xs: Sequence[float], ys: Sequence[float], ws: Sequence[float], hs: Sequence[float]
+) -> list[tuple[float, float, float, float]]:
+    """(x1, y1, w, h) of each box of anchor (x, y) and size (w, h) > 0.
+
+    The box is the one of `corners_from_top`'s corners: its extent is
+    x2 - x1 and y2 - y1, which can differ from (w, h) in the last bit.
+    """
+    return [
+        (
+            x1 := x - w / 2.0,
+            y1 := y - h * TOP_HEIGHT_FRACTION,
+            x + w / 2.0 - x1,
+            y + h * _BELOW_TOP - y1,
+        )
+        for x, y, w, h in zip(xs, ys, ws, hs)
+    ]

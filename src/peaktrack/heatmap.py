@@ -12,11 +12,14 @@ Rendering runs on numpy, which those functions import when called.
 Decoding walks the opposite direction and needs no numpy for a
 `SparseGrid`: `_peaks` finds the local maxima of a predicted heatmap among
 its stored cells in Python, size, offset and displacement are read at those
-cells, and peaks of non-positive size are dropped before a `Detection` is
-built for each peak kept.  A dense heatmap (a TTGRID1 file, or an array
-passed in) is searched with numpy, and so is a `SparseGrid` at
-`score_threshold = 0`, where a cell that is not stored can be a peak.
-`extract_peaks` is the tuple view.
+cells, and peaks of non-positive size are dropped.  `decode_columns` gives
+the peaks kept as one `Detections` table of plain lists, with no Python
+object per detection; `decode_detections` is its `Detection` view and
+`extract_peaks` the tuple view of the peaks.  A dense heatmap (a TTGRID1
+file, or an array passed in) is searched with numpy, and so is a
+`SparseGrid` at `score_threshold = 0`, where a cell that is not stored can
+be a peak.  Both warnings, of truncated and of dropped peaks, go to the
+logger `peaktrack.heatmap`; `logging` is imported only to send one.
 
 Dimension tuples are (height, width) in input-image pixels; grids are
 numpy arrays of shape (H/R, W/R, channels) with x mapped to columns, or
@@ -30,20 +33,19 @@ stored when its float bits are not zero, so -0.0 and denormals count.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .geometry import (
     BBox,
     Detection,
+    Detections,
     GridPoint,
     PipelineConfig,
-    TopPoint,
     require_downsample,
     require_peak_limits,
 )
@@ -53,8 +55,6 @@ if TYPE_CHECKING:
 
     Grid = np.ndarray | SparseGrid
 
-logger = logging.getLogger(__name__)
-
 # Peak value of a Gaussian tail at 3 standard deviations is ~1.1e-2, below
 # any useful score threshold, so rendering stops there.
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
@@ -62,14 +62,26 @@ MIN_SIGMA_CELLS = 2.0 / 3.0
 GAUSSIAN_IOU = 0.7
 # the `array` typecodes of integers, signed and unsigned
 _INTEGER_TYPECODES = "bBhHiIlLqQ"
+# the grids of a `HeadOutput`, in field order
+_HEAD_GRIDS = ("heatmap", "size_map", "offset_map", "disp_map")
 
 
-def require_grid_dims(shape: tuple[int, ...]) -> str:
-    """A grid has three dims, each at least 1; returns them as "HxWxC"."""
-    dims = "x".join(map(str, shape))
+def _warn(message: str, *args: object) -> None:
+    """A warning on this module's logger, importing `logging` only now."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
+def format_dims(shape: tuple[int, ...]) -> str:
+    """A grid's dims as "HxWxC", as messages name them."""
+    return "x".join(map(str, shape))
+
+
+def require_grid_dims(shape: tuple[int, ...]) -> None:
+    """A grid has three dims, each at least 1."""
     if len(shape) != 3 or min(shape) < 1:
-        raise ValueError(f"invalid dims {dims}")
-    return dims
+        raise ValueError(f"invalid dims {format_dims(shape)}")
 
 
 def stored_bits(values: np.ndarray) -> np.ndarray:
@@ -101,7 +113,7 @@ class SparseGrid:
     values: Sequence[float]
 
     def __post_init__(self) -> None:
-        dims = require_grid_dims(self.shape)
+        require_grid_dims(self.shape)
         index, values = self.index, self.values
         if not (isinstance(index, array) and index.typecode in _INTEGER_TYPECODES):
             try:
@@ -119,7 +131,7 @@ class SparseGrid:
             raise ValueError("indices are not strictly ascending")
         if index and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
             bad = index[0] if index[0] < 0 else index[-1]
-            raise ValueError(f"index {bad} out of range for {dims} grid")
+            raise ValueError(f"index {bad} out of range for {format_dims(self.shape)} grid")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "values", values)
 
@@ -205,9 +217,7 @@ class HeadOutput:
     downsample: int
 
     def __post_init__(self) -> None:
-        grids = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "downsample"
-        }
+        grids = {name: getattr(self, name) for name in _HEAD_GRIDS}
         for name, g in grids.items():
             if len(g.shape) != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
@@ -409,7 +419,7 @@ def _peaks(
     found.sort(key=operator.itemgetter(1), reverse=True)
     if len(found) > max_peaks:
         message = "kept %d of %d peaks at or above score threshold %g (max_peaks)"
-        logger.warning(message, max_peaks, len(found), score_threshold)
+        _warn(message, max_peaks, len(found), score_threshold)
     _, cols, channels = heatmap.shape
     peaks = []
     for flat, score in found[:max_peaks]:
@@ -486,12 +496,24 @@ def _at_cells(grid: Grid, cells: list[tuple[int, int]]) -> list[tuple[float, flo
     return list(map(tuple, values.astype(np.float64, copy=False).tolist()))
 
 
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    """The columns of `width`-tuples, as lists; `width` empty lists for no rows."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+
+
 def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
-    """Turn head grids into detections.
+    """`decode_columns`'s detections as `Detection`s, in the same order."""
+    return decode_columns(head, cfg).rows()
+
+
+def decode_columns(head: HeadOutput, cfg: PipelineConfig) -> Detections:
+    """Turn head grids into a table of detections, one per peak kept.
 
     For each heatmap peak, the anchor is (cell + offset) * R, with size and
     displacement read from the same cell.  Peaks whose regressed size is not
-    positive are dropped (a warning reports the count).
+    positive are dropped (a warning reports the count).  Every detection
+    keeps `TopPoint`'s and `Detection`'s rules: a finite anchor, a positive
+    size and a score in [0, 1].
     """
     require_head_config(head, cfg)
     peaks = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
@@ -499,16 +521,36 @@ def decode_detections(head: HeadOutput, cfg: PipelineConfig) -> list[Detection]:
     sizes = _at_cells(head.size_map, cells)
     kept = [w > 0 and h > 0 for w, h in sizes]
     if not all(kept):
-        logger.warning(
+        _warn(
             "dropped %d of %d peaks whose regressed size is not positive",
             kept.count(False),
             len(kept),
         )
-    peaks, cells, sizes = (list(compress(a, kept)) for a in (peaks, cells, sizes))
-    offsets = _at_cells(head.offset_map, cells)
-    disps = _at_cells(head.disp_map, cells)
+        peaks, cells, sizes = (list(compress(a, kept)) for a in (peaks, cells, sizes))
     r_px = cfg.downsample
-    return [
-        Detection(TopPoint((c + ox) * r_px, (r + oy) * r_px), GridPoint(c, r), size, s, ch, disp)
-        for (r, c, ch, s), size, (ox, oy), disp in zip(peaks, sizes, offsets, disps)
-    ]
+    rows, cols, channels, scores = _columns(peaks, 4)
+    ws, hs = _columns(sizes, 2)
+    oxs, oys = _columns(_at_cells(head.offset_map, cells), 2)
+    dxs, dys = _columns(_at_cells(head.disp_map, cells), 2)
+    dets = Detections(
+        [(c + ox) * r_px for c, ox in zip(cols, oxs)],
+        [(r + oy) * r_px for r, oy in zip(rows, oys)],
+        ws,
+        hs,
+        scores,
+        channels,
+        dxs,
+        dys,
+        cols,
+        rows,
+    )
+    # every size is positive, as kept; the anchors and scores are checked here
+    if not (
+        all_finite(dets.x)
+        and all_finite(dets.y)
+        and all_finite(scores)
+        and 0.0 <= min(scores, default=0.0)
+        and max(scores, default=0.0) <= 1.0
+    ):
+        dets.rows()  # raises the first detection's broken rule
+    return dets

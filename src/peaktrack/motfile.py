@@ -25,13 +25,17 @@ a MOT file: `render-heatmap` and `overlay` read them as they are,
 `read_mot_frames` groups them per frame for scoring, and `read_mot_file`
 gives `MotRow`s.  `rows_to_frames` groups `MotRow`s as (id, `BBox`) pairs
 per frame.
+
+`write_mot_file` is the one writer.  It formats each row, a `MotRow` or
+any tuple of the same nine fields (`track` writes plain tuples), with one
+`%` template: integers for frame, id and class, six decimals for the box
+and conf, and `%g` for visibility.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -43,14 +47,16 @@ Box = tuple[float, float, float, float]  # x1, y1, w, h
 _INT64_END = 2**63
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that "surrogateescape" kept
 _FLOAT_FIELDS = itemgetter(2, 3, 4, 5, 6, 8)  # x, y, w, h, conf, visibility
+_ROW_TEMPLATE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%g\n"
 
 
 class FileFormatError(Exception):
     """A file does not follow one of peaktrack's formats (MOT rows, grid files)."""
 
 
-@dataclass(frozen=True)
-class MotRow:
+class MotRow(NamedTuple):
+    """One MOT row; `class_id` and `visibility` default to -1, "not given"."""
+
     frame: int
     track_id: int
     x: float
@@ -165,13 +171,10 @@ def read_mot_file(path: str | Path) -> list[MotRow]:
     ]
 
 
-def write_mot_file(path: str | Path, rows: Iterable[MotRow]) -> None:
+def write_mot_file(path: str | Path, rows: Iterable[tuple]) -> None:
+    """Write `MotRow`s, or tuples of the same nine fields, one line each."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(
-                f"{r.frame},{r.track_id},{r.x:.6f},{r.y:.6f},{r.w:.6f},{r.h:.6f},"
-                f"{r.conf:.6f},{r.class_id},{r.visibility:g}\n"
-            )
+        fh.writelines([_ROW_TEMPLATE % row for row in rows])
 
 
 def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:

@@ -15,7 +15,8 @@ from peaktrack import (
     step,
 )
 from peaktrack.assignment import linear_sum_assignment
-from peaktrack.association import Track, _gated_pairs
+from peaktrack.association import Track, TrackColumns, _gated_pairs
+from peaktrack.geometry import Detections
 
 from .conftest import make_detection, make_track, match_cost, random_instance
 from .oracles import assignment_oracle, euclid, greedy_oracle
@@ -89,10 +90,12 @@ def gating_instances(draw):
     for _ in range(draw(st.integers(0, 6))):
         disp = draw(st.one_of(st.just((0.0, 0.0)), st.tuples(*[st.integers(-9, 9).map(float)] * 2)))
         if tracks and draw(st.booleans()):
-            # on the gate of gate_scale 1 exactly: (3, 4) * k from a track, 5k the larger side
+            # on the gate of gate_scale 1 exactly: (3, 4) * k from a track, 5k the
+            # larger side; the last three are on it in y, one inside and two outside
             track = draw(st.sampled_from(tracks))
             k = draw(st.sampled_from([1.0, 2.0, 0.5]))
-            sx, sy = draw(st.sampled_from([(3, 4), (-4, 3), (5, 0), (0, -5)]))
+            offsets = [(3, 4), (-4, 3), (5, 0), (0, -5), (0, 5), (1, -5), (-2, 5)]
+            sx, sy = draw(st.sampled_from(offsets))
             x, y = track.last_top.x + sx * k + disp[0], track.last_top.y + sy * k + disp[1]
             size = (5 * k, draw(st.sampled_from([1.0, 5 * k])))
         else:
@@ -116,22 +119,33 @@ class TestGatedPairs:
     )
     def test_same_pairs_in_the_same_order_as_the_dense_kernel(self, instance):
         tracks, dets, gate_scale = instance
-        got = _gated_pairs(tracks, dets, gate_scale)
+        got = _gated_pairs(TrackColumns.of(tracks), Detections.of(dets), gate_scale)
         want, dist = dense_gated_pairs(tracks, dets, gate_scale)
         assert list(got) == want
         # math.hypot and np.hypot may differ in the last bit
         np.testing.assert_allclose(list(got.values()), dist, rtol=1e-15, atol=1e-300)
 
     def test_points_on_the_gate_are_kept(self):
-        tracks = [make_track(1, 10.0, 10.0), make_track(2, 20.0, 30.0), make_track(3, 60.0, 9.0)]
-        # 5 from one track each, the detections' larger side; the last on the x edge
+        tracks = [
+            make_track(1, 10.0, 10.0),
+            make_track(2, 20.0, 30.0),
+            make_track(3, 60.0, 9.0),
+            make_track(4, 100.0, 10.0),
+            make_track(5, 150.0, 10.0),
+        ]
+        # 5 (7 for the last two) from one track each, the detections' larger
+        # side; the third on the x edge, the second and the fourth on the y
+        # edge, and the last on the y edge one pixel beside it, so outside
         dets = [
             make_detection(13.0, 14.0, w=5.0, h=5.0),
             make_detection(20.0, 25.0, w=5.0, h=2.0),
             make_detection(55.0, 9.0, w=1.0, h=5.0),
+            make_detection(100.0, 17.0, w=7.0, h=3.0),
+            make_detection(151.0, 3.0, w=3.0, h=7.0),
         ]
-        assert list(_gated_pairs(tracks, dets, 1.0)) == [(0, 0), (1, 1), (2, 2)]
-        assert list(_gated_pairs(tracks, dets, 0.999)) == []
+        columns = TrackColumns.of(tracks), Detections.of(dets)
+        assert list(_gated_pairs(*columns, 1.0)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert list(_gated_pairs(*columns, 0.999)) == []
 
 
 class TestPredictPrev:
@@ -335,6 +349,16 @@ class TestStep:
             out = step(state, dets, cfg)
             ids = [o.track_id for o in out]
             assert len(set(ids)) == len(ids)
+
+    def test_point_and_box_rules_hold_for_every_row(self):
+        cfg = PipelineConfig()
+        # the predicted previous position, x - dx, is beyond float64
+        with pytest.raises(ValueError, match=r"^TopPoint must be finite, got inf$"):
+            step(TrackerState(), [make_detection(1e308, 10.0, disp=(-1e308, 0.0))], cfg)
+        # the box's width, x2 - x1, is beyond float64
+        with pytest.raises(ValueError, match=r"^BBox must be finite, got inf$"):
+            dets = [make_detection(10.0, 10.0), make_detection(1.5e308, 9.0, w=1e308)]
+            step(TrackerState(), dets, cfg)
 
     def test_unknown_matcher_rejected(self):
         with pytest.raises(ValueError):

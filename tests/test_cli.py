@@ -289,6 +289,21 @@ class TestExitCodes:
         )
         assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_simulate_failing_after_first_frames_leaves_a_fresh_out_as_it_was(
+        self, tmp_path, capsys
+    ):
+        # a jitter this large throws a box edge to infinity; with these seeds
+        # `corrupt` meets it in frame 3, after frames 1 and 2 were written
+        scene = SCENE_CFG.replace("frames = 12", "frames = 4").replace("objects = 6", "objects = 5")
+        cfg = write_cfg(tmp_path, scene + "[corruption]\njitter_sigma = 1e308\nseed = 5\n")
+        out = tmp_path / "fresh" / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: BBox must be finite, got -inf"
+        ]
+        assert not (tmp_path / "fresh").exists()
+
     def test_scene_downsample_zero_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG + "downsample = 0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -764,11 +779,11 @@ class TestModuleEntryPoint:
             assert proc.stdout.strip().splitlines()[-1] == "[]", run
 
     def test_track_loads_no_simulator(self, tmp_path, sim_heads):
-        # nor numpy on sparse heads, nor the scoring module, with either matcher;
+        # nor numpy on sparse heads, nor the scoring module, nor logging, with either matcher;
         # the config holds a [scene] section too, and `track` reads only [pipeline]
         assert all(g.read_bytes()[:7] == b"TTGRID2" for g in Path(sim_heads).glob("*.grid"))
         cfg = write_cfg(tmp_path, SCENE_CFG + "[pipeline]\nmax_peaks = 50\n")
-        unwanted = ["numpy", "peaktrack.evaluation", "peaktrack.simulator"]
+        unwanted = ["numpy", "peaktrack.evaluation", "peaktrack.simulator", "logging"]
         for matcher in MATCHERS:
             out = tmp_path / f"{matcher}.txt"
             track = ["track", "--heads", sim_heads, "--config", cfg, "--matcher", matcher]

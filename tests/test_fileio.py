@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import typing
 
@@ -408,6 +409,61 @@ class TestMotFile:
         assert [(r.frame, r.track_id) for r in back] == [(2, 7), (1, 3), (1, 4)]
         assert back[0].conf == pytest.approx(0.875)
 
+    @pytest.mark.parametrize("kind", [MotRow, tuple], ids=["MotRow", "tuple"])
+    @pytest.mark.parametrize(
+        "value, lines",
+        [
+            (
+                -0.0,
+                [
+                    "1,9223372036854775807,-0.000000,-0.000000,2.500000,4.000000,-0.000000,-1,-1",
+                    "2,9223372036854775807,-0.000000,-0.000000,2.500000,4.000000,-0.000000,3,0.5",
+                ],
+            ),
+            (
+                5e-324,
+                [
+                    "1,9223372036854775807,0.000000,0.000000,2.500000,4.000000,0.000000,-1,-1",
+                    "2,9223372036854775807,0.000000,0.000000,2.500000,4.000000,0.000000,3,0.5",
+                ],
+            ),
+            (
+                1e16,
+                [
+                    "1,9223372036854775807,10000000000000000.000000,10000000000000000.000000,"
+                    "2.500000,4.000000,10000000000000000.000000,-1,-1",
+                    "2,9223372036854775807,10000000000000000.000000,10000000000000000.000000,"
+                    "2.500000,4.000000,10000000000000000.000000,3,0.5",
+                ],
+            ),
+            (
+                0.875,
+                [
+                    "1,9223372036854775807,0.875000,0.875000,2.500000,4.000000,0.875000,-1,-1",
+                    "2,9223372036854775807,0.875000,0.875000,2.500000,4.000000,0.875000,3,0.5",
+                ],
+            ),
+        ],
+    )
+    def test_written_text(self, tmp_path, kind, value, lines):
+        # MotRows and plain 9-tuples (as `track` writes them) give the same text
+        big = 2**63 - 1
+        rows = [
+            (1, big, value, value, 2.5, 4.0, value, -1, -1.0),
+            (2, big, value, value, 2.5, 4.0, value, 3, 0.5),
+        ]
+        p = tmp_path / "rows.txt"
+        write_mot_file(p, [kind(row) if kind is tuple else kind(*row) for row in rows])
+        assert p.read_text(encoding="utf-8").split("\n") == [*lines, ""]
+        cols = read_mot_columns(p)
+        assert cols.frame == [1, 2] and cols.track_id == [big, big]
+        written = float(f"{value:.6f}")
+        for x, y, w, h in cols.box:
+            assert (x, y, w, h) == (written, written, 2.5, 4.0)
+            assert math.copysign(1.0, x) == math.copysign(1.0, written)
+        assert cols.conf == [written, written]
+        assert cols.class_id == [-1, 3] and cols.visibility == [-1.0, 0.5]
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "rows.txt"
         p.write_text("1,3,10,20,40,100,1,-1\n")
@@ -544,7 +600,7 @@ class TestMotIntegerFields:
         p = tmp_path / "rows.txt"
         p.write_text(f"{mot_line(**{field: str(big)})}\n{mot_line(id=str(-(2**63)))}\n")
         first, second = read_mot_file(p)
-        assert dataclasses.astuple(first)[INT_FIELDS[field]] == big
+        assert first[INT_FIELDS[field]] == big
         assert second.track_id == -(2**63)
 
     @pytest.mark.parametrize("field", list(INT_FIELDS))
@@ -553,7 +609,7 @@ class TestMotIntegerFields:
         # -2**63 - 1 would be -2**63 (kept, as another number)
         p = tmp_path / "rows.txt"
         p.write_text(f"{mot_line(**{field: str(2**63 - 1)})}\n")
-        assert dataclasses.astuple(read_mot_file(p)[0])[INT_FIELDS[field]] == 2**63 - 1
+        assert read_mot_file(p)[0][INT_FIELDS[field]] == 2**63 - 1
         text = str(-(2**63) - 1)
         p.write_text(f"{mot_line(**{field: text})}\n")
         with pytest.raises(FileFormatError) as exc:
@@ -679,7 +735,7 @@ class TestMotReaderAgainstOracle:
                 read_mot_file(p)
             assert str(exc.value) == expected
         else:
-            assert [dataclasses.astuple(r) for r in read_mot_file(p)] == expected
+            assert [tuple(r) for r in read_mot_file(p)] == expected
 
 
 GOOD_LINE = "1,1,0,0,10,10,1,-1,-1"

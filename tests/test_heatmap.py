@@ -237,6 +237,17 @@ class TestDecode:
         box = d.bbox()
         assert box.corners() == ann.objects[0].bbox.corners()
 
+    def test_anchor_beyond_float64_is_rejected(self):
+        # (cell + offset) * R overflows although every grid value is finite
+        shape = (4, 4)
+        heatmap = np.zeros(shape + (1,))
+        heatmap[1, 1, 0] = 0.9
+        offset = np.zeros(shape + (2,))
+        offset[1, 1, 0] = 1e308
+        head = HeadOutput(heatmap, np.full(shape + (2,), 8.0), offset, np.zeros(shape + (2,)), 4)
+        with pytest.raises(ValueError, match=r"^TopPoint must be finite, got inf$"):
+            decode_detections(head, PipelineConfig())
+
     def test_zero_heatmap_decodes_empty(self):
         shape = (32, 32)
         head = HeadOutput(
