@@ -3,9 +3,12 @@
 `max_weight_pairs` is the entry every caller uses: Hungarian association,
 CLEAR matching and IDF1 each pose their problem as the weights of the pairs
 allowed to match, and it solves each connected component of those pairs on
-its own.  `linear_sum_assignment` is the dense solver underneath: Jonker and
-Volgenant's scheme as Crouse gives it ("On implementing 2D rectangular
-assignment algorithms", IEEE TAES 2016), which scipy also ships.
+its own.  `linear_sum_assignment` is the dense solver's checked entry:
+Jonker and Volgenant's scheme as Crouse gives it ("On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016), which scipy also
+ships.  It validates, orients and negates its input, then calls
+`_min_cost_cols`, which `max_weight_pairs` calls directly on the matrices
+it builds.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
         c = [list(col) for col in zip(*c)]
     if maximize:
         c = [[-x for x in row] for row in c]
+    col4row = _min_cost_cols(c)
+    if transpose:
+        order = sorted(range(len(c)), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(len(c))), col4row
+
+
+def _min_cost_cols(c: list[list[float]]) -> list[int]:
+    """The column of each row in a minimum-cost matching of `c`.
+
+    `c` is finite, given as lists of rows, and no taller than wide; it is
+    neither copied nor checked.
+    """
     nr, nc = len(c), len(c[0]) if c else 0
     u, v = [0.0] * nr, [0.0] * nc
     col4row, row4col = [-1] * nr, [-1] * nc
@@ -86,20 +102,23 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    if transpose:
-        order = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[k] for k in order], order
-    return list(range(nr)), col4row
+    return col4row
 
 
 def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int, int]]:
     """The (row, col) pairs of a maximum-weight assignment, sorted.
 
     `weights` holds the pairs of positive weight; every other pair weighs 0
-    and is never returned.  Each connected component of the pairs is solved
-    on its own, rows and columns ascending: a single pair is matched as it
-    is, a larger component by one `linear_sum_assignment`.
+    and is never returned.  A weight that is not finite raises ValueError.
+    Each connected component of the pairs is solved on its own, rows and
+    columns ascending: a single pair is matched as it is, a larger
+    component by the solver under `linear_sum_assignment(matrix,
+    maximize=True)`, given the matrix that call would build, so the matrix
+    is neither copied, checked nor negated again.
     """
+    values = weights.values()
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        raise ValueError("weights must be finite")
     cols_of: dict[int, list[int]] = {}
     rows_of: dict[int, list[int]] = {}
     for r, c in weights:
@@ -123,9 +142,14 @@ def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int
                     stack.extend(fresh)
         done |= rows
         rs, cs = sorted(rows), sorted(cols)
-        matrix = [[weights.get((r, c), 0.0) for c in cs] for r in rs]
-        for i, j in zip(*linear_sum_assignment(matrix, maximize=True)):
-            if matrix[i][j] > 0:
-                matched.append((rs[i], cs[j]))
+        # the matrix `linear_sum_assignment(..., maximize=True)` solves: no
+        # taller than wide, negated, and -0.0 where no pair is
+        if len(cs) < len(rs):
+            cost = [[-weights.get((r, c), 0.0) for r in rs] for c in cs]
+            found = [(i, j) for j, i in enumerate(_min_cost_cols(cost)) if cost[j][i] < 0]
+        else:
+            cost = [[-weights.get((r, c), 0.0) for c in cs] for r in rs]
+            found = [(i, j) for i, j in enumerate(_min_cost_cols(cost)) if cost[i][j] < 0]
+        matched += [(rs[i], cs[j]) for i, j in found]
     matched.sort()
     return matched

@@ -8,21 +8,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only numpy-free modules at module level, so neither `evaluate` nor `track`
-# on sparse heads imports numpy; every command imports the rest in its body.
-from .geometry import IOU_THRESHOLD, BBox, PipelineConfig
+# Only modules without numpy or `dataclasses` at module level, so `evaluate`
+# loads neither and `track` on sparse heads no numpy; every command imports
+# the rest in its body.
 from .motfile import FileFormatError, MotRow, read_mot_columns, read_mot_frames, write_mot_file
+from .rules import DEFAULT_DOWNSAMPLE, DEFAULT_NUM_CLASSES, IOU_THRESHOLD
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .evaluation import MetricsReport
+    from .geometry import BBox, PipelineConfig
     from .losses import FrameTargets
 
 # the names of `association.MATCHERS`, known here without importing numpy
@@ -69,8 +70,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--width", type=int, required=True, help="image width in pixels")
     p.add_argument("--height", type=int, required=True, help="image height in pixels")
-    p.add_argument("--downsample", type=int, default=PipelineConfig.downsample)
-    p.add_argument("--classes", type=int, default=PipelineConfig.num_classes)
+    p.add_argument("--downsample", type=int, default=DEFAULT_DOWNSAMPLE)
+    p.add_argument("--classes", type=int, default=DEFAULT_NUM_CLASSES)
     p.set_defaults(func=cmd_render_heatmap)
 
     p = sub.add_parser("losscheck", help="loss breakdown plus gradient verification")
@@ -176,6 +177,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     from .association import TrackerState, advance
     from .config import ConfigFile
     from .fileio import head_grid_path, list_head_frames, read_head_outputs
+    from .geometry import PipelineConfig
     from .heatmap import decode_columns
 
     cfg = ConfigFile(args.config).pipeline() if args.config else PipelineConfig()
@@ -218,7 +220,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 def _report_lines(report: MetricsReport, csv: bool) -> list[str]:
     """The report's fields in order; floats at 6 decimals in csv, else 3."""
     decimals = 6 if csv else 3
-    fields = dataclasses.asdict(report)
+    fields = report._asdict()
     texts = [
         f"{v:.{decimals}f}" if isinstance(v, float) else str(v) for v in fields.values()
     ]
@@ -243,6 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_render_heatmap(args: argparse.Namespace) -> int:
     from .fileio import write_grid
+    from .geometry import BBox
     from .heatmap import FrameAnnotations, ObjectAnnotation
     from .simulator import synthesize_head_outputs
 
@@ -317,6 +320,7 @@ def _gradient_checks(
 def cmd_losscheck(args: argparse.Namespace) -> int:
     from .config import ConfigFile
     from .fileio import list_head_frames, read_head_outputs
+    from .geometry import PipelineConfig
     from .heatmap import require_head_config
     from .losses import targets_from_head, total_loss
 
@@ -372,6 +376,8 @@ def _draw_box(img: np.ndarray, box: BBox, color: tuple[int, int, int]) -> None:
 
 def cmd_overlay(args: argparse.Namespace) -> int:
     import numpy as np
+
+    from .geometry import BBox
 
     if args.width < 0 or args.height < 0:
         raise ValueError(

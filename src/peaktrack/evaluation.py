@@ -15,32 +15,39 @@ Scoring turns each frame's pairs into columns once, at entry (columns
 pass through as they are), then walks the frames once.  In each frame one
 sort-and-sweep, `overlapping_pairs`, finds the (gt, pred) pairs whose
 boxes overlap and their IoUs; every other pair has IoU 0, so it can be
-neither a CLEAR match nor an IDF1 hit.  The pairs at IoU >= threshold
-drive the frame's CLEAR matching and add one hit each to a
-(gt id, pred id) -> hits count; one assignment on the counts at the end
-gives IDF1.  Both assignments go to `assignment.max_weight_pairs`, which
+neither a CLEAR match nor an IDF1 hit.  The sweep keeps each side's open
+boxes in a heap keyed by right edge and pops the expired ones as it
+reaches each left edge.  The pairs at IoU >= threshold drive the frame's
+CLEAR matching and add one hit each to a (gt id, pred id) -> hits count;
+one assignment on the counts at the end gives IDF1.  Both assignments go to `assignment.max_weight_pairs`, which
 solves each connected component of their pairs on its own.
+
+`FrameTally` and `MetricsReport` are `NamedTuple`s, and this module loads
+neither `geometry` nor `dataclasses`: `BBox` is only read by attribute
+here, and `IOU_THRESHOLD` comes from `rules`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .assignment import max_weight_pairs
-from .geometry import IOU_THRESHOLD, BBox
 from .motfile import Box, FrameColumns
+from .rules import IOU_THRESHOLD
 
-FrameBoxes = Sequence[tuple[int, BBox]]
+if TYPE_CHECKING:
+    from .geometry import BBox
+
+FrameBoxes = Sequence[tuple[int, "BBox"]]
 Sequence_ = Mapping[int, Union[FrameBoxes, FrameColumns]]
 
 MOSTLY_TRACKED_COVERAGE = 0.8
 MOSTLY_LOST_COVERAGE = 0.2
 
 
-@dataclass(frozen=True)
-class FrameTally:
+class FrameTally(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -49,8 +56,7 @@ class FrameTally:
     matches: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Sequence-level scores; `mota` is exactly 1 - (fp+fn+idsw)/gt_total."""
 
     mota: float
@@ -69,40 +75,47 @@ def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int
 
     Boxes are (x1, y1, w, h); two overlap when the intersection has positive
     width and height, and an overlap whose IoU underflows to 0 (a sliver
-    5e-324 wide) is no pair, as it could be no match either.  One sweep over both sides' left edges, ascending,
-    keeps each side's open boxes, those whose right edge lies beyond the
-    current left edge, and pairs each box with the open boxes of the other
-    side only.  The IoU is `inter / (aw*ah + bw*bh - inter)`, 0 where that
-    union is not positive, with inter the product of the intersection's
-    width `min(ax1 + aw, bx1 + bw) - max(ax1, bx1)` and height, `a` first.
+    5e-324 wide) is no pair, as it could be no match either.  One sweep
+    over both sides' left edges, ascending, pairs each box with the open
+    boxes of the other side only: those whose right edge lies beyond the
+    current left edge.  Each side keeps its open boxes in a heap keyed by
+    right edge; at each left edge the other side's expired boxes are popped
+    off its top, and a box that ends there is expired for every later left
+    edge too.  Candidates are found on x only.  The IoU is
+    `inter / (aw*ah + bw*bh - inter)`, 0 where that union is not positive,
+    with inter the product of the intersection's width
+    `min(ax1 + aw, bx1 + bw) - max(ax1, bx1)` and height.  Each candidate is
+    measured with the arriving box first: a sum of two floats and a min or
+    max taken by comparison do not depend on their order, so the IoU is the
+    same float either way round.
     """
     # each box as x1, y1, x2, y2 and area, the terms of its every IoU
     edges = [[(x1, y1, x1 + w, y1 + h, w * h) for x1, y1, w, h in side] for side in (a, b)]
     lefts = sorted(
         [(box[0], 0, i) for i, box in enumerate(a)] + [(box[0], 1, j) for j, box in enumerate(b)]
     )
-    open_boxes: list[list[int]] = [[], []]
+    # each side's open boxes, as a heap of (right edge, index, edges)
+    open_boxes: list[list[tuple]] = [[], []]
     pairs = []
     for left, side, k in lefts:
-        other = 1 - side
+        alive = open_boxes[1 - side]
         # a box that ends at or before this left edge overlaps no later box
-        right = edges[other]
-        alive = open_boxes[other] = [m for m in open_boxes[other] if right[m][2] > left]
-        open_boxes[side].append(k)
-        for m in alive:
-            i, j = (m, k) if side else (k, m)
-            ax1, ay1, ax2, ay2, a_area = edges[0][i]
-            bx1, by1, bx2, by2, b_area = edges[1][j]
+        while alive and alive[0][0] <= left:
+            heappop(alive)
+        own = edges[side][k]
+        heappush(open_boxes[side], (own[2], k, own))
+        px1, py1, px2, py2, p_area = own  # the arriving box p, each open box q
+        for _, m, (qx1, qy1, qx2, qy2, q_area) in alive:
             # min and max by comparison; a tie yields an equal value
-            ih = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+            ih = (py2 if py2 < qy2 else qy2) - (py1 if py1 > qy1 else qy1)
             if ih > 0:
-                iw = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+                iw = (px2 if px2 < qx2 else qx2) - (px1 if px1 > qx1 else qx1)
                 if iw > 0:
                     inter = iw * ih
-                    union = a_area + b_area - inter
+                    union = p_area + q_area - inter
                     iou = inter / union if union > 0 else 0.0
                     if iou:
-                        pairs.append((i, j, iou))
+                        pairs.append((m, k, iou) if side else (k, m, iou))
     pairs.sort()
     return pairs
 

@@ -10,6 +10,12 @@ Coordinate conventions:
 
 All types here are immutable values, except `Detections`, a frame's
 detections as columns of plain lists.
+
+The box rule `require_box`, `IOU_THRESHOLD` and the downsample and class
+count defaults live in `rules`, which loads no `dataclasses`, so scoring
+can check boxes without this module.  They are imported back and
+re-exported here: `BBox` checks the same rule, and `PipelineConfig` takes
+the same defaults.
 """
 
 from __future__ import annotations
@@ -18,17 +24,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from .rules import (  # noqa: F401
+    DEFAULT_DOWNSAMPLE,
+    DEFAULT_NUM_CLASSES,
+    IOU_THRESHOLD,
+    _require_finite,
+    require_box,
+)
 
 TOP_HEIGHT_FRACTION = 0.1
 _BELOW_TOP = 1.0 - TOP_HEIGHT_FRACTION
-# a prediction matches a ground-truth box at IoU >= this, unless set otherwise
-IOU_THRESHOLD = 0.5
-
-
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def require_downsample(downsample: int) -> None:
@@ -43,22 +48,6 @@ def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
         raise ValueError("max_peaks must be >= 1")
     if not 0.0 <= score_threshold <= 1.0:
         raise ValueError("score_threshold must be in [0, 1]")
-
-
-def require_box(x1: float, y1: float, w: float, h: float) -> None:
-    """The one rule for a box: finite x1, y1, w, h, with w, h > 0, and far
-    edges x1 + w and y1 + h that are finite too.
-
-    A broken rule raises ValueError for the first of these three checks that
-    fails.
-    """
-    x2, y2 = x1 + w, y1 + h
-    if w > 0 and h > 0 and math.isfinite(x2) and math.isfinite(y2):
-        return  # a sum is finite only when both its terms are
-    _require_finite("BBox", x1, y1, w, h)
-    if w <= 0 or h <= 0:
-        raise ValueError(f"BBox extent must be positive, got w={w}, h={h}")
-    raise ValueError(f"BBox edges must be finite, got x2={x2}, y2={y2}")
 
 
 @dataclass(frozen=True)
@@ -181,10 +170,10 @@ class PipelineConfig:
     larger box side, size-loss weight 0.1 and focal exponents (2, 4).
     """
 
-    downsample: int = 4
+    downsample: int = DEFAULT_DOWNSAMPLE
     max_peaks: int = 100
     score_threshold: float = 0.4
-    num_classes: int = 1
+    num_classes: int = DEFAULT_NUM_CLASSES
     gate_scale: float = 1.0
     size_loss_weight: float = 0.1
     focal_alpha: float = 2.0

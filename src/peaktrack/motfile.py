@@ -10,9 +10,15 @@ as a lone surrogate, which no number holds), splits on "\\n" alone, skips
 lines that are blank after `str.strip`, and checks every other line in file
 order by these rules, in this order: UTF-8 text; 9 fields; frame, id and
 class each a number, integral and within int64; the six float fields parse
-as Python's `float` parses them; a valid box (`geometry.require_box`);
+as Python's `float` parses them; a valid box (`rules.require_box`);
 frame >= 1; and a (frame, id) that no earlier line holds.  The first rule
 that the first bad line breaks is reported as `path:line: reason`.
+
+The walk checks each rule's common case inline: one `int` per integral
+field and a range test, then the box condition itself.  Only a line that
+fails one of them calls the rule's helper (`_integral`, `require_box`),
+which finds the rule that broke and words its message, so a good line
+costs no helper call and a bad one gets the helper's message.
 
 A frame, id or class written as an integer literal (one that `int` reads:
 digits, an optional sign, underscores between digits, whitespace around)
@@ -36,17 +42,18 @@ from __future__ import annotations
 
 import math
 import re
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .geometry import BBox, require_box
+from .rules import require_box
+
+if TYPE_CHECKING:
+    from .geometry import BBox
 
 Box = tuple[float, float, float, float]  # x1, y1, w, h
 
 _INT64_END = 2**63
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that "surrogateescape" kept
-_FLOAT_FIELDS = itemgetter(2, 3, 4, 5, 6, 8)  # x, y, w, h, conf, visibility
 _ROW_TEMPLATE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%g\n"
 
 
@@ -114,6 +121,7 @@ def read_mot_columns(path: str | Path) -> MotColumns:
     escapes = _ESCAPED_BYTE.search(text) is not None  # else no line needs the byte rule
     cols = MotColumns([], [], [], [], [], [])
     seen: dict[tuple[int, int], int] = {}
+    lo, hi, isfinite = -_INT64_END, _INT64_END, math.isfinite
     # split on "\n" alone: str.splitlines would also split on \f, \x1c or
     # \u2028 inside a line and shift the line numbers
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -126,11 +134,18 @@ def read_mot_columns(path: str | Path) -> MotColumns:
             fields = line.split(",")
             if len(fields) != 9:
                 raise ValueError(f"expected 9 comma-separated fields, got {len(fields)}")
-            frame = _integral(fields[0], "frame")
-            track_id = _integral(fields[1], "id")
-            class_id = _integral(fields[7], "class")
-            x, y, w, h, conf, visibility = map(float, _FLOAT_FIELDS(fields))
-            require_box(x, y, w, h)
+            try:
+                frame, track_id, class_id = int(fields[0]), int(fields[1]), int(fields[7])
+                if not (lo <= frame < hi and lo <= track_id < hi and lo <= class_id < hi):
+                    raise ValueError
+            except ValueError:  # not all three integer literals within int64
+                frame = _integral(fields[0], "frame")
+                track_id = _integral(fields[1], "id")
+                class_id = _integral(fields[7], "class")
+            x, y, w, h = float(fields[2]), float(fields[3]), float(fields[4]), float(fields[5])
+            conf, visibility = float(fields[6]), float(fields[8])
+            if not (w > 0 and h > 0 and isfinite(x + w) and isfinite(y + h)):
+                require_box(x, y, w, h)
             if frame < 1:
                 raise ValueError("frame must be >= 1")
             earlier = seen.setdefault((frame, track_id), line_no)
@@ -179,6 +194,8 @@ def write_mot_file(path: str | Path, rows: Iterable[tuple]) -> None:
 
 def rows_to_frames(rows: Sequence[MotRow]) -> dict[int, list[tuple[int, BBox]]]:
     """Group rows by frame for the evaluation module."""
+    from .geometry import BBox
+
     frames: dict[int, list[tuple[int, BBox]]] = {}
     for r in rows:
         frames.setdefault(r.frame, []).append((r.track_id, BBox(r.x, r.y, r.w, r.h)))

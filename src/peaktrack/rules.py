@@ -1,0 +1,39 @@
+"""The box rule and the defaults that every command needs at start-up.
+
+This module holds no class and imports neither numpy nor `dataclasses`, so
+`evaluate` can check MOT boxes and show its defaults without loading
+`geometry`.  `geometry` re-exports each name, so `BBox` and
+`PipelineConfig` keep one source for the rule and for each default.
+"""
+
+from __future__ import annotations
+
+import math
+
+# a prediction matches a ground-truth box at IoU >= this, unless set otherwise
+IOU_THRESHOLD = 0.5
+# the `PipelineConfig` defaults that `render-heatmap`'s options show
+DEFAULT_DOWNSAMPLE = 4
+DEFAULT_NUM_CLASSES = 1
+
+
+def _require_finite(name: str, *values: float) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def require_box(x1: float, y1: float, w: float, h: float) -> None:
+    """The one rule for a box: finite x1, y1, w, h, with w, h > 0, and far
+    edges x1 + w and y1 + h that are finite too.
+
+    A broken rule raises ValueError for the first of these three checks that
+    fails.
+    """
+    x2, y2 = x1 + w, y1 + h
+    if w > 0 and h > 0 and math.isfinite(x2) and math.isfinite(y2):
+        return  # a sum is finite only when both its terms are
+    _require_finite("BBox", x1, y1, w, h)
+    if w <= 0 or h <= 0:
+        raise ValueError(f"BBox extent must be positive, got w={w}, h={h}")
+    raise ValueError(f"BBox edges must be finite, got x2={x2}, y2={y2}")

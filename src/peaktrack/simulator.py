@@ -15,7 +15,6 @@ are placed as columns through one array path.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +33,6 @@ from .heatmap import (
     gaussian_sigma,
     stored_bits,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def _require_seed(seed: int) -> None:
@@ -345,7 +342,9 @@ def corrupt(
 
     tops, placed = _anchors(boxes, image_size, downsample)
     if not placed.all():
-        logger.warning(
+        import logging  # only to warn, so a scene with nothing to skip never loads it
+
+        logging.getLogger(__name__).warning(
             "frame %d: skipped %d object(s) with top point beyond the clamp margin",
             ann_t.frame_index,
             (~placed).sum(),

@@ -67,7 +67,55 @@ def sparse_weights(draw):
     return weights
 
 
+@st.composite
+def tied_sparse_weights(draw):
+    """Random pairs on up to 8 rows and 8 columns, weighing small integers
+    (as ints, like IDF1's hit counts, or as floats) or a few halves, so
+    equal totals are common and components come in every orientation."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    pairs = draw(st.lists(st.sampled_from(cells), unique=True, max_size=24))
+    value = draw(
+        st.sampled_from(
+            [st.integers(1, 2), st.integers(1, 2).map(float), st.sampled_from([0.5, 1.0, 1.5])]
+        )
+    )
+    return {pair: draw(value) for pair in pairs}
+
+
+def components(weights):
+    """The connected components of the pairs, as (rows, cols) ascending."""
+    parent = {}
+
+    def root(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for r, c in weights:
+        parent[root(("r", r))] = root(("c", c))
+    groups = {}
+    for r, c in weights:
+        rows, cols = groups.setdefault(root(("r", r)), (set(), set()))
+        rows.add(r)
+        cols.add(c)
+    return [(sorted(rows), sorted(cols)) for rows, cols in groups.values()]
+
+
 class TestMaxWeightPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_sparse_weights())
+    def test_pairs_equal_public_solves_per_component(self, weights):
+        # the same pairs as the checked entry gives on each component's
+        # dense matrix, tie for tie, keeping only the pairs of positive weight
+        want = []
+        for rows, cols in components(weights):
+            matrix = [[weights.get((r, c), 0.0) for c in cols] for r in rows]
+            for i, j in zip(*linear_sum_assignment(matrix, maximize=True)):
+                if matrix[i][j] > 0:
+                    want.append((rows[i], cols[j]))
+        assert max_weight_pairs(weights) == sorted(want)
+
     @settings(max_examples=300, deadline=None)
     @given(sparse_weights())
     def test_total_matches_exhaustive_oracle(self, weights):
@@ -84,6 +132,13 @@ class TestMaxWeightPairs:
 
     def test_no_pairs(self):
         assert max_weight_pairs({}) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # a lone pair too, which is matched without a solve
+        for weights in ({(0, 0): bad}, {(0, 0): 1.0, (0, 1): bad}):
+            with pytest.raises(ValueError, match="finite"):
+                max_weight_pairs(weights)
 
 
 class TestLinearSumAssignment:

@@ -81,6 +81,33 @@ class TestPipelineFlow:
         assert lines[0] == "mota,motp,idf1,mt,ml,fp,fn,idsw,gt_total"
         assert lines[1].startswith("1.000000,1.000000,1.000000,")
 
+    def test_evaluate_output_is_pinned(self, tmp_path, capsys):
+        # three gt ids over 5 frames: id 1 fully matched but switching from
+        # pred 10 to 11, id 2 matched at IoU 2/3 on 3 frames with one switch,
+        # id 3 matched on frame 1 only; pred 40 is 2 FPs.  So TP 9, FN 6,
+        # IDSW 2, MOTA 1 - 10/15, MOTP 8/9, IDTP 3 + 2 + 1 and IDF1 12/26;
+        # MT and ML are 1 of 3 ids each, and no field is 0 or 1
+        gt = tmp_path / "gt.txt"
+        pred = tmp_path / "pred.txt"
+        line = "{},{},{},0,10,10,1,-1,-1\n"
+        boxes = [(f, i, 100 * (i - 1)) for f in range(1, 6) for i in (1, 2, 3)]
+        gt.write_text("".join(line.format(*box) for box in boxes))
+        rows = [(f, 10 if f < 3 else 11, 0) for f in range(1, 6)]
+        rows += [(f, 20 if f < 3 else 21, 102) for f in range(1, 4)]
+        rows += [(1, 30, 200), (1, 40, 400), (2, 40, 400)]
+        pred.write_text("".join(line.format(*row) for row in rows))
+        argv = ["evaluate", "--gt", str(gt), "--pred", str(pred)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "MOTA      MOTP      IDF1      MT        ML        FP        FN        IDSW      GT_TOTAL\n"
+            "0.333     0.889     0.462     0.333     0.333     2         6         2         15\n"
+        )
+        assert main([*argv, "--csv"]) == 0
+        assert capsys.readouterr().out == (
+            "mota,motp,idf1,mt,ml,fp,fn,idsw,gt_total\n"
+            "0.333333,0.888889,0.461538,0.333333,0.333333,2,6,2,15\n"
+        )
+
     def test_hungarian_matcher_flag(self, tmp_path):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
@@ -769,6 +796,29 @@ class TestModuleEntryPoint:
         loaded = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
         for run in (
             "import sys, peaktrack",
+            "import sys, peaktrack.cli",
+            f"import sys; from peaktrack import cli; assert cli.main({evaluate!r}) == 0",
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"{run}; {loaded}"], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().splitlines()[-1] == "[]", run
+
+    def test_evaluate_loads_only_scoring(self, tmp_path):
+        # no dataclasses, numpy or scipy, and none of the modules behind the
+        # box and config classes, decode or association: not for the CLI
+        # module, nor for a whole `evaluate` of two files that differ
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        gt.write_text("1,1,0,0,10,10,1,-1,-1\n1,2,50,0,10,10,1,-1,-1\n2,1,1,0,10,10,1,-1,-1\n")
+        pred.write_text("1,7,2,0,10,10,1,-1,-1\n2,8,0,0,10,10,1,-1,-1\n")
+        evaluate = ["evaluate", "--gt", str(gt), "--pred", str(pred)]
+        unwanted = [
+            "dataclasses", "numpy", "scipy",
+            "peaktrack.geometry", "peaktrack.heatmap", "peaktrack.association",
+        ]
+        loaded = f"print([m for m in {unwanted!r} if m in sys.modules])"
+        for run in (
             "import sys, peaktrack.cli",
             f"import sys; from peaktrack import cli; assert cli.main({evaluate!r}) == 0",
         ):
