@@ -6,15 +6,17 @@ allowed to match, and it solves each connected component of those pairs on
 its own.  `linear_sum_assignment` is the dense solver's checked entry:
 Jonker and Volgenant's scheme as Crouse gives it ("On implementing 2D
 rectangular assignment algorithms", IEEE TAES 2016), which scipy also
-ships.  It validates, orients and negates its input, then calls
-`_min_cost_cols`, which `max_weight_pairs` calls directly on the matrices
-it builds.
+ships.  It validates and negates its input, then calls `_min_cost_pairs`,
+the one place that orients a matrix, which `max_weight_pairs` calls
+directly on the matrices it builds.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping
+
+from .rules import all_finite
 
 _NOT_A_MATRIX = "cost must be a 2-D matrix of finite entries"
 
@@ -38,23 +40,23 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[list[int], list
     """
     try:
         c = [list(row) for row in cost]
-        # a sum is finite only when each term is; a sum that overflows is
-        # checked term by term
-        finite = all(math.isfinite(sum(row)) or all(map(math.isfinite, row)) for row in c)
+        finite = all(map(all_finite, c))
     except TypeError:  # a row or an entry that is not a number
         finite = False
     if not finite or any(len(row) != len(c[0]) for row in c):
         raise ValueError(_NOT_A_MATRIX)
-    transpose = bool(c) and len(c[0]) < len(c)
-    if transpose:
-        c = [list(col) for col in zip(*c)]
     if maximize:
         c = [[-x for x in row] for row in c]
-    col4row = _min_cost_cols(c)
-    if transpose:
-        order = sorted(range(len(c)), key=col4row.__getitem__)
-        return [col4row[k] for k in order], order
-    return list(range(len(c))), col4row
+    pairs = _min_cost_pairs(c)
+    return [r for r, _ in pairs], [k for _, k in pairs]
+
+
+def _min_cost_pairs(c: list[list[float]]) -> list[tuple[int, int]]:
+    """The sorted (row, col) pairs of `_min_cost_cols` on `c`, transposed if taller than wide."""
+    if c and len(c[0]) < len(c):
+        row4col = _min_cost_cols([list(col) for col in zip(*c)])
+        return sorted((r, k) for k, r in enumerate(row4col))
+    return list(enumerate(_min_cost_cols(c)))
 
 
 def _min_cost_cols(c: list[list[float]]) -> list[int]:
@@ -112,12 +114,11 @@ def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int
     and is never returned.  A weight that is not finite raises ValueError.
     Each connected component of the pairs is solved on its own, rows and
     columns ascending: a single pair is matched as it is, a larger
-    component by the solver under `linear_sum_assignment(matrix,
-    maximize=True)`, given the matrix that call would build, so the matrix
-    is neither copied, checked nor negated again.
+    component by `_min_cost_pairs`, the solver under
+    `linear_sum_assignment(matrix, maximize=True)`, given the matrix that
+    call would build, so the matrix is neither checked nor negated again.
     """
-    values = weights.values()
-    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+    if not all_finite(weights.values()):
         raise ValueError("weights must be finite")
     cols_of: dict[int, list[int]] = {}
     rows_of: dict[int, list[int]] = {}
@@ -142,14 +143,9 @@ def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int
                     stack.extend(fresh)
         done |= rows
         rs, cs = sorted(rows), sorted(cols)
-        # the matrix `linear_sum_assignment(..., maximize=True)` solves: no
-        # taller than wide, negated, and -0.0 where no pair is
-        if len(cs) < len(rs):
-            cost = [[-weights.get((r, c), 0.0) for r in rs] for c in cs]
-            found = [(i, j) for j, i in enumerate(_min_cost_cols(cost)) if cost[j][i] < 0]
-        else:
-            cost = [[-weights.get((r, c), 0.0) for c in cs] for r in rs]
-            found = [(i, j) for i, j in enumerate(_min_cost_cols(cost)) if cost[i][j] < 0]
-        matched += [(rs[i], cs[j]) for i, j in found]
+        # the matrix `linear_sum_assignment(..., maximize=True)` solves:
+        # negated, and -0.0 where no pair is
+        cost = [[-weights.get((r, c), 0.0) for c in cs] for r in rs]
+        matched += [(rs[i], cs[j]) for i, j in _min_cost_pairs(cost) if cost[i][j] < 0]
     matched.sort()
     return matched

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .assignment import max_weight_pairs
 from .geometry import BBox, Detection, Detections, PipelineConfig, TopPoint, require_box, top_boxes
-from .heatmap import all_finite
+from .rules import all_finite
 
 
 @dataclass

@@ -26,7 +26,8 @@ if TYPE_CHECKING:
     from .geometry import BBox, PipelineConfig
     from .losses import FrameTargets
 
-# the names of `association.MATCHERS`, known here without importing numpy
+# the names of `association.MATCHERS`: `import peaktrack.cli` must not load
+# `association`, and with it `dataclasses`, for `evaluate`
 MATCHER_NAMES = ("greedy", "hungarian")
 
 GT_FILE_NAME = "gt.txt"
@@ -189,11 +190,15 @@ def cmd_track(args: argparse.Namespace) -> int:
             f"{head_grid_path(args.heads, frame_indices[0], 'heatmap')}: head frame "
             "indices start at 1, as MOT frames do"
         )
-    # `step` takes each call as the next frame, so a gap would be associated
+    # `advance` takes each call as the next frame, so a gap would be associated
     # with a one-frame displacement
-    missing = sorted(set(range(frame_indices[0], frame_indices[-1] + 1)) - set(frame_indices))
-    if missing:
-        raise ValueError(f"{args.heads}: head grids missing for frames {missing}")
+    gaps = [(a + 1, b) for a, b in zip(frame_indices, frame_indices[1:]) if b > a + 1]
+    if gaps:
+        count = sum(b - a for a, b in gaps)
+        # ten frames at most from each gap, so a gap of any length costs the same
+        missing = [f for a, b in gaps for f in range(a, min(b, a + 10))][:10]
+        frames = f"frames {missing}" if count <= 10 else f"{count} frames, first {missing}"
+        raise ValueError(f"{args.heads}: head grids missing for {frames}")
 
     state = TrackerState()
     rows: list[tuple] = []  # MotRow's nine fields, as plain tuples

@@ -12,7 +12,8 @@ prediction id changes counts one identity switch.  IDF1 instead scores a
 single global pairing of whole trajectories.
 
 Scoring turns each frame's pairs into columns once, at entry (columns
-pass through as they are), then walks the frames once.  In each frame one
+pass through as they are), then walks, in order, the frames either side
+holds; a frame that neither holds would change nothing.  In each frame one
 sort-and-sweep, `overlapping_pairs`, finds the (gt, pred) pairs whose
 boxes overlap and their IoUs; every other pair has IoU 0, so it can be
 neither a CLEAR match nor an IDF1 hit.  The sweep keeps each side's open
@@ -201,9 +202,7 @@ def match_frame(
     return _match(pairs, gt.ids, pred.ids, prev_correspondence, iou_threshold)
 
 
-def _check_sequences(
-    gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]
-) -> tuple[int, int]:
+def _check_sequences(gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]) -> None:
     if not gt or all(len(cols.ids) == 0 for cols in gt.values()):
         raise ValueError("ground truth sequence is empty; metrics are undefined")
     lo, hi = min(gt), max(gt)
@@ -218,7 +217,6 @@ def _check_sequences(
             if len(set(cols.ids)) != len(cols.ids):
                 twice = next(i for k, i in enumerate(cols.ids) if i in cols.ids[:k])
                 raise ValueError(f"{name} id {twice} appears twice in frame {frame}")
-    return lo, hi
 
 
 def compute_clear(
@@ -228,7 +226,7 @@ def compute_clear(
 ) -> MetricsReport:
     """Score a whole sequence; see MetricsReport for the fields."""
     gt, pred = _columns(gt), _columns(pred)
-    lo, hi = _check_sequences(gt, pred)
+    _check_sequences(gt, pred)
 
     # IDF1 input: on how many frames each (gt id, pred id) pair has IoU >= threshold
     hits: Counter[tuple[int, int]] = Counter()
@@ -237,7 +235,8 @@ def compute_clear(
     iou_sum = 0.0
     present: Counter[int] = Counter()  # frames each gt id appears on
     covered: Counter[int] = Counter()  # frames each gt id is matched on
-    for frame in range(lo, hi + 1):
+    # a frame that neither side holds changes no tally, hit or correspondence
+    for frame in sorted(gt.keys() | pred.keys()):
         gt_ids, gt_boxes = gt.get(frame, _NO_BOXES)
         pred_ids, pred_boxes = pred.get(frame, _NO_BOXES)
         pairs = overlapping_pairs(gt_boxes, pred_boxes)

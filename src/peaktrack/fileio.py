@@ -13,11 +13,12 @@ kinds share the magic length and the header; all numbers are little endian:
 
 `write_grid` takes a dense array or a `heatmap.SparseGrid` (the grid as
 its stored cells) and writes the same bytes for both forms of one grid.  It
-stores the cells whose float32 bits are not zero (`SparseGrid.of`'s rule,
-so -0.0 and denormals round-trip exactly), reading a `SparseGrid`'s stored
-values without scanning the grid, and picks whichever payload is smaller:
-sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense when H*W*C
-exceeds 2**32 and an index could overflow u32.  Head grids go sparse; a
+stores the cells whose float32 bits are not zero (`stored_bits`, after the
+cast to float32, since a float64 denormal can become a float32 zero; so
+-0.0 and float32 denormals round-trip exactly), reading a `SparseGrid`'s
+stored values without scanning the grid, and picks whichever payload is
+smaller: sparse when 4 + 8k < 4*H*W*C, dense otherwise, and always dense
+when H*W*C exceeds 2**32 and an index could overflow u32.  Head grids go sparse; a
 heatmap with noise added is about half non-zero and costs about the dense
 size.  The writer runs on numpy, which it imports when called.
 
@@ -54,14 +55,15 @@ from typing import TYPE_CHECKING
 
 from .geometry import require_downsample
 from .heatmap import (
+    _HEAD_GRIDS,
     HeadOutput,
     SparseGrid,
-    all_finite,
     format_dims,
     require_grid_dims,
     stored_bits,
 )
 from .motfile import FileFormatError
+from .rules import all_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,12 +78,7 @@ _HEADER_END = len(GRID_MAGIC) + _HEADER.size
 _DENSE_FILL = 4
 
 # head grid file name -> HeadOutput field
-_HEAD_FILES = {
-    "heatmap": "heatmap",
-    "size": "size_map",
-    "offset": "offset_map",
-    "disp": "disp_map",
-}
+_HEAD_FILES = dict(zip(("heatmap", "size", "offset", "disp"), _HEAD_GRIDS))
 
 
 def write_grid(path: str | Path, grid: np.ndarray | SparseGrid) -> None:

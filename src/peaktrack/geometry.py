@@ -4,7 +4,8 @@ Coordinate conventions:
   * x is the column axis, y the row axis, origin at the image top-left.
   * Boxes are (x1, y1, w, h) in input-image pixels, top-left corner plus extent.
   * The detection anchor ("top point") of a box sits at half its width and
-    one tenth of its height below the top edge.
+    one tenth of its height below the top edge.  `top_of` is this rule and
+    `_corners` its inverse; every other site calls one of them.
   * Grids are downsampled by an integer factor R; a continuous pixel point p
     maps to the cell floor(p / R) with a fractional offset in [0, 1).
 
@@ -21,6 +22,7 @@ the same defaults.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,10 +38,17 @@ TOP_HEIGHT_FRACTION = 0.1
 _BELOW_TOP = 1.0 - TOP_HEIGHT_FRACTION
 
 
+def require_float_sized(name: str, value: int) -> None:
+    """An integer that pixel arithmetic makes a float is at most the largest float."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:g}")
+
+
 def require_downsample(downsample: int) -> None:
-    """The one rule for a grid's downsample factor R: it is at least 1."""
+    """The one rule for a grid's downsample factor R: 1 <= R <= the largest float."""
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
+    require_float_sized("downsample", downsample)
 
 
 def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
@@ -190,9 +199,19 @@ class PipelineConfig:
             raise ValueError("size_loss_weight must be positive")
 
 
+def top_of(x1, y1, w, h):
+    """The top point (x1 + w/2, y1 + h/10) of a box (x1, y1, w, h), of floats or arrays."""
+    return x1 + w / 2.0, y1 + h * TOP_HEIGHT_FRACTION
+
+
+def _corners(x: float, y: float, w: float, h: float) -> tuple[float, float, float, float]:
+    """The corners (x1, y1, x2, y2) of the box of size (w, h) whose `top_of` is (x, y)."""
+    return x - w / 2.0, y - h * TOP_HEIGHT_FRACTION, x + w / 2.0, y + h * _BELOW_TOP
+
+
 def top_point_from_bbox(box: BBox) -> TopPoint:
-    """Anchor of a box: (x1 + w/2, y1 + h/10)."""
-    return TopPoint(box.x1 + box.w / 2.0, box.y1 + box.h * TOP_HEIGHT_FRACTION)
+    """Anchor of a box, by `top_of`."""
+    return TopPoint(*top_of(box.x1, box.y1, box.w, box.h))
 
 
 def quantize_point(p: TopPoint, downsample: int) -> tuple[GridPoint, tuple[float, float]]:
@@ -214,20 +233,14 @@ def quantize_point(p: TopPoint, downsample: int) -> tuple[GridPoint, tuple[float
 
 
 def corners_from_top(top: TopPoint, size: tuple[float, float]) -> tuple[float, float, float, float]:
-    """Rebuild box corners (x1, y1, x2, y2) from an anchor point and a size.
+    """Rebuild box corners (x1, y1, x2, y2) from an anchor point and a positive size.
 
-    Inverse of `top_point_from_bbox`: the anchor sits at half the width and
-    one tenth of the height, so the box spans h/10 above and 9h/10 below it.
+    Inverse of `top_point_from_bbox`, by `_corners`.
     """
     w, h = size
     if w <= 0 or h <= 0:
         raise ValueError(f"size must be positive, got {size}")
-    return (
-        top.x - w / 2.0,
-        top.y - h * TOP_HEIGHT_FRACTION,
-        top.x + w / 2.0,
-        top.y + h * _BELOW_TOP,
-    )
+    return _corners(top.x, top.y, w, h)
 
 
 def top_boxes(
@@ -235,15 +248,7 @@ def top_boxes(
 ) -> list[tuple[float, float, float, float]]:
     """(x1, y1, w, h) of each box of anchor (x, y) and size (w, h) > 0.
 
-    The box is the one of `corners_from_top`'s corners: its extent is
-    x2 - x1 and y2 - y1, which can differ from (w, h) in the last bit.
+    The box is the one of `_corners`: its extent is x2 - x1 and y2 - y1,
+    which can differ from (w, h) in the last bit.
     """
-    return [
-        (
-            x1 := x - w / 2.0,
-            y1 := y - h * TOP_HEIGHT_FRACTION,
-            x + w / 2.0 - x1,
-            y + h * _BELOW_TOP - y1,
-        )
-        for x, y, w, h in zip(xs, ys, ws, hs)
-    ]
+    return [(x1, y1, x2 - x1, y2 - y1) for x1, y1, x2, y2 in map(_corners, xs, ys, ws, hs)]

@@ -27,8 +27,9 @@ numpy arrays of shape (H/R, W/R, channels) with x mapped to columns, or
 cells, in an `array` of integer flat positions and an `array` of float
 values, and checks its own index rules when it is built: three dims >= 1,
 and positions strictly ascending and inside the grid, with one value each.
-`SparseGrid.of` is the one stored-cell rule for a numpy array: a cell is
-stored when its float bits are not zero, so -0.0 and denormals count.
+`SparseGrid.of_columns` is the one stored-cell rule for numpy columns, and
+`SparseGrid.of` its view for a dense array: an entry is stored when its
+float bits are not zero (`stored_bits`), so -0.0 and denormals count.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .geometry import (
     require_downsample,
     require_peak_limits,
 )
+from .rules import all_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,11 +91,6 @@ def stored_bits(values: np.ndarray) -> np.ndarray:
     return values.view(f"u{values.itemsize}") != 0
 
 
-def all_finite(values: Sequence[float]) -> bool:
-    """Whether every value is finite; the sum is the fast path, `isfinite` per value the exact one."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
 @dataclass(frozen=True)
 class SparseGrid:
     """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
@@ -105,7 +102,8 @@ class SparseGrid:
     without a copy; any other sequences of integers and reals are copied
     into `array("q")` and `array("d")`, and other input raises `ValueError`.
     A numpy caller passes `of` a dense array, or `of_columns` two 1-D
-    arrays.  `np.asarray(grid)` is `grid.dense()`.
+    arrays, and keeps the entries whose bits are not zero.  `np.asarray(grid)`
+    is `grid.dense()`.
     """
 
     shape: tuple[int, int, int]
@@ -137,29 +135,28 @@ class SparseGrid:
 
     @classmethod
     def of(cls, grid: np.ndarray) -> SparseGrid:
-        """The cells of a float array whose bits are not zero (`stored_bits`)."""
+        """The cells of a float array whose bits are not zero, by `of_columns`."""
         import numpy as np
 
         flat = grid.reshape(-1)
-        # np.flatnonzero on the raw bits is slower than on this comparison
-        index = np.flatnonzero(stored_bits(flat))
-        return cls.of_columns(grid.shape, index, flat[index])
+        return cls.of_columns(grid.shape, np.arange(flat.size), flat)
 
     @classmethod
     def of_columns(
         cls, shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray
     ) -> SparseGrid:
-        """A grid of numpy flat positions and values, copied through their bytes.
+        """The entries of numpy columns whose value bits are not zero (`stored_bits`), as a grid.
 
-        The same grid as `SparseGrid(shape, index, values)`, without making
-        a Python object of each element.
+        The same grid as `SparseGrid(shape, index[kept], values[kept])`, copied
+        through bytes without making a Python object of each element.
         """
         import numpy as np
 
+        kept = stored_bits(values)
         return cls(
             shape,
-            array("q", index.astype(np.int64).tobytes()),
-            array("d", values.astype(np.float64).tobytes()),
+            array("q", index[kept].astype(np.int64).tobytes()),
+            array("d", values[kept].astype(np.float64).tobytes()),
         )
 
     def dense(self) -> np.ndarray:
@@ -221,13 +218,12 @@ class HeadOutput:
         for name, g in grids.items():
             if len(g.shape) != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
-            if name != "heatmap" and g.shape[2] != 2:
-                raise ValueError(f"{name} must have 2 channels")
-            low, high, finite = _value_range(g)
             if name == "heatmap":
-                if not (finite and low >= 0.0 and high <= 1.0):
+                if not (_finite(g) and _in_unit_interval(g)):
                     raise ValueError("heatmap values must lie in [0, 1]")
-            elif not finite:
+            elif g.shape[2] != 2:
+                raise ValueError(f"{name} must have 2 channels")
+            elif not _finite(g):
                 raise ValueError(f"{name} contains non-finite values")
         shapes = {g.shape[:2] for g in grids.values()}
         if len(shapes) != 1:
@@ -243,17 +239,20 @@ class HeadOutput:
         return self.heatmap.shape[2]
 
 
-def _value_range(grid: Grid) -> tuple[float, float, bool]:
-    """Least and greatest value of a grid, and whether all are finite.
-
-    A cell a sparse grid does not store is 0.0, so 0.0 is always in the range.
-    """
+def _finite(grid: Grid) -> bool:
+    """Whether every value of a dense or sparse grid is finite."""
     if isinstance(grid, SparseGrid):
-        v = grid.values
-        return min(v, default=0.0), max(v, default=0.0), all_finite(v)
+        return all_finite(grid.values)
     import numpy as np
 
-    return grid.min(initial=0.0), grid.max(initial=0.0), bool(np.isfinite(grid).all())
+    return bool(np.isfinite(grid).all())
+
+
+def _in_unit_interval(grid: Grid) -> bool:
+    """Whether every value of a finite grid, 0.0 at each cell not stored, lies in [0, 1]."""
+    if isinstance(grid, SparseGrid):
+        return 0.0 <= min(grid.values, default=0.0) and max(grid.values, default=0.0) <= 1.0
+    return 0.0 <= grid.min(initial=0.0) and grid.max(initial=0.0) <= 1.0
 
 
 def require_head_config(head: HeadOutput, cfg: PipelineConfig) -> None:
@@ -513,7 +512,8 @@ def decode_columns(head: HeadOutput, cfg: PipelineConfig) -> Detections:
     displacement read from the same cell.  Peaks whose regressed size is not
     positive are dropped (a warning reports the count).  Every detection
     keeps `TopPoint`'s and `Detection`'s rules: a finite anchor, a positive
-    size and a score in [0, 1].
+    size and a score in [0, 1].  Sizes are positive as kept and scores are
+    heatmap values, which `HeadOutput` holds in [0, 1]; anchors are checked.
     """
     require_head_config(head, cfg)
     peaks = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
@@ -544,13 +544,6 @@ def decode_columns(head: HeadOutput, cfg: PipelineConfig) -> Detections:
         cols,
         rows,
     )
-    # every size is positive, as kept; the anchors and scores are checked here
-    if not (
-        all_finite(dets.x)
-        and all_finite(dets.y)
-        and all_finite(scores)
-        and 0.0 <= min(scores, default=0.0)
-        and max(scores, default=0.0) <= 1.0
-    ):
-        dets.rows()  # raises the first detection's broken rule
+    if not (all_finite(dets.x) and all_finite(dets.y)):
+        dets.rows()  # raises the first anchor's broken rule
     return dets

@@ -1,4 +1,4 @@
-"""The box rule and the defaults that every command needs at start-up.
+"""The box rule, the finiteness test and the defaults every command needs at start-up.
 
 This module holds no class and imports neither numpy nor `dataclasses`, so
 `evaluate` can check MOT boxes and show its defaults without loading
@@ -9,12 +9,18 @@ This module holds no class and imports neither numpy nor `dataclasses`, so
 from __future__ import annotations
 
 import math
+from typing import Collection
 
 # a prediction matches a ground-truth box at IoU >= this, unless set otherwise
 IOU_THRESHOLD = 0.5
 # the `PipelineConfig` defaults that `render-heatmap`'s options show
 DEFAULT_DOWNSAMPLE = 4
 DEFAULT_NUM_CLASSES = 1
+
+
+def all_finite(values: Collection[float]) -> bool:
+    """Whether every value is finite; a finite sum says so at once, else each value is tested."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def _require_finite(name: str, *values: float) -> None:

@@ -7,10 +7,12 @@ pipeline a deterministic desk-scale test bed.  `corrupt` converts
 annotations into the grids a perfect network would emit, as `SparseGrid`s of
 their stored cells (a heatmap with noise added stays a dense array),
 degraded with the usual failure modes: dropped objects, spurious peaks,
-position jitter, heatmap noise and a temporally jittered reference frame.  Objects, reference-frame anchors and false positives
-are placed as columns through one array path.
+position jitter, heatmap noise and a temporally jittered reference frame.
+Objects, reference-frame anchors and false positives are placed as columns
+through one array path, anchored by `geometry.top_of`.
 `synthesize_head_outputs` is `corrupt` with every rate 0, and
-`render_gt_heatmap` is its heatmap made dense.  Seeds must be >= 0.
+`render_gt_heatmap` is its heatmap made dense.  Seeds must be >= 0, and
+frame dims at most the largest float.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import TOP_HEIGHT_FRACTION, BBox, PipelineConfig
+from .geometry import BBox, PipelineConfig, require_float_sized, top_of
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -31,7 +33,6 @@ from .heatmap import (
     check_class_ids,
     draw_bumps,
     gaussian_sigma,
-    stored_bits,
 )
 
 
@@ -61,6 +62,8 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         _grid_dims(self.image_size, self.downsample)
+        for name in ("height", "width"):  # positions in the frame are floats
+            require_float_sized(name, getattr(self, name))
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if not 1 <= self.min_objects <= self.max_objects:
@@ -229,12 +232,6 @@ def render_gt_heatmap(
     return synthesize_head_outputs(ann, None, image_size, downsample, num_classes).heatmap.dense()
 
 
-def _stored(shape: tuple[int, int, int], index: np.ndarray, values: np.ndarray) -> SparseGrid:
-    """The entries whose float bits are not zero, as a grid: `SparseGrid.of`'s rule."""
-    kept = stored_bits(values)
-    return SparseGrid.of_columns(shape, index[kept], values[kept])
-
-
 def check_grid(
     image_size: tuple[int, int],
     downsample: int,
@@ -272,15 +269,14 @@ def _anchors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anchors (n, 2) of (n, 4) boxes on the frame, and the mask of boxes that have one.
 
-    A box's anchor is its top point (`top_point_from_bbox`) clamped onto the
+    A box's anchor is its top point (`geometry.top_of`) clamped onto the
     frame, strictly inside so its cell index stays in range.  A top point up
     to one cell (R pixels) outside the frame is clamped; one farther out has
     no anchor.
     """
     h_px, w_px = image_size
     margin = float(downsample)
-    x = boxes[:, 0] + boxes[:, 2] / 2.0
-    y = boxes[:, 1] + boxes[:, 3] * TOP_HEIGHT_FRACTION
+    x, y = top_of(*boxes.T)
     has = (-margin <= x) & (x < w_px + margin) & (-margin <= y) & (y < h_px + margin)
     tops = np.stack([np.clip(x, 0.0, w_px - 1e-6), np.clip(y, 0.0, h_px - 1e-6)], axis=1)
     return tops, has
@@ -321,9 +317,9 @@ def corrupt(
     entry each, objects first: cell floor(p / R), offset p / R - cell and
     the sigma of `gaussian_sigma`.  The grids are built from those columns:
     the heatmap is the `SparseGrid` of `heatmap.draw_bumps` of all bumps, or
-    a dense array once noise is added, and each regression grid is a
-    `SparseGrid` that keeps the last entry written to a cell.  No dense
-    regression grid is allocated.
+    a dense array once noise is added, and each regression grid is the
+    `SparseGrid.of_columns` of the last entry written to each cell.  No
+    dense regression grid is allocated.
     """
     prev_objects = ann_prev.objects if ann_prev is not None else ()
     rows, cols = check_grid(image_size, downsample, num_classes, (*ann_t.objects, *prev_objects))
@@ -404,6 +400,7 @@ def corrupt(
     index = (2 * cells[:, None] + (0, 1)).reshape(-1)
     winners = len(cell) - 1 - last
     size_map, offset_map, disp_map = (
-        _stored((rows, cols, 2), index, a[winners].reshape(-1)) for a in (size, offset, disp)
+        SparseGrid.of_columns((rows, cols, 2), index, a[winners].reshape(-1))
+        for a in (size, offset, disp)
     )
     return HeadOutput(heatmap, size_map, offset_map, disp_map, downsample)

@@ -259,6 +259,45 @@ class TestExitCodes:
         assert "missing for frames [3, 4]" in capsys.readouterr().err
         assert not res.exists()
 
+    def test_long_frame_gap_gives_its_count(self, tmp_path, capsys):
+        # frames 1 and 100002: the check and its message cost the same for any gap
+        cfg = write_cfg(tmp_path, SCENE_CFG.replace("frames = 12", "frames = 2"))
+        out = tmp_path / "sim"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        for grid in out.glob("heads/000002.*.grid"):
+            grid.rename(grid.with_name(grid.name.replace("000002", "100002")))
+        res = tmp_path / "res.txt"
+        assert main(["track", "--heads", str(out / "heads"), "--out", str(res)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and len(line) < 500
+        assert "missing for 100000 frames, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]" in line
+        assert not res.exists()
+
+    @pytest.mark.parametrize(
+        "section, key", [("scene", "width"), ("scene", "height"), ("pipeline", "downsample")]
+    )
+    def test_integer_beyond_float_range_is_validation_error(
+        self, tmp_path, sim_heads, section, key
+    ):
+        # pixel positions are floats, so 10**400 has no pixel position
+        big = "1" + "0" * 400
+        if section == "scene":
+            cfg = write_cfg(tmp_path, SCENE_CFG.replace(f"{key} = 256", f"{key} = {big}"))
+            out = tmp_path / "o"
+            argv = ["simulate", "--config", cfg, "--out", str(out)]
+        else:
+            cfg = write_cfg(tmp_path, f"[pipeline]\n{key} = {big}\n")
+            out = tmp_path / "r.txt"
+            argv = ["track", "--heads", sim_heads, "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "peaktrack", *argv], capture_output=True, text=True, cwd=tmp_path
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line == f"error: {cfg}: [{section}] {key} must be at most 1.79769e+308"
+        assert not out.exists()
+
     def test_non_finite_grid_value_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"

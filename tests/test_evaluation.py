@@ -13,6 +13,7 @@ from peaktrack import (
     rows_to_frames,
 )
 from peaktrack.cli import main
+from peaktrack import evaluation
 from peaktrack.evaluation import overlapping_pairs
 
 from .oracles import clear_match_oracle, idf1_oracle, iou_oracle
@@ -286,6 +287,20 @@ class TestComputeClear:
         pred = constant_track(1, range(1, 7))
         with pytest.raises(ValueError):
             compute_clear(gt, pred)
+
+
+    def test_frames_neither_side_holds_are_not_walked(self, monkeypatch):
+        calls = []
+        match = evaluation._match
+        monkeypatch.setattr(evaluation, "_match", lambda *a: calls.append(a) or match(*a))
+        # one ground truth seen by prediction 5, then by prediction 6: one switch
+        gt = {1: [(1, box())], 100_001: [(1, box(1.0))]}
+        pred = {1: [(5, box())], 100_001: [(6, box(1.0)), (7, box(500.0))]}
+        far = compute_clear(gt, pred)
+        assert len(calls) == 2
+        near = compute_clear({1: gt[1], 2: gt[100_001]}, {1: pred[1], 2: pred[100_001]})
+        assert far == near
+        assert (far.idsw, far.fp, far.fn) == (1, 1, 0)
 
 
 class TestIDF1:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from peaktrack import (
@@ -15,6 +15,7 @@ from peaktrack import (
     quantize_point,
     top_point_from_bbox,
 )
+from peaktrack.geometry import top_boxes, top_of
 
 
 class TestTopPointFromBBox:
@@ -112,6 +113,37 @@ class TestCornersFromTop:
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             corners_from_top(TopPoint(5, 5), (0.0, 4.0))
+
+
+# sizes from the subnormal floats up to near the largest one, anchors and
+# corners in a range whose far edges stay finite
+sizes = st.one_of(
+    st.floats(5e-324, 1e-300), st.floats(1e-3, 1e4), st.floats(1e307, 1.7e308)
+)
+places = st.floats(-1e6, 1e6)
+quads = st.lists(st.tuples(places, places, sizes, sizes), min_size=1, max_size=8)
+
+
+class TestTopOf:
+    """`top_of` and its inverse give the same floats at every site, bit for bit."""
+
+    @given(quads)
+    @example([(0.5, -3.0, 5e-324, 1.7e308)])
+    def test_columns_equal_each_box(self, boxes):
+        xs, ys = top_of(*np.array(boxes).T)
+        tops = [top_point_from_bbox(BBox(*b)) for b in boxes]
+        want = [[t.x for t in tops], [t.y for t in tops]]
+        assert np.array([xs, ys]).tobytes() == np.array(want).tobytes()
+
+    @given(quads)
+    @example([(1e6, -1e6, 1.7e308, 5e-324)])
+    def test_top_boxes_are_the_corners_as_extents(self, anchors):
+        want = []
+        for x, y, w, h in anchors:
+            x1, y1, x2, y2 = corners_from_top(TopPoint(x, y), (w, h))
+            want.append((x1, y1, x2 - x1, y2 - y1))
+        got = top_boxes(*map(list, zip(*anchors)))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestDetectionAndConfig:

@@ -559,6 +559,16 @@ class TestStoredCells:
         expected = f"dropped {dropped} of {found} peaks whose regressed size is not positive"
         assert warnings == ([expected] if dropped else [])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_columns_keep_the_cells_of_the_dense_grid(self, dtype):
+        # 0.0 is not stored; -0.0 and a denormal are, as their bits are not zero
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array([0.0, -0.0, tiny, 0.25, 0.0, 1.0], dtype=dtype)
+        from_columns = SparseGrid.of_columns((2, 3, 1), np.arange(6), values)
+        from_dense = SparseGrid.of(values.reshape(2, 3, 1))
+        assert list(from_columns.index) == list(from_dense.index) == [1, 2, 3, 5]
+        assert list(map(repr, from_columns.values)) == list(map(repr, from_dense.values))
+
     def test_unstored_cells_are_peaks_at_threshold_zero(self):
         hm = np.zeros((3, 3, 1))
         hm[0, 0, 0] = 0.5
