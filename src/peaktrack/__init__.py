@@ -10,14 +10,12 @@ import importlib
 
 # submodule -> the names it exports
 _MODULE_EXPORTS = {
-    "association": "Track TrackerState TrackOutput greedy_match hungarian_match "
-    "predict_prev_positions step",
+    "association": "Track TrackerState TrackOutput greedy_match hungarian_match step",
     "config": "ConfigError ConfigFile",
-    "evaluation": "MetricsReport bbox_iou compute_clear compute_idf1 match_frame",
+    "evaluation": "MetricsReport compute_clear compute_idf1",
     "fileio": "list_head_frames read_grid read_head_outputs read_sparse_grid write_grid "
     "write_head_outputs",
-    "geometry": "BBox Detection GridPoint PipelineConfig TopPoint corners_from_top "
-    "quantize_point top_point_from_bbox",
+    "geometry": "BBox Detection GridPoint PipelineConfig TopPoint",
     "heatmap": "FrameAnnotations HeadOutput ObjectAnnotation SparseGrid decode_detections "
     "draw_bumps extract_peaks gaussian_sigma",
     "losses": "FrameTargets LossBreakdown SupervisedPoint finite_difference_check focal_loss "
@@ -25,7 +23,7 @@ _MODULE_EXPORTS = {
     "motfile": "FileFormatError MotColumns MotRow read_mot_columns read_mot_file "
     "read_mot_frames rows_to_frames write_mot_file",
     "simulator": "CorruptionConfig SceneConfig corrupt gen_scene pick_reference_frame "
-    "render_gt_heatmap synthesize_head_outputs",
+    "synthesize_head_outputs",
 }
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names.split()}

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .assignment import max_weight_pairs
 from .geometry import BBox, Detection, Detections, PipelineConfig, TopPoint, require_box, top_boxes
-from .rules import all_finite
+from .rules import require_top_points
 
 
 @dataclass
@@ -92,22 +92,14 @@ MatchResult = tuple[list[tuple[int, int]], list[int], list[int]]
 Row = tuple[int, float, float, float, float, float]
 
 
-def predict_prev_positions(dets: Sequence[Detection]) -> list[TopPoint]:
-    """Where each detection says its object was in the previous frame."""
-    return [TopPoint(x, y) for x, y in zip(*_predicted(Detections.of(dets)))]
-
-
 def _predicted(dets: Detections) -> tuple[list[float], list[float]]:
     """Each detection's predicted previous position, x - dx and y - dy, as columns.
 
-    Each position is finite, by `TopPoint`'s rule: the first that is not
-    raises as a `TopPoint` would.
+    Each position is finite, by `rules.require_top_points`.
     """
     xs = list(map(operator.sub, dets.x, dets.dx))
     ys = list(map(operator.sub, dets.y, dets.dy))
-    if not (all_finite(xs) and all_finite(ys)):
-        for x, y in zip(xs, ys):
-            TopPoint(x, y)
+    require_top_points(xs, ys)
     return xs, ys
 
 

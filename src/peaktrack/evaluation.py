@@ -121,11 +121,6 @@ def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int
     return pairs
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    pairs = overlapping_pairs([(a.x1, a.y1, a.w, a.h)], [(b.x1, b.y1, b.w, b.h)])
-    return pairs[0][2] if pairs else 0.0
-
-
 def _frame_columns(boxes: FrameBoxes | FrameColumns) -> FrameColumns:
     if isinstance(boxes, FrameColumns):
         return boxes
@@ -146,7 +141,8 @@ def _match(
     prev_correspondence: Mapping[int, int],
     iou_threshold: float,
 ) -> tuple[FrameTally, dict[int, int]]:
-    """`match_frame` on a frame's `overlapping_pairs`."""
+    """One frame's CLEAR matching on its `overlapping_pairs`, as set out
+    above, and the updated gt-id -> pred-id correspondence."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     iou = {(i, j): value for i, j, value in pairs if value >= iou_threshold}
@@ -181,25 +177,6 @@ def _match(
         matches=tuple(matches),
     )
     return tally, corr
-
-
-def match_frame(
-    gt_boxes: FrameBoxes,
-    pred_boxes: FrameBoxes,
-    prev_correspondence: Mapping[int, int],
-    iou_threshold: float = IOU_THRESHOLD,
-) -> tuple[FrameTally, dict[int, int]]:
-    """Match one frame and update the gt-id -> pred-id correspondence.
-
-    One assignment over the pairs at IoU >= `iou_threshold` keeps the most
-    remembered pairs, then maximizes the total IoU; a prediction remembered
-    by two ids goes to the pairing with the larger total IoU, not the higher
-    single IoU.  A ground truth matched to a different prediction id than
-    its remembered one contributes one identity switch.
-    """
-    gt, pred = _frame_columns(gt_boxes), _frame_columns(pred_boxes)
-    pairs = overlapping_pairs(gt.boxes, pred.boxes)
-    return _match(pairs, gt.ids, pred.ids, prev_correspondence, iou_threshold)
 
 
 def _check_sequences(gt: Mapping[int, FrameColumns], pred: Mapping[int, FrameColumns]) -> None:

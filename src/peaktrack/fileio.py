@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 import re
 import struct
 import sys
@@ -77,6 +78,8 @@ _HEADER_END = len(GRID_MAGIC) + _HEADER.size
 # dense: numpy searches it faster than Python walks that many stored cells.
 _DENSE_FILL = 4
 
+# each of a frame's grid file names starts with the frame index, zero-padded to 6 digits
+_FRAME_PREFIX = "{:06d}."
 # head grid file name -> HeadOutput field
 _HEAD_FILES = dict(zip(("heatmap", "size", "offset", "disp"), _HEAD_GRIDS))
 
@@ -198,7 +201,7 @@ def read_grid(path: str | Path) -> np.ndarray:
 
 def _head_stem(directory: str | Path, frame_index: int) -> str:
     """A frame's grid paths up to the map name: <directory>/<frame>."""
-    return str(Path(directory) / f"{frame_index:06d}.")
+    return str(Path(directory) / _FRAME_PREFIX.format(frame_index))
 
 
 def head_grid_path(directory: str | Path, frame_index: int, map_name: str) -> Path:
@@ -250,8 +253,8 @@ def list_head_frames(directory: str | Path) -> list[int]:
     """Frame indices of the heatmap files named as the writer names them, ascending."""
     pattern = re.compile(r"(\d+)\.heatmap\.grid")
     frames = []
-    for entry in Path(directory).iterdir():
-        m = pattern.fullmatch(entry.name)
-        if m and head_grid_path(directory, int(m[1]), "heatmap").name == entry.name:
+    for name in os.listdir(directory):
+        m = pattern.fullmatch(name)
+        if m and f"{_FRAME_PREFIX.format(int(m[1]))}heatmap.grid" == name:
             frames.append(int(m[1]))
     return sorted(frames)

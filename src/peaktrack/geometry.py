@@ -21,7 +21,6 @@ the same defaults.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -207,40 +206,6 @@ def top_of(x1, y1, w, h):
 def _corners(x: float, y: float, w: float, h: float) -> tuple[float, float, float, float]:
     """The corners (x1, y1, x2, y2) of the box of size (w, h) whose `top_of` is (x, y)."""
     return x - w / 2.0, y - h * TOP_HEIGHT_FRACTION, x + w / 2.0, y + h * _BELOW_TOP
-
-
-def top_point_from_bbox(box: BBox) -> TopPoint:
-    """Anchor of a box, by `top_of`."""
-    return TopPoint(*top_of(box.x1, box.y1, box.w, box.h))
-
-
-def quantize_point(p: TopPoint, downsample: int) -> tuple[GridPoint, tuple[float, float]]:
-    """Split a pixel point into its grid cell and sub-cell offset.
-
-    Returns (cell, (ox, oy)) with cell = floor(p / R) componentwise and each
-    offset component in [0, 1), so (cell + offset) * R reconstructs p.
-    Points with negative coordinates have no valid cell and are rejected.
-    """
-    require_downsample(downsample)
-    _require_finite("point", p.x, p.y)
-    if p.x < 0 or p.y < 0:
-        raise ValueError(f"point {p} lies outside the grid")
-    cx = p.x / downsample
-    cy = p.y / downsample
-    col = math.floor(cx)
-    row = math.floor(cy)
-    return GridPoint(col, row), (cx - col, cy - row)
-
-
-def corners_from_top(top: TopPoint, size: tuple[float, float]) -> tuple[float, float, float, float]:
-    """Rebuild box corners (x1, y1, x2, y2) from an anchor point and a positive size.
-
-    Inverse of `top_point_from_bbox`, by `_corners`.
-    """
-    w, h = size
-    if w <= 0 or h <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    return _corners(top.x, top.y, w, h)
 
 
 def top_boxes(

@@ -6,8 +6,7 @@ point and with a peak value of exactly 1.  Overlapping bumps keep the
 elementwise maximum so values stay valid probabilities.  `draw_bumps` draws
 all of a frame's bumps at once, into a `SparseGrid` of the cells they
 cover, with the sigma of `gaussian_sigma`; `simulator.corrupt` places the
-objects, and `simulator.render_gt_heatmap` is its heatmap made dense.
-Rendering runs on numpy, which those functions import when called.
+objects.  Rendering runs on numpy, which those functions import when called.
 
 Decoding walks the opposite direction and needs no numpy for a
 `SparseGrid`: `_peaks` finds the local maxima of a predicted heatmap among
@@ -50,7 +49,7 @@ from .geometry import (
     require_downsample,
     require_peak_limits,
 )
-from .rules import all_finite
+from .rules import all_finite, require_top_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -513,7 +512,8 @@ def decode_columns(head: HeadOutput, cfg: PipelineConfig) -> Detections:
     positive are dropped (a warning reports the count).  Every detection
     keeps `TopPoint`'s and `Detection`'s rules: a finite anchor, a positive
     size and a score in [0, 1].  Sizes are positive as kept and scores are
-    heatmap values, which `HeadOutput` holds in [0, 1]; anchors are checked.
+    heatmap values, which `HeadOutput` holds in [0, 1]; anchors are checked
+    by `rules.require_top_points`, so no `Detection` is built.
     """
     require_head_config(head, cfg)
     peaks = _peaks(head.heatmap, cfg.max_peaks, cfg.score_threshold)
@@ -544,6 +544,5 @@ def decode_columns(head: HeadOutput, cfg: PipelineConfig) -> Detections:
         cols,
         rows,
     )
-    if not (all_finite(dets.x) and all_finite(dets.y)):
-        dets.rows()  # raises the first anchor's broken rule
+    require_top_points(dets.x, dets.y)
     return dets

@@ -1,15 +1,17 @@
-"""The box rule, the finiteness test and the defaults every command needs at start-up.
+"""Box and top-point rules, the finiteness test and the defaults every command needs at start-up.
 
 This module holds no class and imports neither numpy nor `dataclasses`, so
 `evaluate` can check MOT boxes and show its defaults without loading
-`geometry`.  `geometry` re-exports each name, so `BBox` and
-`PipelineConfig` keep one source for the rule and for each default.
+`geometry`.  `geometry` re-exports the box rule and the defaults, so
+`BBox` and `PipelineConfig` keep one source for the rule and for each
+default.  `require_top_points` is `TopPoint`'s rule on columns, which
+decode and association check without building a `TopPoint`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Collection
+from typing import Collection, Sequence
 
 # a prediction matches a ground-truth box at IoU >= this, unless set otherwise
 IOU_THRESHOLD = 0.5
@@ -27,6 +29,14 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def require_top_points(xs: Sequence[float], ys: Sequence[float]) -> None:
+    """`TopPoint`'s rule on columns: each (x, y) is finite, and the first pair
+    that is not raises as a `TopPoint` would, without building one."""
+    if not (all_finite(xs) and all_finite(ys)):
+        for x, y in zip(xs, ys):
+            _require_finite("TopPoint", x, y)
 
 
 def require_box(x1: float, y1: float, w: float, h: float) -> None:

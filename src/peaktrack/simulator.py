@@ -10,9 +10,8 @@ degraded with the usual failure modes: dropped objects, spurious peaks,
 position jitter, heatmap noise and a temporally jittered reference frame.
 Objects, reference-frame anchors and false positives are placed as columns
 through one array path, anchored by `geometry.top_of`.
-`synthesize_head_outputs` is `corrupt` with every rate 0, and
-`render_gt_heatmap` is its heatmap made dense.  Seeds must be >= 0, and
-frame dims at most the largest float.
+`synthesize_head_outputs` is `corrupt` with every rate 0.  Seeds must be
+>= 0, and frame dims at most the largest float.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, PipelineConfig, require_float_sized, top_of
+from .geometry import BBox, PipelineConfig, require_box, require_float_sized, top_of
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -64,6 +63,10 @@ class SceneConfig:
         _grid_dims(self.image_size, self.downsample)
         for name in ("height", "width"):  # positions in the frame are floats
             require_float_sized(name, getattr(self, name))
+        # MOT frame numbers and numpy's draw of the object count are int64
+        for name in ("frames", "max_objects"):
+            if getattr(self, name) >= 2**63:
+                raise ValueError(f"{name} must be < 2**63")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if not 1 <= self.min_objects <= self.max_objects:
@@ -216,22 +219,6 @@ def pick_reference_frame(
     return int(rng.integers(lo, hi + 1))
 
 
-def render_gt_heatmap(
-    ann: FrameAnnotations,
-    image_size: tuple[int, int],
-    downsample: int,
-    num_classes: int = 1,
-) -> np.ndarray:
-    """Render the ground-truth heatmap (rows, cols, num_classes) for a frame.
-
-    Each object contributes exp(-(dx^2 + dy^2) / (2 sigma^2)) around its top
-    cell on its class channel, truncated at 3 sigma; overlaps keep the max.
-    The center cell is exactly 1.  This is the heatmap of
-    `synthesize_head_outputs(ann, None, ...)`, made dense.
-    """
-    return synthesize_head_outputs(ann, None, image_size, downsample, num_classes).heatmap.dense()
-
-
 def check_grid(
     image_size: tuple[int, int],
     downsample: int,
@@ -295,7 +282,7 @@ def corrupt(
 
     Each object is dropped with probability `fn_rate` and the survivors'
     boxes are shifted by N(0, jitter_sigma^2); a shifted box whose edge
-    leaves float64 fails as `BBox` does.  The survivors are then rendered
+    leaves float64 fails by `require_box`.  The survivors are then rendered
     as a perfect network would: the heatmap is their ground truth, and at
     each one's top cell the size, quantization offset and displacement
     (current anchor minus reference anchor, zero for objects without one)
@@ -332,9 +319,9 @@ def corrupt(
     boxes, class_ids, ids = all_boxes[kept], class_ids[kept], ids[kept]
     if corruption.jitter_sigma > 0:
         boxes[:, :2] += rng.normal(0.0, corruption.jitter_sigma, size=(len(boxes), 2))
-        # the first box with an edge beyond float64 raises BBox's own message
+        # the first box with an edge beyond float64 raises the box rule's message
         for box in boxes[~np.isfinite(boxes[:, :2] + boxes[:, 2:]).all(axis=1)][:1]:
-            BBox(*box.tolist())
+            require_box(*box.tolist())
 
     tops, placed = _anchors(boxes, image_size, downsample)
     if not placed.all():

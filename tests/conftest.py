@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -12,10 +13,10 @@ from peaktrack import (
     BBox,
     Detection,
     FrameAnnotations,
+    GridPoint,
     ObjectAnnotation,
     Track,
     TopPoint,
-    quantize_point,
 )
 
 from .oracles import euclid
@@ -43,11 +44,9 @@ def make_detection(
     disp: tuple[float, float] = (0.0, 0.0),
     downsample: int = 4,
 ) -> Detection:
-    top = TopPoint(x, y)
-    cell, _ = quantize_point(top, downsample)
     return Detection(
-        top=top,
-        cell=cell,
+        top=TopPoint(x, y),
+        cell=GridPoint(math.floor(x / downsample), math.floor(y / downsample)),
         size=(w, h),
         score=score,
         class_id=class_id,

@@ -33,9 +33,9 @@ from peaktrack import (
     step,
     synthesize_head_outputs,
     targets_from_head,
-    top_point_from_bbox,
     total_loss,
 )
+from peaktrack.geometry import top_of
 
 from .conftest import match_cost, random_instance, separated_annotations
 from .oracles import assignment_oracle, euclid, greedy_oracle, idf1_oracle
@@ -101,8 +101,8 @@ def test_render_decode_round_trip():
         assert len(dets) == n
         expected = {}
         for obj in ann.objects:
-            t = top_point_from_bbox(obj.bbox)
-            expected[(t.x, t.y)] = obj.bbox.corners()
+            b = obj.bbox
+            expected[top_of(b.x1, b.y1, b.w, b.h)] = b.corners()
         for d in dets:
             key = min(
                 expected, key=lambda t: (t[0] - d.top.x) ** 2 + (t[1] - d.top.y) ** 2

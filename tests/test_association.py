@@ -4,19 +4,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peaktrack import (
+    BBox,
+    CorruptionConfig,
     Detection,
+    FrameAnnotations,
     GridPoint,
+    HeadOutput,
+    ObjectAnnotation,
     PipelineConfig,
     TopPoint,
     TrackerState,
+    association,
+    corrupt,
+    geometry,
     greedy_match,
     hungarian_match,
-    predict_prev_positions,
+    simulator,
     step,
 )
 from peaktrack.assignment import linear_sum_assignment
-from peaktrack.association import Track, TrackColumns, _gated_pairs
+from peaktrack.association import Track, TrackColumns, _gated_pairs, _predicted, advance
 from peaktrack.geometry import Detections
+from peaktrack.heatmap import decode_columns
 
 from .conftest import make_detection, make_track, match_cost, random_instance
 from .oracles import assignment_oracle, euclid, greedy_oracle
@@ -30,9 +39,8 @@ def dense_big_m_matches(tracks, dets, gate_scale):
     solver first keeps the most allowed pairs, then the least distance.
     Matches are sorted by detection index.
     """
-    predicted = predict_prev_positions(dets)
     last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
-    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
+    prev = np.array(_predicted(Detections.of(dets))).T.reshape(-1, 2)
     dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
     gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
     same_class = np.array([t.class_id for t in tracks])[:, None] == np.array(
@@ -53,9 +61,8 @@ def dense_gated_pairs(tracks, dets, gate_scale):
     numpy kernel over every pair: the reference for `_gated_pairs`, which
     measures only the tracks within a detection's x window.  Pairs come in
     np.nonzero's order, ascending (track, detection)."""
-    predicted = predict_prev_positions(dets)
     last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
-    prev = np.array([(p.x, p.y) for p in predicted]).reshape(-1, 2)
+    prev = np.array(_predicted(Detections.of(dets))).T.reshape(-1, 2)
     with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf, as in Python
         dist = np.hypot(last[:, None, 0] - prev[None, :, 0], last[:, None, 1] - prev[None, :, 1])
         gate = gate_scale * np.array([max(d.size) for d in dets], dtype=float)
@@ -151,16 +158,16 @@ class TestGatedPairs:
 class TestPredictPrev:
     def test_subtracts_displacement(self):
         d = make_detection(11, 11, disp=(1, 1))
-        assert predict_prev_positions([d]) == [TopPoint(10, 10)]
+        assert _predicted(Detections.of([d])) == ([10], [10])
 
     def test_zero_displacement(self):
         d = make_detection(33, 44)
-        assert predict_prev_positions([d]) == [TopPoint(33, 44)]
+        assert _predicted(Detections.of([d])) == ([33], [44])
 
     def test_preserves_order(self, rng):
         dets = [make_detection(float(i), float(2 * i), disp=(1, -1)) for i in range(7)]
-        out = predict_prev_positions(dets)
-        assert [p.x for p in out] == [float(i) - 1 for i in range(7)]
+        xs, _ = _predicted(Detections.of(dets))
+        assert xs == [float(i) - 1 for i in range(7)]
 
 
 class TestGreedyMatch:
@@ -370,3 +377,33 @@ class TestStep:
         step(state, [make_detection(10, 10)], cfg, matcher="hungarian")
         out = step(state, [make_detection(11, 10, disp=(1, 0))], cfg, matcher="hungarian")
         assert [o.track_id for o in out] == [1]
+
+
+def test_column_path_words_its_errors_without_views(monkeypatch):
+    """`advance`, `decode_columns` and `corrupt` raise `TopPoint`'s and `BBox`'s
+    messages for a broken rule without building a `TopPoint` or a `BBox`."""
+    # predicted positions (10, -inf) then (inf, 10): the first pair is reported
+    first = make_detection(10.0, -1e308, disp=(0.0, 1e308))
+    dets = Detections.of([first, make_detection(1e308, 10.0, disp=(-1e308, 0.0))])
+    # anchors (4, -inf) at the 0.9 peak, then (inf, 4) at the 0.8 peak
+    shape = (4, 4)
+    heatmap, offset = np.zeros(shape + (1,)), np.zeros(shape + (2,))
+    heatmap[1, 1, 0], heatmap[1, 3, 0] = 0.9, 0.8
+    offset[1, 1, 1], offset[1, 3, 0] = -1e308, 1e308
+    head = HeadOutput(heatmap, np.full(shape + (2,), 8.0), offset, np.zeros(shape + (2,)), 4)
+    ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(10, 10, 8, 8)),))
+
+    def no_view(*args):
+        raise AssertionError("the column path built a view")
+
+    monkeypatch.setattr(association, "TopPoint", no_view)
+    monkeypatch.setattr(geometry, "TopPoint", no_view)
+    monkeypatch.setattr(simulator, "BBox", no_view)
+    with pytest.raises(ValueError, match=r"^TopPoint must be finite, got -inf$"):
+        advance(TrackerState(), dets, PipelineConfig())
+    with pytest.raises(ValueError, match=r"^TopPoint must be finite, got -inf$"):
+        decode_columns(head, PipelineConfig())
+    # seed 3 draws a shift that takes the box's left edge to -inf
+    jitter = CorruptionConfig(jitter_sigma=1e308)
+    with pytest.raises(ValueError, match=r"^BBox must be finite, got -inf$"):
+        corrupt(ann, None, (64, 64), 4, jitter, rng=np.random.default_rng(3))

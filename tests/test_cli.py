@@ -298,6 +298,29 @@ class TestExitCodes:
         assert line == f"error: {cfg}: [{section}] {key} must be at most 1.79769e+308"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [str(2**63), "1" + "0" * 400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize(
+        "line", ["frames = 12", "max_objects = 6"], ids=["frames", "max_objects"]
+    )
+    def test_count_beyond_int64_is_validation_error(self, tmp_path, line, value):
+        # numpy draws the object count as an int64 and MOT frame numbers are
+        # int64; unchecked, the draw names no key and the frame loop never ends
+        key = line.split()[0]
+        cfg = write_cfg(tmp_path, SCENE_CFG.replace(line, f"{key} = {value}"))
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "peaktrack", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        (err,) = proc.stderr.splitlines()
+        assert err == f"error: {cfg}: [scene] {key} must be < 2**63"
+        assert not out.exists()
+
     def test_non_finite_grid_value_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
@@ -899,20 +922,21 @@ class TestModuleEntryPoint:
 
     def test_lazy_exports_are_the_frozen_names(self):
         # `peaktrack.__all__` before the package became lazy, less the numpy
-        # MOT table, plus the names of the numpy-free MOT module
+        # MOT table and the seven object views no command called, plus the
+        # names of the numpy-free MOT module
         names = (
             "BBox ConfigError ConfigFile CorruptionConfig Detection FileFormatError "
             "FrameAnnotations FrameTargets GridPoint HeadOutput LossBreakdown MetricsReport "
             "MotRow ObjectAnnotation PipelineConfig SceneConfig SparseGrid "
             "SupervisedPoint TopPoint Track TrackOutput TrackerState assignment association "
-            "bbox_iou compute_clear compute_idf1 config corners_from_top corrupt "
+            "compute_clear compute_idf1 config corrupt "
             "decode_detections draw_bumps evaluation extract_peaks fileio "
             "finite_difference_check focal_loss gaussian_sigma gen_scene geometry "
             "greedy_match heatmap hungarian_match list_head_frames losses masked_l1_loss "
-            "match_frame pick_reference_frame predict_prev_positions quantize_point read_grid "
+            "pick_reference_frame read_grid "
             "read_head_outputs read_mot_file read_sparse_grid "
-            "render_gt_heatmap rows_to_frames simulator step synthesize_head_outputs "
-            "targets_from_head top_point_from_bbox total_loss write_grid write_head_outputs "
+            "rows_to_frames simulator step synthesize_head_outputs "
+            "targets_from_head total_loss write_grid write_head_outputs "
             "write_mot_file"
         ).split()
         mot = ["MotColumns", "motfile", "read_mot_columns", "read_mot_frames"]

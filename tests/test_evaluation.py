@@ -4,17 +4,16 @@ from hypothesis import strategies as st
 
 from peaktrack import (
     BBox,
-    bbox_iou,
     compute_clear,
     compute_idf1,
-    match_frame,
     read_mot_file,
     read_mot_frames,
     rows_to_frames,
 )
 from peaktrack.cli import main
 from peaktrack import evaluation
-from peaktrack.evaluation import overlapping_pairs
+from peaktrack.evaluation import _match, overlapping_pairs
+from peaktrack.rules import IOU_THRESHOLD
 
 from .oracles import clear_match_oracle, idf1_oracle, iou_oracle
 
@@ -69,6 +68,12 @@ def corners(bs):
     return [(b.x1, b.y1, b.w, b.h) for b in bs]
 
 
+def match_one_frame(gt, pred, prev, threshold=IOU_THRESHOLD):
+    """`_match` on the `overlapping_pairs` of one frame's (id, BBox) pairs."""
+    pairs = overlapping_pairs(corners(b for _, b in gt), corners(b for _, b in pred))
+    return _match(pairs, [i for i, _ in gt], [i for i, _ in pred], prev, threshold)
+
+
 def brute_force_pairs(a, b):
     """Every (i, j) with a non-zero `iou_oracle`, by a double loop."""
     pairs = ((i, j, iou_oracle(p, q)) for i, p in enumerate(a) for j, q in enumerate(b))
@@ -94,7 +99,8 @@ class TestBBoxIoU:
         for i, a in enumerate(gt):
             for j, b in enumerate(pred):
                 want = iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h))
-                assert found.get((i, j), 0.0) == bbox_iou(a, b) == want
+                one = [iou for _, _, iou in overlapping_pairs(corners([a]), corners([b]))]
+                assert [found.get((i, j), 0.0)] == (one or [0.0]) == [want]
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -109,36 +115,37 @@ class TestBBoxIoU:
         assert [p for p in pairs if p[2] >= threshold] == [p for p in want if p[2] >= threshold]
 
     def test_identical(self):
-        assert bbox_iou(box(), box()) == 1.0
+        assert overlapping_pairs(corners([box()]), corners([box()])) == [(0, 0, 1.0)]
 
     def test_disjoint(self):
-        assert bbox_iou(box(0, 0), box(100, 100)) == 0.0
+        assert overlapping_pairs(corners([box(0, 0)]), corners([box(100, 100)])) == []
 
     def test_half_overlap(self):
         # 10x10 boxes offset by 5 in x: inter 50, union 150
-        assert bbox_iou(box(0, 0), box(5, 0)) == pytest.approx(1 / 3)
+        ((_, _, iou),) = overlapping_pairs(corners([box(0, 0)]), corners([box(5, 0)]))
+        assert iou == pytest.approx(1 / 3)
 
 
 class TestMatchFrame:
     def test_identical_sets_all_tp(self):
         gt = [(1, box(0, 0)), (2, box(50, 50))]
-        tally, corr = match_frame(gt, gt, {})
+        tally, corr = match_one_frame(gt, gt, {})
         assert (tally.tp, tally.fp, tally.fn, tally.idsw) == (2, 0, 0, 0)
         assert corr == {1: 1, 2: 2}
 
     def test_low_iou_is_fp_plus_fn(self):
         gt = [(1, box(0, 0, 10, 10))]
         pred = [(5, box(6, 0, 10, 10))]  # IoU = 4/16 = 0.25
-        tally, _ = match_frame(gt, pred, {})
+        tally, _ = match_one_frame(gt, pred, {})
         assert (tally.tp, tally.fp, tally.fn, tally.idsw) == (0, 1, 1, 0)
 
     def test_identity_change_counts_one_switch(self):
         gt = [(1, box())]
-        tally, corr = match_frame(gt, [(101, box())], {})
+        tally, corr = match_one_frame(gt, [(101, box())], {})
         assert tally.idsw == 0
-        tally, corr = match_frame(gt, [(101, box())], corr)
+        tally, corr = match_one_frame(gt, [(101, box())], corr)
         assert tally.idsw == 0
-        tally, corr = match_frame(gt, [(202, box())], corr)
+        tally, corr = match_one_frame(gt, [(202, box())], corr)
         assert tally.idsw == 1
         assert corr == {1: 202}
 
@@ -146,7 +153,7 @@ class TestMatchFrame:
         # remembered pair is kept even when another prediction overlaps more
         gt = [(1, box(0, 0, 10, 10))]
         pred = [(7, box(1, 0, 10, 10)), (8, box(0, 0, 10, 10))]
-        tally, corr = match_frame(gt, pred, {1: 7})
+        tally, corr = match_one_frame(gt, pred, {1: 7})
         assert corr[1] == 7
         assert tally.idsw == 0
         assert tally.tp == 1 and tally.fp == 1
@@ -156,7 +163,7 @@ class TestMatchFrame:
         # have the larger IoU sum (0.471 + 0.681) but 0.471 is below the gate
         gt = [(1, box(5, 3, 10, 10)), (2, box(9, 2, 10, 10))]
         pred = [(1, box(8, 3, 10, 10)), (2, box(7, 1, 10, 10))]
-        tally, corr = match_frame(gt, pred, {})
+        tally, corr = match_one_frame(gt, pred, {})
         assert tally.tp == 2
         assert corr == {1: 1, 2: 2}
 
@@ -173,7 +180,7 @@ class TestMatchFrame:
         gt = [(i + 1, b) for i, b in enumerate(gt_boxes)]
         pred = [(j + 101, b) for j, b in enumerate(pred_boxes)]
         prev = {i + 1: k + 101 for i, k in enumerate(memory[: len(gt)]) if k >= 0}
-        tally, corr = match_frame(gt, pred, prev, threshold)
+        tally, corr = match_one_frame(gt, pred, prev, threshold)
         iou = [
             [iou_oracle((a.x1, a.y1, a.w, a.h), (b.x1, b.y1, b.w, b.h)) for b in pred_boxes]
             for a in gt_boxes
@@ -188,7 +195,7 @@ class TestMatchFrame:
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         # at a threshold of 0 two disjoint boxes would count as a match
         with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
-            match_frame([(1, box(0, 0))], [(2, box(50, 50))], {}, threshold)
+            match_one_frame([(1, box(0, 0))], [(2, box(50, 50))], {}, threshold)
 
 
 class TestComputeClear:

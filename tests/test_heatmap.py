@@ -10,18 +10,17 @@ from hypothesis.extra.numpy import arrays
 from peaktrack import (
     BBox,
     FrameAnnotations,
+    GridPoint,
     HeadOutput,
     ObjectAnnotation,
     PipelineConfig,
     decode_detections,
     extract_peaks,
     gaussian_sigma,
-    quantize_point,
     read_head_outputs,
-    render_gt_heatmap,
-    top_point_from_bbox,
     write_head_outputs,
 )
+from peaktrack.geometry import top_of
 from peaktrack.fileio import SparseGrid
 from peaktrack.heatmap import draw_bumps
 from peaktrack.simulator import synthesize_head_outputs
@@ -85,9 +84,9 @@ class TestGaussianSigma:
 class TestRender:
     def test_center_cell_is_one(self):
         ann = FrameAnnotations(1, (ObjectAnnotation(1, 0, BBox(10, 20, 40, 100)),))
-        hm = render_gt_heatmap(ann, (256, 256), 4)
-        top = top_point_from_bbox(ann.objects[0].bbox)
-        assert hm[int(top.y // 4), int(top.x // 4), 0] == 1.0
+        hm = synthesize_head_outputs(ann, None, (256, 256), 4).heatmap.dense()
+        x, y = top_of(10, 20, 40, 100)
+        assert hm[int(y // 4), int(x // 4), 0] == 1.0
 
     def test_gaussian_profile_value(self):
         # two cells right of the center with sigma 2: exp(-4 / 8)
@@ -100,46 +99,46 @@ class TestRender:
         small = ObjectAnnotation(1, 0, BBox(118, 112, 20, 80))
         large = ObjectAnnotation(2, 0, BBox(88, 104, 80, 160))
         # same top point (128, 120) by construction
-        t1 = top_point_from_bbox(small.bbox)
-        t2 = top_point_from_bbox(large.bbox)
-        assert (t1.x, t1.y) == (t2.x, t2.y)
-        both = render_gt_heatmap(FrameAnnotations(1, (small, large)), (512, 512), 4)
-        only_large = render_gt_heatmap(FrameAnnotations(1, (large,)), (512, 512), 4)
-        np.testing.assert_array_equal(both, only_large)
+        assert top_of(118, 112, 20, 80) == top_of(88, 104, 80, 160)
+        both = synthesize_head_outputs(FrameAnnotations(1, (small, large)), None, (512, 512), 4)
+        only_large = synthesize_head_outputs(FrameAnnotations(1, (large,)), None, (512, 512), 4)
+        np.testing.assert_array_equal(both.heatmap.dense(), only_large.heatmap.dense())
 
     def test_order_invariance(self, rng):
         ann = separated_annotations(rng, 1, 12, image_size=(320, 320), min_cell_gap=1)
         shuffled = list(ann.objects)
         rng.shuffle(shuffled)
-        a = render_gt_heatmap(ann, (320, 320), 4)
-        b = render_gt_heatmap(FrameAnnotations(1, tuple(shuffled)), (320, 320), 4)
-        np.testing.assert_array_equal(a, b)
+        a = synthesize_head_outputs(ann, None, (320, 320), 4)
+        b = synthesize_head_outputs(FrameAnnotations(1, tuple(shuffled)), None, (320, 320), 4)
+        np.testing.assert_array_equal(a.heatmap.dense(), b.heatmap.dense())
 
     def test_values_in_unit_range(self, rng):
         ann = separated_annotations(rng, 1, 30, image_size=(640, 640), min_cell_gap=1)
-        hm = render_gt_heatmap(ann, (640, 640), 4)
+        hm = synthesize_head_outputs(ann, None, (640, 640), 4).heatmap.dense()
         assert hm.min() >= 0.0 and hm.max() <= 1.0
 
     def test_off_frame_top_clamped_or_skipped(self):
         # top at x = -2: inside the one-cell margin, clamped onto the border
         near = ObjectAnnotation(1, 0, BBox(-22.0, 40.0, 40.0, 50.0))
-        hm = render_gt_heatmap(FrameAnnotations(1, (near,)), (256, 256), 4)
+        ann = FrameAnnotations(1, (near,))
+        hm = synthesize_head_outputs(ann, None, (256, 256), 4).heatmap.dense()
         assert (hm == 1.0).sum() == 1
         assert hm[:, 0, 0].max() == 1.0
         # top far outside the margin: dropped entirely
         far = ObjectAnnotation(1, 0, BBox(-200.0, 40.0, 40.0, 50.0))
-        hm = render_gt_heatmap(FrameAnnotations(1, (far,)), (256, 256), 4)
+        ann = FrameAnnotations(1, (far,))
+        hm = synthesize_head_outputs(ann, None, (256, 256), 4).heatmap.dense()
         assert hm.max() == 0.0
 
     def test_bad_dims_rejected(self):
         ann = FrameAnnotations(1, ())
         with pytest.raises(ValueError):
-            render_gt_heatmap(ann, (254, 256), 4)
+            synthesize_head_outputs(ann, None, (254, 256), 4)
 
     @pytest.mark.parametrize("num_classes", [0, -1])
     def test_num_classes_below_one_rejected(self, num_classes):
         with pytest.raises(ValueError, match=f"num_classes must be >= 1, got {num_classes}"):
-            render_gt_heatmap(FrameAnnotations(1, ()), (64, 64), 4, num_classes)
+            synthesize_head_outputs(FrameAnnotations(1, ()), None, (64, 64), 4, num_classes)
 
     def test_duplicate_track_ids_rejected(self):
         objs = (
@@ -153,7 +152,7 @@ class TestRender:
 class TestExtractPeaks:
     def test_isolated_objects_found_exactly(self, rng):
         ann = separated_annotations(rng, 1, 5, image_size=(320, 320))
-        hm = render_gt_heatmap(ann, (320, 320), 4)
+        hm = synthesize_head_outputs(ann, None, (320, 320), 4).heatmap.dense()
         peaks = extract_peaks(hm, max_peaks=100, score_threshold=0.5)
         assert len(peaks) == 5
         assert all(score == 1.0 for _, _, score in peaks)
@@ -232,8 +231,8 @@ class TestDecode:
         dets = decode_detections(head, PipelineConfig())
         assert len(dets) == 1
         d = dets[0]
-        top = top_point_from_bbox(ann.objects[0].bbox)
-        assert abs(d.top.x - top.x) < 1e-6 and abs(d.top.y - top.y) < 1e-6
+        x, y = top_of(10, 20, 40, 100)
+        assert abs(d.top.x - x) < 1e-6 and abs(d.top.y - y) < 1e-6
         box = d.bbox()
         assert box.corners() == ann.objects[0].bbox.corners()
 
@@ -286,7 +285,7 @@ class TestDecode:
         head = synthesize_head_outputs(ann, None, (640, 640), 4)
         dets = decode_detections(head, PipelineConfig())
         assert len(dets) == 50
-        by_top = {(top_point_from_bbox(o.bbox).x, top_point_from_bbox(o.bbox).y): o for o in ann.objects}
+        by_top = {top_of(o.bbox.x1, o.bbox.y1, o.bbox.w, o.bbox.h): o for o in ann.objects}
         for d in dets:
             key = min(by_top, key=lambda t: (t[0] - d.top.x) ** 2 + (t[1] - d.top.y) ** 2)
             assert math.hypot(key[0] - d.top.x, key[1] - d.top.y) < 1e-6
@@ -325,15 +324,15 @@ class TestDecode:
         prev_objects = []
         for o in ann.objects:
             box = BBox(o.bbox.x1 - dx, o.bbox.y1 - dy, o.bbox.w, o.bbox.h)
-            top = top_point_from_bbox(box)
-            if 0 <= top.x < image_size[1] and 0 <= top.y < image_size[0]:
+            x, y = top_of(box.x1, box.y1, box.w, box.h)
+            if 0 <= x < image_size[1] and 0 <= y < image_size[0]:
                 prev_objects.append(ObjectAnnotation(o.track_id, o.class_id, box))
         moved = {o.track_id for o in prev_objects}
         want = {}
         for o in ann.objects:
-            top = top_point_from_bbox(o.bbox)
+            top = top_of(o.bbox.x1, o.bbox.y1, o.bbox.w, o.bbox.h)
             disp = (dx, dy) if o.track_id in moved else (0, 0)
-            want[quantize_point(top, 4)[0]] = (o, top, disp)
+            want[GridPoint(math.floor(top[0] / 4), math.floor(top[1] / 4))] = (o, top, disp)
 
         head = synthesize_head_outputs(
             ann, FrameAnnotations(1, tuple(prev_objects)), image_size, 4, num_classes
@@ -358,7 +357,7 @@ class TestDecode:
         for d in from_file:
             o, top, disp = want[d.cell]
             got = (d.top.x, d.top.y, *d.size, *d.displacement)
-            exact = (top.x, top.y, o.bbox.w, o.bbox.h, *disp)
+            exact = (*top, o.bbox.w, o.bbox.h, *disp)
             assert got == pytest.approx(exact, rel=0, abs=1e-5)
 
     def test_multiclass_detection_carries_class(self):

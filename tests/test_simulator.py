@@ -11,19 +11,17 @@ from peaktrack import (
     CorruptionConfig,
     FrameAnnotations,
     ObjectAnnotation,
+    GridPoint,
     PipelineConfig,
     SceneConfig,
     SparseGrid,
-    TopPoint,
     corrupt,
     decode_detections,
     gen_scene,
     pick_reference_frame,
-    quantize_point,
-    render_gt_heatmap,
     synthesize_head_outputs,
-    top_point_from_bbox,
 )
+from peaktrack.geometry import top_of
 
 from .oracles import clamped_top_oracle as clamped_top
 from .oracles import gaussian_sigma_oracle as gaussian_sigma
@@ -111,8 +109,8 @@ class TestSynthesize:
         ann = FrameAnnotations(2, (ObjectAnnotation(1, 0, box),))
         prev = FrameAnnotations(1, (ObjectAnnotation(1, 0, box),))
         head = synthesize_head_outputs(ann, prev, (256, 256), 4)
-        top = top_point_from_bbox(box)
-        cell = (int(top.y // 4), int(top.x // 4))
+        x, y = top_of(box.x1, box.y1, box.w, box.h)
+        cell = (int(y // 4), int(x // 4))
         assert tuple(np.asarray(head.disp_map)[cell]) == (0.0, 0.0)
 
     def test_moved_object_displacement(self):
@@ -121,8 +119,8 @@ class TestSynthesize:
         ann = FrameAnnotations(2, (ObjectAnnotation(1, 0, cur_box),))
         prev = FrameAnnotations(1, (ObjectAnnotation(1, 0, prev_box),))
         head = synthesize_head_outputs(ann, prev, (256, 256), 4)
-        top = top_point_from_bbox(cur_box)
-        cell = (int(top.y // 4), int(top.x // 4))
+        x, y = top_of(cur_box.x1, cur_box.y1, cur_box.w, cur_box.h)
+        cell = (int(y // 4), int(x // 4))
         assert tuple(np.asarray(head.disp_map)[cell]) == (8.0, -4.0)
 
     def test_new_object_gets_zero_displacement(self):
@@ -136,16 +134,13 @@ class TestSynthesize:
         frames = gen_scene(cfg)
         head = synthesize_head_outputs(frames[5], frames[4], (256, 256), 4)
         dets = decode_detections(head, PipelineConfig())
-        tops_prev = {
-            o.track_id: top_point_from_bbox(o.bbox) for o in frames[4].objects
-        }
-        tops_cur = {o.track_id: top_point_from_bbox(o.bbox) for o in frames[5].objects}
+        tops_prev, tops_cur = (
+            {o.track_id: top_of(o.bbox.x1, o.bbox.y1, o.bbox.w, o.bbox.h) for o in f.objects}
+            for f in (frames[4], frames[5])
+        )
         want = {
-            (round(t.x, 6), round(t.y, 6)): (
-                t.x - tops_prev[tid].x,
-                t.y - tops_prev[tid].y,
-            )
-            for tid, t in tops_cur.items()
+            (round(x, 6), round(y, 6)): (x - tops_prev[tid][0], y - tops_prev[tid][1])
+            for tid, (x, y) in tops_cur.items()
         }
         assert len(dets) == 4
         for d in dets:
@@ -263,8 +258,9 @@ class TestCorrupt:
         assert [r.getMessage() for r in caplog.records] == [
             "frame 1: skipped 1 object(s) with top point beyond the clamp margin"
         ]
-        top = top_point_from_bbox(frames[1].objects[1].bbox)
-        assert np.asarray(heads[1].heatmap)[int(top.y) // 4, int(top.x) // 4, 0] == 1.0
+        box = frames[1].objects[1].bbox
+        x, y = top_of(box.x1, box.y1, box.w, box.h)
+        assert np.asarray(heads[1].heatmap)[int(y) // 4, int(x) // 4, 0] == 1.0
         np.testing.assert_array_equal(heads[1].disp_map, 0.0)
 
     def test_jitter_beyond_float64_fails_loudly(self):
@@ -352,7 +348,9 @@ def corrupt_reference(ann_t, ann_prev, image_size, downsample, corruption, num_c
         else:
             fp_w = float(rng.uniform(w_px / 16.0, w_px / 4.0))
             fp_h = float(rng.uniform(h_px / 16.0, h_px / 4.0))
-        cell, offset = quantize_point(TopPoint(x, y), downsample)
+        cx, cy = x / downsample, y / downsample
+        cell = GridPoint(math.floor(cx), math.floor(cy))
+        offset = (cx - cell.col, cy - cell.row)
         class_id = int(rng.integers(num_classes))
         peak = float(rng.uniform(0.5, 1.0))
         sigma = gaussian_sigma((fp_w, fp_h), downsample)
@@ -440,7 +438,8 @@ class TestCorruptAgainstDenseReference:
         expected = np.zeros((image_size[0] // downsample, image_size[1] // downsample, num_classes))
         for p in place_objects(ann, image_size, downsample, num_classes):
             draw_gaussian_reference(expected[:, :, p.annotation.class_id], p.cell, p.sigma)
-        rendered = render_gt_heatmap(ann, image_size, downsample, num_classes)
+        head = synthesize_head_outputs(ann, None, image_size, downsample, num_classes)
+        rendered = head.heatmap.dense()
         np.testing.assert_array_equal(rendered.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("kind", ["object", "fp"])
