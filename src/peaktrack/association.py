@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,8 +39,7 @@ from .geometry import BBox, Detection, Detections, PipelineConfig, TopPoint, req
 from .rules import require_top_points
 
 
-@dataclass
-class Track:
+class Track(NamedTuple):
     id: int
     class_id: int
     last_top: TopPoint
@@ -65,12 +63,14 @@ class TrackColumns(NamedTuple):
         )
 
 
-@dataclass
 class TrackerState:
     """Per-sequence mutable state: live tracks as columns plus the next unused id."""
 
-    live: TrackColumns = field(default_factory=lambda: TrackColumns([], [], [], []))
-    next_id: int = 1
+    __slots__ = ("live", "next_id")
+
+    def __init__(self, live: TrackColumns | None = None, next_id: int = 1):
+        self.live = TrackColumns([], [], [], []) if live is None else live
+        self.next_id = next_id
 
     @property
     def active(self) -> list[Track]:
@@ -78,8 +78,7 @@ class TrackerState:
         return [Track(i, c, TopPoint(x, y)) for i, c, x, y in zip(*self.live)]
 
 
-@dataclass(frozen=True)
-class TrackOutput:
+class TrackOutput(NamedTuple):
     """One result row of the frame `step` was called for; the caller numbers frames."""
 
     track_id: int

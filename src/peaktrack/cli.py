@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only modules without numpy or `dataclasses` at module level, so `evaluate`
-# loads neither and `track` on sparse heads no numpy; every command imports
-# the rest in its body.
+# Only modules without numpy or a config or box class at module level, so
+# `evaluate` loads none of them and `track` on sparse heads no numpy; every
+# command imports the rest in its body.
 from .motfile import FileFormatError, MotRow, read_mot_columns, read_mot_frames, write_mot_file
 from .rules import DEFAULT_DOWNSAMPLE, DEFAULT_NUM_CLASSES, IOU_THRESHOLD
 
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .losses import FrameTargets
 
 # the names of `association.MATCHERS`: `import peaktrack.cli` must not load
-# `association`, and with it `dataclasses`, for `evaluate`
+# `association`, and with it `geometry`, for `evaluate`
 MATCHER_NAMES = ("greedy", "hungarian")
 
 GT_FILE_NAME = "gt.txt"
@@ -125,7 +125,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     frames = gen_scene(scene)
     # `corrupt`'s own checks, run before anything is written
     objects = [obj for ann in frames for obj in ann.objects]
-    check_grid(scene.image_size, scene.downsample, pipeline.num_classes, objects)
+    rows, cols = check_grid(scene.image_size, scene.downsample, pipeline.num_classes, objects)
+    # each false positive is drawn in Python, and numpy's Poisson refuses huge rates
+    cells = rows * cols * pipeline.num_classes
+    if corruption.fp_rate > cells:
+        raise ConfigError(
+            f"{args.config}: [corruption] fp_rate must be at most {cells}, "
+            "the cells of one frame's heatmap"
+        )
     gt_rows = [
         MotRow(ann.frame_index, obj.track_id, obj.bbox.x1, obj.bbox.y1, obj.bbox.w, obj.bbox.h)
         for ann in frames

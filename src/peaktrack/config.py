@@ -1,19 +1,19 @@
 """Config files: INI-style `key = value` lines under three sections.
 
 Sections are [pipeline], [scene] and [corruption], and each section's keys
-are exactly the fields of its dataclass (`PipelineConfig`, `SceneConfig`,
+are exactly the `_fields` of its NamedTuple (`PipelineConfig`, `SceneConfig`,
 `CorruptionConfig`), parsed to the field's annotated type.  Unknown sections
 or keys are hard errors, so a typo can never silently fall back to a
 default, and so are float values that are not finite.  Omitted keys take
-the dataclass default; a field without one (the scene geometry) is a
-required key.  `scene()` and `corruption()` import their dataclasses from
-`simulator` when called, so reading [pipeline] alone never loads it.
+the field's default (`_field_defaults`); a field without one (the scene
+geometry) is a required key.  `scene()` and `corruption()` import their
+classes from `simulator` when called, so reading [pipeline] alone never
+loads it.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 import typing
 from pathlib import Path
@@ -33,7 +33,7 @@ _SECTIONS = ("pipeline", "scene", "corruption")
 
 
 class ConfigFile:
-    """Parsed config; section accessors build the validated dataclasses."""
+    """Parsed config; section accessors build the validated config classes."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -59,10 +59,9 @@ class ConfigFile:
     def _build(self, section: str, cls: type):
         """`cls` from the section's keys; an absent section gives defaults."""
         types = typing.get_type_hints(cls)
-        fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
         for key, raw in self._parser.items(section) if self.has_section(section) else ():
-            if key not in fields:
+            if key not in cls._fields:
                 raise ConfigError(f"{self.path}: unknown key {key!r} in [{section}]")
             try:
                 values[key] = types[key](raw)
@@ -72,11 +71,7 @@ class ConfigFile:
                 raise ConfigError(
                     f"{self.path}: key {key!r} in [{section}] has invalid value {raw!r}"
                 )
-        missing = sorted(
-            name
-            for name, f in fields.items()
-            if f.default is f.default_factory is dataclasses.MISSING and name not in values
-        )
+        missing = sorted(set(cls._fields) - cls._field_defaults.keys() - values.keys())
         if missing:
             raise ConfigError(f"{self.path}: [{section}] missing required keys {missing}")
         try:

@@ -23,9 +23,9 @@ CLEAR matching and add one hit each to a (gt id, pred id) -> hits count;
 one assignment on the counts at the end gives IDF1.  Both assignments go to `assignment.max_weight_pairs`, which
 solves each connected component of their pairs on its own.
 
-`FrameTally` and `MetricsReport` are `NamedTuple`s, and this module loads
-neither `geometry` nor `dataclasses`: `BBox` is only read by attribute
-here, and `IOU_THRESHOLD` comes from `rules`.
+`FrameTally` and `MetricsReport` are `NamedTuple`s, and this module does
+not load `geometry`: `BBox` is only read by attribute here, and
+`IOU_THRESHOLD` comes from `rules`.
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ Coordinate conventions:
   * Grids are downsampled by an integer factor R; a continuous pixel point p
     maps to the cell floor(p / R) with a fractional offset in [0, 1).
 
-All types here are immutable values, except `Detections`, a frame's
-detections as columns of plain lists.
+All types here are immutable NamedTuples, except that `Detections` holds a
+frame's detections as columns of plain lists.  A class with rules to keep
+is a `__slots__ = ()` subclass of its field NamedTuple, whose `__new__`
+checks them; `_make` and `_replace` skip `__new__`, so nothing calls them
+on such a class.
 
 The box rule `require_box`, `IOU_THRESHOLD` and the downsample and class
-count defaults live in `rules`, which loads no `dataclasses`, so scoring
-can check boxes without this module.  They are imported back and
+count defaults live in `rules`, which holds no class, so scoring can check
+boxes without this module.  They are imported back and
 re-exported here: `BBox` checks the same rule, and `PipelineConfig` takes
 the same defaults.
 """
@@ -22,7 +25,6 @@ the same defaults.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .rules import (  # noqa: F401
@@ -58,20 +60,25 @@ def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
         raise ValueError("score_threshold must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
-
-    Every field and the far edges x2 = x1 + w and y2 = y1 + h are finite.
-    """
-
+class _BBox(NamedTuple):
     x1: float
     y1: float
     w: float
     h: float
 
-    def __post_init__(self) -> None:
-        require_box(self.x1, self.y1, self.w, self.h)
+
+class BBox(_BBox):
+    """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
+
+    Every field and the far edges x2 = x1 + w and y2 = y1 + h are finite.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        require_box(*self)
+        return self
 
     @property
     def x2(self) -> float:
@@ -85,34 +92,30 @@ class BBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
-class TopPoint:
-    """Continuous detection anchor in input-image pixels."""
-
+class _TopPoint(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        _require_finite("TopPoint", self.x, self.y)
+
+class TopPoint(_TopPoint):
+    """Continuous detection anchor in input-image pixels."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _require_finite("TopPoint", *self)
+        return self
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(NamedTuple):
     """Integer heatmap cell index (col along x, row along y)."""
 
     col: int
     row: int
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One decoded object: anchor point, source cell, box size, score and motion.
-
-    `displacement` is the predicted motion from the previous frame to the
-    current one, in pixels; `top` is already offset-corrected back to image
-    coordinates.
-    """
-
+class _Detection(NamedTuple):
     top: TopPoint
     cell: GridPoint
     size: tuple[float, float]
@@ -120,12 +123,25 @@ class Detection:
     class_id: int
     displacement: tuple[float, float]
 
-    def __post_init__(self) -> None:
+
+class Detection(_Detection):
+    """One decoded object: anchor point, source cell, box size, score and motion.
+
+    `displacement` is the predicted motion from the previous frame to the
+    current one, in pixels; `top` is already offset-corrected back to image
+    coordinates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         w, h = self.size
         if w <= 0 or h <= 0:
             raise ValueError(f"Detection size must be positive, got {self.size}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score}")
+        return self
 
     def bbox(self) -> BBox:
         (box,) = top_boxes([self.top.x], [self.top.y], [self.size[0]], [self.size[1]])
@@ -169,15 +185,7 @@ class Detections(NamedTuple):
         ]
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for decoding and association.
-
-    Defaults: downsample factor 4, at most 100 peaks per frame, score
-    threshold 0.4, one object class, association gate of 1x the detection's
-    larger box side, size-loss weight 0.1 and focal exponents (2, 4).
-    """
-
+class _PipelineConfig(NamedTuple):
     downsample: int = DEFAULT_DOWNSAMPLE
     max_peaks: int = 100
     score_threshold: float = 0.4
@@ -187,7 +195,19 @@ class PipelineConfig:
     focal_alpha: float = 2.0
     focal_beta: float = 4.0
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(_PipelineConfig):
+    """Knobs for decoding and association.
+
+    Defaults: downsample factor 4, at most 100 peaks per frame, score
+    threshold 0.4, one object class, association gate of 1x the detection's
+    larger box side, size-loss weight 0.1 and focal exponents (2, 4).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_downsample(self.downsample)
         require_peak_limits(self.max_peaks, self.score_threshold)
         if self.num_classes < 1:
@@ -196,6 +216,7 @@ class PipelineConfig:
             raise ValueError("gate_scale must be positive")
         if not self.size_loss_weight > 0:
             raise ValueError("size_loss_weight must be positive")
+        return self
 
 
 def top_of(x1, y1, w, h):

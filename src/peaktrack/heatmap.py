@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .geometry import (
     BBox,
@@ -90,7 +89,6 @@ def stored_bits(values: np.ndarray) -> np.ndarray:
     return values.view(f"u{values.itemsize}") != 0
 
 
-@dataclass(frozen=True)
 class SparseGrid:
     """A (rows, cols, channels) grid held as its stored cells; every other cell is 0.0.
 
@@ -102,16 +100,14 @@ class SparseGrid:
     into `array("q")` and `array("d")`, and other input raises `ValueError`.
     A numpy caller passes `of` a dense array, or `of_columns` two 1-D
     arrays, and keeps the entries whose bits are not zero.  `np.asarray(grid)`
-    is `grid.dense()`.
+    is `grid.dense()`, so a grid is a plain class and not a tuple, which numpy
+    would read as a sequence of its three fields.
     """
 
-    shape: tuple[int, int, int]
-    index: Sequence[int]
-    values: Sequence[float]
+    __slots__ = ("shape", "index", "values")
 
-    def __post_init__(self) -> None:
-        require_grid_dims(self.shape)
-        index, values = self.index, self.values
+    def __init__(self, shape: tuple[int, int, int], index: Sequence[int], values: Sequence[float]):
+        require_grid_dims(shape)
         if not (isinstance(index, array) and index.typecode in _INTEGER_TYPECODES):
             try:
                 index = array("q", index)
@@ -126,11 +122,10 @@ class SparseGrid:
             raise ValueError(f"{len(index)} indices but {len(values)} values")
         if not all(map(operator.lt, index, islice(index, 1, None))):
             raise ValueError("indices are not strictly ascending")
-        if index and not 0 <= index[0] <= index[-1] < math.prod(self.shape):
+        if index and not 0 <= index[0] <= index[-1] < math.prod(shape):
             bad = index[0] if index[0] < 0 else index[-1]
-            raise ValueError(f"index {bad} out of range for {format_dims(self.shape)} grid")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "values", values)
+            raise ValueError(f"index {bad} out of range for {format_dims(shape)} grid")
+        self.shape, self.index, self.values = shape, index, values
 
     @classmethod
     def of(cls, grid: np.ndarray) -> SparseGrid:
@@ -172,31 +167,42 @@ class SparseGrid:
         return self.dense() if dtype is None else self.dense().astype(dtype)
 
 
-@dataclass(frozen=True)
-class ObjectAnnotation:
+class ObjectAnnotation(NamedTuple):
     track_id: int
     class_id: int
     bbox: BBox
 
 
-@dataclass(frozen=True)
-class FrameAnnotations:
-    """All annotated objects of one frame; frame indices are 1-based."""
-
+class _FrameAnnotations(NamedTuple):
     frame_index: int
-    objects: tuple[ObjectAnnotation, ...] = field(default_factory=tuple)
+    objects: tuple[ObjectAnnotation, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class FrameAnnotations(_FrameAnnotations):
+    """All annotated objects of one frame, as a tuple; frame indices are 1-based."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
-        object.__setattr__(self, "objects", tuple(self.objects))
+        self = super().__new__(cls, self.frame_index, tuple(self.objects))
         ids = [o.track_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in frame {self.frame_index}")
+        return self
 
 
-@dataclass(frozen=True)
-class HeadOutput:
+class _HeadOutput(NamedTuple):
+    heatmap: Grid
+    size_map: Grid
+    offset_map: Grid
+    disp_map: Grid
+    downsample: int
+
+
+class HeadOutput(_HeadOutput):
     """The four per-frame prediction grids plus their downsampling factor.
 
     `heatmap` has one channel per class with values in [0, 1]; `size_map`
@@ -206,14 +212,11 @@ class HeadOutput:
     and `fileio.read_head_outputs` give them.
     """
 
-    heatmap: Grid
-    size_map: Grid
-    offset_map: Grid
-    disp_map: Grid
-    downsample: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        grids = {name: getattr(self, name) for name in _HEAD_GRIDS}
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        grids = dict(zip(_HEAD_GRIDS, self))
         for name, g in grids.items():
             if len(g.shape) != 3:
                 raise ValueError(f"{name} must be a (rows, cols, channels) array")
@@ -228,6 +231,7 @@ class HeadOutput:
         if len(shapes) != 1:
             raise ValueError(f"head grids disagree on spatial dims: {sorted(shapes)}")
         require_downsample(self.downsample)
+        return self
 
     @property
     def grid_shape(self) -> tuple[int, int]:

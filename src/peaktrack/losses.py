@@ -15,7 +15,7 @@ losses are normalized by the number of objects in the frame.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ CLAMP_EPS = 1e-12
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class SupervisedPoint:
+class SupervisedPoint(NamedTuple):
     """Targets regressed at one object's top cell."""
 
     cell: GridPoint
@@ -37,8 +36,7 @@ class SupervisedPoint:
     displacement: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class FrameTargets:
+class FrameTargets(NamedTuple):
     """Ground truth for one frame: dense heatmap plus sparse regression targets."""
 
     heatmap: np.ndarray
@@ -49,8 +47,7 @@ class FrameTargets:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Per-head loss values; `total` is their weighted sum."""
 
     l_h: float

@@ -1,7 +1,7 @@
 """Box and top-point rules, the finiteness test and the defaults every command needs at start-up.
 
-This module holds no class and imports neither numpy nor `dataclasses`, so
-`evaluate` can check MOT boxes and show its defaults without loading
+This module holds no class and imports nothing beyond `math` and `typing`,
+so `evaluate` can check MOT boxes and show its defaults without loading
 `geometry`.  `geometry` re-exports the box rule and the defaults, so
 `BBox` and `PipelineConfig` keep one source for the rule and for each
 default.  `require_top_points` is `TopPoint`'s rule on columns, which

@@ -17,12 +17,11 @@ through one array path, anchored by `geometry.top_of`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BBox, PipelineConfig, require_box, require_float_sized, top_of
+from .geometry import DEFAULT_DOWNSAMPLE, BBox, require_box, require_float_sized, top_of
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -41,10 +40,7 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    """Scene geometry and dynamics; image dims are (height, width) pixels."""
-
+class _SceneConfig(NamedTuple):
     height: int
     width: int
     frames: int
@@ -54,12 +50,19 @@ class SceneConfig:
     max_size: float
     min_speed: float
     max_speed: float
-    downsample: int = PipelineConfig.downsample
+    downsample: int = DEFAULT_DOWNSAMPLE
     spawn_prob: float = 0.0
     despawn_prob: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SceneConfig(_SceneConfig):
+    """Scene geometry and dynamics; image dims are (height, width) pixels."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _grid_dims(self.image_size, self.downsample)
         for name in ("height", "width"):  # positions in the frame are floats
             require_float_sized(name, getattr(self, name))
@@ -82,16 +85,14 @@ class SceneConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         _require_seed(self.seed)
+        return self
 
     @property
     def image_size(self) -> tuple[int, int]:
         return (self.height, self.width)
 
 
-@dataclass(frozen=True)
-class CorruptionConfig:
-    """Rates for the supported degradations; all-zero means identity."""
-
+class _CorruptionConfig(NamedTuple):
     fn_rate: float = 0.0
     fp_rate: float = 0.0
     jitter_sigma: float = 0.0
@@ -99,7 +100,14 @@ class CorruptionConfig:
     temporal_jitter_k: int = 0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class CorruptionConfig(_CorruptionConfig):
+    """Rates for the supported degradations; all-zero means identity."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.fn_rate <= 1.0:
             raise ValueError("fn_rate must be in [0, 1]")
         if not (self.fp_rate >= 0 and self.jitter_sigma >= 0 and self.hm_noise_sigma >= 0):
@@ -107,17 +115,14 @@ class CorruptionConfig:
         if not 0 <= self.temporal_jitter_k <= 3:
             raise ValueError("temporal_jitter_k must be in 0..3")
         _require_seed(self.seed)
+        return self
 
 
-@dataclass
 class _Agent:
-    id: int
-    w: float
-    h: float
-    x: float
-    y: float
-    vx: float
-    vy: float
+    __slots__ = ("id", "w", "h", "x", "y", "vx", "vy")
+
+    def __init__(self, id: int, w: float, h: float, x: float, y: float, vx: float, vy: float):
+        self.id, self.w, self.h, self.x, self.y, self.vx, self.vy = id, w, h, x, y, vx, vy
 
 
 def _spawn_agent(rng: np.random.Generator, cfg: SceneConfig, agent_id: int) -> _Agent:

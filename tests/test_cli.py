@@ -321,6 +321,31 @@ class TestExitCodes:
         assert err == f"error: {cfg}: [scene] {key} must be < 2**63"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1e20", "1e9"])
+    def test_fp_rate_beyond_the_heatmap_cells_is_validation_error(self, tmp_path, rate):
+        # numpy's Poisson refuses 1e20 without naming the key, and 1e9 false
+        # positives a frame are drawn one at a time; a 64x64 frame at R = 4
+        # has 256 heatmap cells
+        scene = SCENE_CFG.replace("= 256", "= 64").replace("frames = 12", "frames = 2")
+        cfg = write_cfg(tmp_path, scene + f"[corruption]\nfp_rate = {rate}\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "peaktrack", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        (err,) = proc.stderr.splitlines()
+        assert err == (
+            f"error: {cfg}: [corruption] fp_rate must be at most 256, "
+            "the cells of one frame's heatmap"
+        )
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        # the bound itself is allowed
+        edge = write_cfg(tmp_path, scene + "[corruption]\nfp_rate = 256\n", name="edge.cfg")
+        assert main(["simulate", "--config", edge, "--out", str(tmp_path / "edge")]) == 0
+
     def test_non_finite_grid_value_is_format_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
@@ -895,7 +920,10 @@ class TestModuleEntryPoint:
         # the config holds a [scene] section too, and `track` reads only [pipeline]
         assert all(g.read_bytes()[:7] == b"TTGRID2" for g in Path(sim_heads).glob("*.grid"))
         cfg = write_cfg(tmp_path, SCENE_CFG + "[pipeline]\nmax_peaks = 50\n")
-        unwanted = ["numpy", "peaktrack.evaluation", "peaktrack.simulator", "logging"]
+        unwanted = [
+            "numpy", "peaktrack.evaluation", "peaktrack.simulator", "logging",
+            "dataclasses", "inspect",
+        ]
         for matcher in MATCHERS:
             out = tmp_path / f"{matcher}.txt"
             track = ["track", "--heads", sim_heads, "--config", cfg, "--matcher", matcher]
@@ -919,6 +947,19 @@ class TestModuleEntryPoint:
             argv = ["track", "--heads", str(dense), "--config", cfg, "--matcher", matcher]
             assert main([*argv, "--out", str(again)]) == 0
             assert again.read_bytes() == out.read_bytes()
+
+    def test_simulate_loads_no_dataclasses(self, tmp_path):
+        # the config, annotation and head classes are NamedTuples
+        cfg = write_cfg(tmp_path, SCENE_CFG.replace("frames = 12", "frames = 2"))
+        simulate = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        run = f"import sys; from peaktrack import cli; assert cli.main({simulate!r}) == 0"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{run}; print('dataclasses' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_lazy_exports_are_the_frozen_names(self):
         # `peaktrack.__all__` before the package became lazy, less the numpy

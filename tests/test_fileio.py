@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 import typing
@@ -980,7 +979,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section", sorted(EVERY_KEY))
     def test_every_field_is_a_key_of_its_type(self, tmp_path, section):
         cls, raw = EVERY_KEY[section]
-        assert set(raw) == {f.name for f in dataclasses.fields(cls)}
+        assert set(raw) == set(cls._fields)
         built = getattr(ConfigFile(write_section(tmp_path, section, raw)), section)()
         types = typing.get_type_hints(cls)
         for key, text in raw.items():
@@ -996,3 +995,35 @@ class TestConfigSchema:
         cfg = ConfigFile(write_section(tmp_path, section, {**EVERY_KEY[section][1], key: "10.5"}))
         with pytest.raises(ConfigError, match=rf"key '{key}' in \[{section}\] has invalid value '10.5'"):
             getattr(cfg, section)()
+
+
+# values a config key can hold that a reader must refuse, or take on purpose
+HOSTILE_VALUES = [
+    "nan", "inf", "-inf", "0", "-1", "-0.0",
+    str(2**63), str(10**20), str(10**400), "1e308", "text",
+]
+SECTION_KEYS = [(section, key) for section in sorted(EVERY_KEY) for key in EVERY_KEY[section][1]]
+
+
+class TestConfigHostileValues:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(section_key=st.sampled_from(SECTION_KEYS), value=st.sampled_from(HOSTILE_VALUES))
+    def test_section_is_built_or_refused_naming_file_and_section(
+        self, tmp_path, section_key, value
+    ):
+        # one key of an otherwise valid section takes the value; the accessor
+        # gives its class or a ConfigError, never another exception
+        section, key = section_key
+        cls, raw = EVERY_KEY[section]
+        path = write_section(tmp_path, section, {**raw, key: value})
+        try:
+            built = getattr(ConfigFile(path), section)()
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            assert f"[{section}]" in str(exc)
+        else:
+            assert type(built) is cls

@@ -418,6 +418,9 @@ CORRUPTIONS = st.builds(
     fp_rate=st.sampled_from([0.0, 1.0, 4.0]),
     jitter_sigma=st.sampled_from([0.0, 1.5]),
     hm_noise_sigma=st.sampled_from([0.0, 0.05]),
+    # `builds` draws every field of a NamedTuple that is not given, defaults included
+    temporal_jitter_k=st.just(0),
+    seed=st.just(0),
 )
 
 
