@@ -8,13 +8,15 @@ Jonker and Volgenant's scheme as Crouse gives it ("On implementing 2D
 rectangular assignment algorithms", IEEE TAES 2016), which scipy also
 ships.  It validates and negates its input, then calls `_min_cost_pairs`,
 the one place that orients a matrix, which `max_weight_pairs` calls
-directly on the matrices it builds.
+directly on the matrices it builds.  `near_pairs` finds the pairs worth
+weighing: those of two sides whose spans meet, for gating and IoU scoring.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from heapq import heappop, heappush
+from typing import Mapping, Sequence
 
 from .rules import all_finite
 
@@ -149,3 +151,31 @@ def max_weight_pairs(weights: Mapping[tuple[int, int], float]) -> list[tuple[int
         matched += [(rs[i], cs[j]) for i, j in _min_cost_pairs(cost) if cost[i][j] < 0]
     matched.sort()
     return matched
+
+
+def near_pairs(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The (i, j) pairs whose closed spans a[i] and b[j] meet on both axes, sorted.
+
+    A span is (x1, y1, x2, y2) with x1 <= x2 and y1 <= y2; it may be a point
+    or reach to +-inf, and spans that only touch meet.  One sweep over both
+    sides' left edges, ascending, tests each span on y against the other
+    side's open spans, kept in a heap keyed by right edge: a span whose
+    right edge lies strictly left of the current left edge is popped, as no
+    later span can meet it.
+    """
+    sides = (a, b)
+    lefts = sorted((span[0], side, k) for side in (0, 1) for k, span in enumerate(sides[side]))
+    open_spans: list[list[tuple]] = [[], []]  # each side's heap of (x2, index, span)
+    pairs = []
+    for left, side, k in lefts:
+        alive = open_spans[1 - side]
+        while alive and alive[0][0] < left:
+            heappop(alive)
+        span = sides[side][k]
+        heappush(open_spans[side], (span[2], k, span))
+        y1, y2 = span[1], span[3]
+        for _, m, other in alive:
+            if other[1] <= y2 and y1 <= other[3]:
+                pairs.append((m, k) if side else (k, m))
+    pairs.sort()
+    return pairs

@@ -10,9 +10,9 @@ the pairs allowed to match (same class, within the gate), as a map from
 (track index, detection index) to distance: greedy walks each detection's
 pairs, and Hungarian solves them with `assignment.max_weight_pairs`, one
 connected component at a time.  `_gated_pairs` finds those pairs in
-Python without a tracks x detections array: each detection bisects the
-tracks of its class, sorted by x, for those whose x lies within its gate,
-and measures only those whose y lies within it too.
+Python without a tracks x detections array: `assignment.near_pairs`, the
+sweep that IoU scoring uses too, gives the tracks that lie in the square
+around each detection's gate, and only those are measured.
 
 Association runs on columns: a frame's detections are a
 `geometry.Detections` table, the live tracks are a `TrackColumns` table
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
-from .assignment import max_weight_pairs
+from .assignment import max_weight_pairs, near_pairs
 from .geometry import BBox, Detection, Detections, PipelineConfig, TopPoint, require_box, top_boxes
 from .rules import require_top_points
 
@@ -112,44 +111,28 @@ def _gated_pairs(
     class and the distance is within gate_scale * max(det width, det height).
     Pairs come in ascending (track, detection) order.
 
-    Each detection measures only the tracks of its class whose offsets
-    dx = x - px and dy = y - py from it both lie in [-gate, gate]; |dx|
-    and |dy| are each at most hypot(dx, dy), so no pair the gate would keep
-    is skipped.  The x window is found by bisection among that class's
-    tracks sorted by x, then moved to where dx, computed as the distance
-    computes it, crosses -gate and gate: dx rises with x however it rounds.
+    Candidates are `assignment.near_pairs` of the tracks as points and of
+    squares of half-side r = fl(gate * (1 + 2**-51)) around the predicted
+    positions (px, py), which hold every pair the gate keeps: |dx| and |dy|
+    are at most hypot(dx, dy), and if fl(x - px) <= gate, then x - px <=
+    gate * (1 + 2**-52), as round-to-nearest has relative error at most
+    2**-53 and a difference in the subnormal range is exact; that is at most
+    r, and a float x at most the real px + r is at most fl(px + r).  The
+    other three edges are alike.  A half-side of gate would miss x = 2**-52
+    at px = -1 + 2**-53 with gate 1: fl(x - px) = 1.0, yet x > fl(px + 1).
     """
-    columns: dict[int, tuple[list[int], list[float], list[float]]] = {}
-    for ti in sorted(range(len(tracks.x)), key=tracks.x.__getitem__):
-        order, xs, ys = columns.setdefault(tracks.class_id[ti], ([], [], []))
-        order.append(ti)
-        xs.append(tracks.x[ti])
-        ys.append(tracks.y[ti])
-    pairs = []
-    predicted = zip(dets.class_id, *_predicted(dets), dets.w, dets.h)
-    for di, (class_id, px, py, w, h) in enumerate(predicted):
-        if class_id not in columns:
-            continue
-        order, xs, ys = columns[class_id]
-        gate = gate_scale * max(w, h)
-        lo = bisect_left(xs, px - gate)
-        while lo > 0 and xs[lo - 1] - px >= -gate:
-            lo -= 1
-        while lo < len(xs) and xs[lo] - px < -gate:
-            lo += 1
-        hi = bisect_right(xs, px + gate, lo)
-        while hi > lo and xs[hi - 1] - px > gate:
-            hi -= 1
-        while hi < len(xs) and xs[hi] - px <= gate:
-            hi += 1
-        for ti, x, y in zip(order[lo:hi], xs[lo:hi], ys[lo:hi]):
-            dy = y - py
-            if -gate <= dy <= gate:
-                dist = math.hypot(x - px, dy)
-                if dist <= gate:
-                    pairs.append(((ti, di), dist))
-    pairs.sort()
-    return dict(pairs)
+    px, py = _predicted(dets)
+    gates = [gate_scale * max(w, h) for w, h in zip(dets.w, dets.h)]
+    half = [g * (1 + 2**-51) for g in gates]
+    squares = [(x - r, y - r, x + r, y + r) for x, y, r in zip(px, py, half)]
+    points = [(x, y, x, y) for x, y in zip(tracks.x, tracks.y)]
+    pairs = {}
+    for ti, di in near_pairs(points, squares):
+        if tracks.class_id[ti] == dets.class_id[di]:
+            dist = math.hypot(tracks.x[ti] - px[di], tracks.y[ti] - py[di])
+            if dist <= gates[di]:
+                pairs[ti, di] = dist
+    return pairs
 
 
 def _greedy_pairs(

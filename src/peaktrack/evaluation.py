@@ -13,15 +13,13 @@ single global pairing of whole trajectories.
 
 Scoring turns each frame's pairs into columns once, at entry (columns
 pass through as they are), then walks, in order, the frames either side
-holds; a frame that neither holds would change nothing.  In each frame one
-sort-and-sweep, `overlapping_pairs`, finds the (gt, pred) pairs whose
-boxes overlap and their IoUs; every other pair has IoU 0, so it can be
-neither a CLEAR match nor an IDF1 hit.  The sweep keeps each side's open
-boxes in a heap keyed by right edge and pops the expired ones as it
-reaches each left edge.  The pairs at IoU >= threshold drive the frame's
-CLEAR matching and add one hit each to a (gt id, pred id) -> hits count;
-one assignment on the counts at the end gives IDF1.  Both assignments go to `assignment.max_weight_pairs`, which
-solves each connected component of their pairs on its own.
+holds; a frame that neither holds would change nothing.  In each frame
+`overlapping_pairs` measures the IoU of the (gt, pred) pairs that
+`assignment.near_pairs` finds; every other pair has IoU 0, so it can be
+neither a CLEAR match nor an IDF1 hit.  The pairs at IoU >= threshold
+drive the frame's CLEAR matching and add one hit each to a (gt id, pred
+id) -> hits count; one assignment on the counts at the end gives IDF1.
+Both go to `assignment.max_weight_pairs`, one component at a time.
 
 `FrameTally` and `MetricsReport` are `NamedTuple`s, and this module does
 not load `geometry`: `BBox` is only read by attribute here, and
@@ -31,10 +29,9 @@ not load `geometry`: `BBox` is only read by attribute here, and
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
-from .assignment import max_weight_pairs
+from .assignment import max_weight_pairs, near_pairs
 from .motfile import Box, FrameColumns
 from .rules import IOU_THRESHOLD
 
@@ -76,48 +73,28 @@ def overlapping_pairs(a: Sequence[Box], b: Sequence[Box]) -> list[tuple[int, int
 
     Boxes are (x1, y1, w, h); two overlap when the intersection has positive
     width and height, and an overlap whose IoU underflows to 0 (a sliver
-    5e-324 wide) is no pair, as it could be no match either.  One sweep
-    over both sides' left edges, ascending, pairs each box with the open
-    boxes of the other side only: those whose right edge lies beyond the
-    current left edge.  Each side keeps its open boxes in a heap keyed by
-    right edge; at each left edge the other side's expired boxes are popped
-    off its top, and a box that ends there is expired for every later left
-    edge too.  Candidates are found on x only.  The IoU is
-    `inter / (aw*ah + bw*bh - inter)`, 0 where that union is not positive,
-    with inter the product of the intersection's width
-    `min(ax1 + aw, bx1 + bw) - max(ax1, bx1)` and height.  Each candidate is
-    measured with the arriving box first: a sum of two floats and a min or
-    max taken by comparison do not depend on their order, so the IoU is the
-    same float either way round.
+    5e-324 wide) is no pair, as it could be no match either.  Candidates
+    are the `assignment.near_pairs` of the spans (x1, y1, x1 + w, y1 + h).
+    The IoU is `inter / (aw*ah + bw*bh - inter)`, 0 where that union is not
+    positive, with inter the product of the intersection's width
+    `min(ax1 + aw, bx1 + bw) - max(ax1, bx1)` and height; a sum of two
+    floats and a min or max by comparison do not depend on their order.
     """
-    # each box as x1, y1, x2, y2 and area, the terms of its every IoU
-    edges = [[(x1, y1, x1 + w, y1 + h, w * h) for x1, y1, w, h in side] for side in (a, b)]
-    lefts = sorted(
-        [(box[0], 0, i) for i, box in enumerate(a)] + [(box[0], 1, j) for j, box in enumerate(b)]
-    )
-    # each side's open boxes, as a heap of (right edge, index, edges)
-    open_boxes: list[list[tuple]] = [[], []]
+    a_spans, b_spans = ([(x1, y1, x1 + w, y1 + h) for x1, y1, w, h in side] for side in (a, b))
     pairs = []
-    for left, side, k in lefts:
-        alive = open_boxes[1 - side]
-        # a box that ends at or before this left edge overlaps no later box
-        while alive and alive[0][0] <= left:
-            heappop(alive)
-        own = edges[side][k]
-        heappush(open_boxes[side], (own[2], k, own))
-        px1, py1, px2, py2, p_area = own  # the arriving box p, each open box q
-        for _, m, (qx1, qy1, qx2, qy2, q_area) in alive:
-            # min and max by comparison; a tie yields an equal value
-            ih = (py2 if py2 < qy2 else qy2) - (py1 if py1 > qy1 else qy1)
-            if ih > 0:
-                iw = (px2 if px2 < qx2 else qx2) - (px1 if px1 > qx1 else qx1)
-                if iw > 0:
-                    inter = iw * ih
-                    union = p_area + q_area - inter
-                    iou = inter / union if union > 0 else 0.0
-                    if iou:
-                        pairs.append((m, k, iou) if side else (k, m, iou))
-    pairs.sort()
+    for i, j in near_pairs(a_spans, b_spans):
+        px1, py1, px2, py2 = a_spans[i]
+        qx1, qy1, qx2, qy2 = b_spans[j]
+        # min and max by comparison; a tie yields an equal value
+        ih = (py2 if py2 < qy2 else qy2) - (py1 if py1 > qy1 else qy1)
+        if ih > 0:
+            iw = (px2 if px2 < qx2 else qx2) - (px1 if px1 > qx1 else qx1)
+            if iw > 0:
+                inter = iw * ih
+                union = a[i][2] * a[i][3] + b[j][2] * b[j][3] - inter
+                iou = inter / union if union > 0 else 0.0
+                if iou:
+                    pairs.append((i, j, iou))
     return pairs
 
 

@@ -216,6 +216,11 @@ class PipelineConfig(_PipelineConfig):
             raise ValueError("gate_scale must be positive")
         if not self.size_loss_weight > 0:
             raise ValueError("size_loss_weight must be positive")
+        # below these bounds, p**(alpha - 1) at p = 0 or (1 - gt)**beta at gt = 1 is unbounded
+        if not self.focal_alpha >= 1:
+            raise ValueError("focal_alpha must be >= 1")
+        if not self.focal_beta >= 0:
+            raise ValueError("focal_beta must be >= 0")
         return self
 
 

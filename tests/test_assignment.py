@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peaktrack.assignment import linear_sum_assignment, max_weight_pairs
+from peaktrack.assignment import linear_sum_assignment, max_weight_pairs, near_pairs
 
 from .oracles import assignment_total_oracle
 
@@ -100,6 +100,46 @@ def components(weights):
         rows.add(r)
         cols.add(c)
     return [(sorted(rows), sorted(cols)) for rows, cols in groups.values()]
+
+
+# Edges on a small integer grid make equal and touching edges common; an
+# infinite edge is what a gate that overflows gives.
+span_edges = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.sampled_from([-math.inf, math.inf]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def spans(draw):
+    """A closed span (x1, y1, x2, y2), a point on either axis one time in three."""
+    (x1, x2), (y1, y2) = (sorted([draw(span_edges), draw(span_edges)]) for _ in "xy")
+    if draw(st.integers(0, 2)) == 0:
+        x2 = x1
+    if draw(st.integers(0, 2)) == 0:
+        y2 = y1
+    return x1, y1, x2, y2
+
+
+class TestNearPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(spans(), max_size=10), st.lists(spans(), max_size=10))
+    def test_pairs_equal_the_double_loop_over_closed_spans(self, a, b):
+        want = [
+            (i, j)
+            for i, (ax1, ay1, ax2, ay2) in enumerate(a)
+            for j, (bx1, by1, bx2, by2) in enumerate(b)
+            if ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2
+        ]
+        assert near_pairs(a, b) == want
+
+    def test_touching_spans_and_points_meet(self):
+        square = [(0.0, 0.0, 1.0, 1.0)]
+        corners = [(1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.0, 2.0)]
+        assert near_pairs(square, corners) == [(0, 0), (0, 1), (0, 2)]
+        assert near_pairs(corners, square) == [(0, 0), (1, 0), (2, 0)]
+        assert near_pairs(square, [(1.0, 1.5, 1.0, 1.5), (1.5, 0.5, 2.0, 0.5)]) == []
 
 
 class TestMaxWeightPairs:

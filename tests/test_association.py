@@ -59,8 +59,8 @@ def dense_big_m_matches(tracks, dets, gate_scale):
 def dense_gated_pairs(tracks, dets, gate_scale):
     """(track index, detection index) of the pairs allowed to match, by one
     numpy kernel over every pair: the reference for `_gated_pairs`, which
-    measures only the tracks within a detection's x window.  Pairs come in
-    np.nonzero's order, ascending (track, detection)."""
+    measures only the tracks in the square around a detection's gate.  Pairs
+    come in np.nonzero's order, ascending (track, detection)."""
     last = np.array([(t.last_top.x, t.last_top.y) for t in tracks]).reshape(-1, 2)
     prev = np.array(_predicted(Detections.of(dets))).T.reshape(-1, 2)
     with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf, as in Python
@@ -122,6 +122,22 @@ class TestGatedPairs:
             [Track(1, 0, TopPoint(0.0, 0.0)), Track(2, 0, TopPoint(-1e308, 1e308))],
             [Detection(TopPoint(1e308, -1e308), GridPoint(0, 0), (1e308, 1.0), 1.0, 0, (0.0, 0.0))],
             1e308,
+        )
+    )
+    # the offset 2**-52 - (-1 + 2**-53) rounds to exactly 1.0, the gate, though
+    # the track lies beyond px + gate = 2**-53 as computed: once per axis
+    @example(
+        instance=(
+            [Track(1, 0, TopPoint(2.0**-52, 0.0))],
+            [Detection(TopPoint(-1 + 2.0**-53, 0.0), GridPoint(0, 0), (1.0, 1.0), 1.0, 0, (0, 0))],
+            1.0,
+        )
+    )
+    @example(
+        instance=(
+            [Track(1, 0, TopPoint(0.0, 2.0**-52))],
+            [Detection(TopPoint(0.0, -1 + 2.0**-53), GridPoint(0, 0), (1.0, 1.0), 1.0, 0, (0, 0))],
+            1.0,
         )
     )
     def test_same_pairs_in_the_same_order_as_the_dense_kernel(self, instance):

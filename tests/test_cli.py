@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -743,6 +744,34 @@ class TestRenderHeatmap:
 
 
 class TestLosscheck:
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("focal_alpha = -1", "focal_alpha must be >= 1"),
+            ("focal_alpha = 0", "focal_alpha must be >= 1"),
+            ("focal_alpha = 0.5", "focal_alpha must be >= 1"),
+            ("focal_beta = -1", "focal_beta must be >= 0"),
+            ("focal_alpha = 1", None),
+            ("focal_beta = 0", None),
+        ],
+    )
+    def test_focal_exponents_below_their_bounds_are_validation_errors(
+        self, tmp_path, sim_heads, capsys, line, error
+    ):
+        # below its bound an exponent makes the focal loss or its gradient
+        # divide by zero (p**(alpha - 1) at p = 0, (1 - gt)**beta at gt = 1);
+        # on the bounds losscheck runs without a numpy warning
+        cfg = write_cfg(tmp_path, f"[pipeline]\n{line}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["losscheck", "--pred", sim_heads, "--gt", sim_heads, "--config", cfg])
+        captured = capsys.readouterr()
+        if error is None:
+            assert (code, captured.err, caught) == (0, "", [])
+        else:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: {cfg}: [pipeline] {error}\n"
+
     def test_ideal_outputs_pass(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCENE_CFG)
         out = tmp_path / "sim"
