@@ -10,10 +10,10 @@ Coordinate conventions:
     maps to the cell floor(p / R) with a fractional offset in [0, 1).
 
 All types here are immutable NamedTuples, except that `Detections` holds a
-frame's detections as columns of plain lists.  A class with rules to keep
-is a `__slots__ = ()` subclass of its field NamedTuple, whose `__new__`
-checks them; `_make` and `_replace` skip `__new__`, so nothing calls them
-on such a class.
+frame's detections as columns of plain lists.  A checked value is a
+NamedTuple under `@checked`: its `_check` holds the rules, and every way of
+building it (the constructor, `_make`, `_replace`, copy and unpickling)
+runs them.
 
 The box rule `require_box`, `IOU_THRESHOLD` and the downsample and class
 count defaults live in `rules`, which holds no class, so scoring can check
@@ -24,6 +24,7 @@ the same defaults.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,6 +38,28 @@ from .rules import (  # noqa: F401
 
 TOP_HEIGHT_FRACTION = 0.1
 _BELOW_TOP = 1.0 - TOP_HEIGHT_FRACTION
+
+
+def checked(cls):
+    """Make every instance of the NamedTuple `cls` pass `cls._check(instance)`.
+
+    `_check` raises on a broken rule and returns nothing, or returns the
+    instance to keep in place of the one it was given.  The generated
+    `__new__` still binds the arguments, so an arity error names `cls`, and
+    `inspect.signature` still shows the fields; `_make`, and through it
+    `_replace`, build through the same constructor.
+    """
+    make = cls.__new__
+
+    @functools.wraps(make)
+    def __new__(cls, *args, **kwargs):
+        self = make(cls, *args, **kwargs)
+        kept = cls._check(self)
+        return self if kept is None else kept
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 def require_float_sized(name: str, value: int) -> None:
@@ -60,25 +83,20 @@ def require_peak_limits(max_peaks: int, score_threshold: float) -> None:
         raise ValueError("score_threshold must be in [0, 1]")
 
 
-class _BBox(NamedTuple):
-    x1: float
-    y1: float
-    w: float
-    h: float
-
-
-class BBox(_BBox):
+@checked
+class BBox(NamedTuple):
     """Axis-aligned box: top-left corner (x1, y1) and positive extent (w, h).
 
     Every field and the far edges x2 = x1 + w and y2 = y1 + h are finite.
     """
 
-    __slots__ = ()
+    x1: float
+    y1: float
+    w: float
+    h: float
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         require_box(*self)
-        return self
 
     @property
     def x2(self) -> float:
@@ -92,20 +110,15 @@ class BBox(_BBox):
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-class _TopPoint(NamedTuple):
+@checked
+class TopPoint(NamedTuple):
+    """Continuous detection anchor in input-image pixels."""
+
     x: float
     y: float
 
-
-class TopPoint(_TopPoint):
-    """Continuous detection anchor in input-image pixels."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _require_finite("TopPoint", *self)
-        return self
 
 
 class GridPoint(NamedTuple):
@@ -115,16 +128,8 @@ class GridPoint(NamedTuple):
     row: int
 
 
-class _Detection(NamedTuple):
-    top: TopPoint
-    cell: GridPoint
-    size: tuple[float, float]
-    score: float
-    class_id: int
-    displacement: tuple[float, float]
-
-
-class Detection(_Detection):
+@checked
+class Detection(NamedTuple):
     """One decoded object: anchor point, source cell, box size, score and motion.
 
     `displacement` is the predicted motion from the previous frame to the
@@ -132,16 +137,19 @@ class Detection(_Detection):
     coordinates.
     """
 
-    __slots__ = ()
+    top: TopPoint
+    cell: GridPoint
+    size: tuple[float, float]
+    score: float
+    class_id: int
+    displacement: tuple[float, float]
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         w, h = self.size
         if w <= 0 or h <= 0:
             raise ValueError(f"Detection size must be positive, got {self.size}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score}")
-        return self
 
     def bbox(self) -> BBox:
         (box,) = top_boxes([self.top.x], [self.top.y], [self.size[0]], [self.size[1]])
@@ -185,7 +193,15 @@ class Detections(NamedTuple):
         ]
 
 
-class _PipelineConfig(NamedTuple):
+@checked
+class PipelineConfig(NamedTuple):
+    """Knobs for decoding and association.
+
+    Defaults: downsample factor 4, at most 100 peaks per frame, score
+    threshold 0.4, one object class, association gate of 1x the detection's
+    larger box side, size-loss weight 0.1 and focal exponents (2, 4).
+    """
+
     downsample: int = DEFAULT_DOWNSAMPLE
     max_peaks: int = 100
     score_threshold: float = 0.4
@@ -195,19 +211,7 @@ class _PipelineConfig(NamedTuple):
     focal_alpha: float = 2.0
     focal_beta: float = 4.0
 
-
-class PipelineConfig(_PipelineConfig):
-    """Knobs for decoding and association.
-
-    Defaults: downsample factor 4, at most 100 peaks per frame, score
-    threshold 0.4, one object class, association gate of 1x the detection's
-    larger box side, size-loss weight 0.1 and focal exponents (2, 4).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         require_downsample(self.downsample)
         require_peak_limits(self.max_peaks, self.score_threshold)
         if self.num_classes < 1:
@@ -221,7 +225,6 @@ class PipelineConfig(_PipelineConfig):
             raise ValueError("focal_alpha must be >= 1")
         if not self.focal_beta >= 0:
             raise ValueError("focal_beta must be >= 0")
-        return self
 
 
 def top_of(x1, y1, w, h):

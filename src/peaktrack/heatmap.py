@@ -45,6 +45,7 @@ from .geometry import (
     Detections,
     GridPoint,
     PipelineConfig,
+    checked,
     require_downsample,
     require_peak_limits,
 )
@@ -173,36 +174,27 @@ class ObjectAnnotation(NamedTuple):
     bbox: BBox
 
 
-class _FrameAnnotations(NamedTuple):
+@checked
+class FrameAnnotations(NamedTuple):
+    """All annotated objects of one frame, as a tuple; frame indices are 1-based."""
+
     frame_index: int
     objects: tuple[ObjectAnnotation, ...] = ()
 
-
-class FrameAnnotations(_FrameAnnotations):
-    """All annotated objects of one frame, as a tuple; frame indices are 1-based."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> FrameAnnotations | None:
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
-        self = super().__new__(cls, self.frame_index, tuple(self.objects))
+        # before the duplicate test, so a generator of objects is read once
+        if type(self.objects) is not tuple:
+            return self._replace(objects=tuple(self.objects))
         ids = [o.track_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate track ids in frame {self.frame_index}")
-        return self
+        return None
 
 
-class _HeadOutput(NamedTuple):
-    heatmap: Grid
-    size_map: Grid
-    offset_map: Grid
-    disp_map: Grid
-    downsample: int
-
-
-class HeadOutput(_HeadOutput):
+@checked
+class HeadOutput(NamedTuple):
     """The four per-frame prediction grids plus their downsampling factor.
 
     `heatmap` has one channel per class with values in [0, 1]; `size_map`
@@ -212,10 +204,13 @@ class HeadOutput(_HeadOutput):
     and `fileio.read_head_outputs` give them.
     """
 
-    __slots__ = ()
+    heatmap: Grid
+    size_map: Grid
+    offset_map: Grid
+    disp_map: Grid
+    downsample: int
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         grids = dict(zip(_HEAD_GRIDS, self))
         for name, g in grids.items():
             if len(g.shape) != 3:
@@ -231,7 +226,6 @@ class HeadOutput(_HeadOutput):
         if len(shapes) != 1:
             raise ValueError(f"head grids disagree on spatial dims: {sorted(shapes)}")
         require_downsample(self.downsample)
-        return self
 
     @property
     def grid_shape(self) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_DOWNSAMPLE, BBox, require_box, require_float_sized, top_of
+from .geometry import DEFAULT_DOWNSAMPLE, BBox, checked, require_box, require_float_sized, top_of
 from .heatmap import (
     FrameAnnotations,
     HeadOutput,
@@ -40,7 +40,10 @@ def _require_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-class _SceneConfig(NamedTuple):
+@checked
+class SceneConfig(NamedTuple):
+    """Scene geometry and dynamics; image dims are (height, width) pixels."""
+
     height: int
     width: int
     frames: int
@@ -55,14 +58,7 @@ class _SceneConfig(NamedTuple):
     despawn_prob: float = 0.0
     seed: int = 0
 
-
-class SceneConfig(_SceneConfig):
-    """Scene geometry and dynamics; image dims are (height, width) pixels."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _grid_dims(self.image_size, self.downsample)
         for name in ("height", "width"):  # positions in the frame are floats
             require_float_sized(name, getattr(self, name))
@@ -85,14 +81,16 @@ class SceneConfig(_SceneConfig):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         _require_seed(self.seed)
-        return self
 
     @property
     def image_size(self) -> tuple[int, int]:
         return (self.height, self.width)
 
 
-class _CorruptionConfig(NamedTuple):
+@checked
+class CorruptionConfig(NamedTuple):
+    """Rates for the supported degradations; all-zero means identity."""
+
     fn_rate: float = 0.0
     fp_rate: float = 0.0
     jitter_sigma: float = 0.0
@@ -100,14 +98,7 @@ class _CorruptionConfig(NamedTuple):
     temporal_jitter_k: int = 0
     seed: int = 0
 
-
-class CorruptionConfig(_CorruptionConfig):
-    """Rates for the supported degradations; all-zero means identity."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0.0 <= self.fn_rate <= 1.0:
             raise ValueError("fn_rate must be in [0, 1]")
         if not (self.fp_rate >= 0 and self.jitter_sigma >= 0 and self.hm_noise_sigma >= 0):
@@ -115,7 +106,6 @@ class CorruptionConfig(_CorruptionConfig):
         if not 0 <= self.temporal_jitter_k <= 3:
             raise ValueError("temporal_jitter_k must be in 0..3")
         _require_seed(self.seed)
-        return self
 
 
 class _Agent:

@@ -18,6 +18,8 @@ from peaktrack.cli import build_parser, main
 from peaktrack.config import ConfigFile
 from peaktrack.simulator import gen_scene, synthesize_head_outputs
 
+from .test_fileio import HOSTILE_VALUES
+
 SCENE_CFG = """
 [scene]
 width = 256
@@ -1032,3 +1034,66 @@ class TestMatcherChoices:
         ]
         (matcher,) = [a for a in track._actions if a.dest == "matcher"]
         assert list(matcher.choices) == list(MATCHERS)
+
+
+TINY_CFG = """
+[scene]
+width = 64
+height = 64
+frames = 3
+min_objects = 2
+max_objects = 2
+min_size = 8
+max_size = 16
+min_speed = 0.5
+max_speed = 2.0
+seed = 3
+"""
+
+# the flags that take a number, with the command that owns them
+NUMERIC_FLAGS = [
+    ("evaluate", "--iou-threshold"),
+    *(("render-heatmap", f) for f in ("--frame", "--width", "--height", "--downsample", "--classes")),
+    *(("overlay", f) for f in ("--frame", "--width", "--height")),
+    ("losscheck", "--tolerance"),
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """gt.txt, heads and a greedy result file of one TINY_CFG scene, shared read-only."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    assert main(["simulate", "--config", write_cfg(tmp, TINY_CFG), "--out", str(tmp)]) == 0
+    assert main(["track", "--heads", str(tmp / "heads"), "--out", str(tmp / "res.txt")]) == 0
+    return tmp
+
+
+class TestNumericFlagValues:
+    @pytest.mark.parametrize(
+        "value", HOSTILE_VALUES, ids=lambda v: "10**400" if v == str(10**400) else v
+    )
+    @pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+    def test_value_runs_or_fails_with_one_error_line(
+        self, tiny_run, tmp_path, capsys, command, flag, value
+    ):
+        gt, res, heads = (str(tiny_run / name) for name in ("gt.txt", "res.txt", "heads"))
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--gt", gt, "--pred", res],
+            "render-heatmap": [
+                "render-heatmap", "--gt", gt, "--frame", "1", "--out", str(out),
+                "--width", "64", "--height", "64",
+            ],
+            "overlay": ["overlay", "--gt", gt, "--pred", res, "--frame", "1", "--out", str(out)],
+            "losscheck": ["losscheck", "--pred", heads, "--gt", heads],
+        }[command]
+        # argparse keeps the last value of a flag given twice
+        try:
+            code = main([*argv, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3)
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) <= 1
+        if code != 0:
+            assert not out.exists()

@@ -45,6 +45,16 @@ class TestTopPointFromBBox:
         with pytest.raises(ValueError, match="BBox edges must be finite"):
             BBox(*box)
 
+    def test_replace_and_make_run_the_box_check(self):
+        with pytest.raises(ValueError, match=r"^BBox extent must be positive, got w=-1.0, h=1$"):
+            BBox(0, 0, 1, 1)._replace(w=-1.0)
+        with pytest.raises(ValueError, match="^BBox must be finite, got nan$"):
+            BBox._make([0, 0, math.nan, 1])
+
+    def test_wrong_arity_names_the_class(self):
+        with pytest.raises(TypeError, match=r"^BBox\.__new__\(\) missing 1 required positional"):
+            BBox(1, 2, 3)
+
 
 def quantize(x: float, y: float, r: int) -> tuple[tuple[float, float], GridPoint, tuple]:
     """The top point of a (2, 10) box placed to have its top at (x, y), with
@@ -190,3 +200,7 @@ class TestDetectionAndConfig:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    def test_replace_runs_the_config_check(self):
+        with pytest.raises(ValueError, match="^max_peaks must be >= 1$"):
+            PipelineConfig()._replace(max_peaks=0)

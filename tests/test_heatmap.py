@@ -148,6 +148,10 @@ class TestRender:
         with pytest.raises(ValueError):
             FrameAnnotations(1, objs)
 
+    def test_objects_from_an_iterator_are_kept_as_a_tuple(self):
+        objs = tuple(ObjectAnnotation(i, 0, BBox(10 * i, 0, 5, 5)) for i in range(1, 4))
+        assert FrameAnnotations(1, iter(objs)).objects == objs
+
 
 class TestExtractPeaks:
     def test_isolated_objects_found_exactly(self, rng):

@@ -282,6 +282,12 @@ class TestCorrupt:
                 CorruptionConfig(**{rate: math.nan})
 
 
+class TestSceneConfig:
+    def test_wrong_arity_names_the_class(self):
+        with pytest.raises(TypeError, match=r"^SceneConfig\.__new__\(\) missing 8 required"):
+            SceneConfig(height=64)
+
+
 def draw_gaussian_reference(channel, cell, sigma, peak=1.0):
     """One bump drawn into a dense channel, window by window; overlaps keep the max."""
     rows, cols = channel.shape
